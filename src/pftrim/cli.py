@@ -74,6 +74,11 @@ class MatrixDocument:
         return SkewMatrix.from_upper(ring, self.size, entries)
 
 
+def _is_int(value) -> bool:
+    # JSON true/false load as bool, which is a subclass of int
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def parse_matrix_document(text: str) -> MatrixDocument:
     """Parse and validate document JSON; raises ParseError on any defect."""
     try:
@@ -95,11 +100,12 @@ def parse_matrix_document(text: str) -> MatrixDocument:
     kind = field["kind"]
     if kind == "prime":
         char = field.get("p")
-        if not isinstance(char, int):
+        if not _is_int(char):
             raise ParseError("prime field needs an integer 'p'")
     elif kind == "rational":
         char = 0
-        if field.get("p", 0) != 0:
+        given = field.get("p", 0)
+        if isinstance(given, bool) or given != 0:
             raise ParseError("rational field takes no characteristic")
     else:
         raise ParseError(f"field kind must be 'prime' or 'rational', got {kind!r}")
@@ -110,7 +116,7 @@ def parse_matrix_document(text: str) -> MatrixDocument:
         raise ParseError("variables must be a list of three names")
 
     size = data["size"]
-    if not isinstance(size, int) or size < 1:
+    if not _is_int(size) or size < 1:
         raise ParseError(f"size must be a positive integer, got {size!r}")
 
     if not isinstance(data["upper"], list):
@@ -119,7 +125,7 @@ def parse_matrix_document(text: str) -> MatrixDocument:
     upper = []
     for cell in data["upper"]:
         if not (isinstance(cell, list) and len(cell) == 3
-                and isinstance(cell[0], int) and isinstance(cell[1], int)
+                and _is_int(cell[0]) and _is_int(cell[1])
                 and isinstance(cell[2], str)):
             raise ParseError(f"malformed upper entry {cell!r}")
         i, j, entry = cell

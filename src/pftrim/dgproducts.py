@@ -9,6 +9,13 @@ those correction constants (`d_constants`), individual products (`product`),
 the complete multiplication table (`full_table`), and checks the Leibniz rule
 against the differentials (`verify_leibniz`).
 
+The Leibniz check runs as two polynomial-matrix identities per degree-1 basis
+element x, on the left multiplications L_x: C1 -> C2 and L_x: C2 -> C3 read
+from the table: d2 L_x = d1(x) I - e_x d1 on C1 (e_x d1 has the row d1 at x
+and zeros elsewhere) and d3 L_x = d1(x) I - L_x d2 on C2.  Column y of either
+residual is d(xy) - d(x)y + x d(y), so a violation names the pair (x, y) and
+carries that column as a chain element.
+
 Products are defined once per orientation (lower degree first, canonical index
 order); the remaining pairs follow by graded commutativity.  Squares of
 odd-degree basis elements are set to zero in every characteristic, and pairs
@@ -17,11 +24,18 @@ whose degrees sum past the top of the complex multiply to zero.
 
 import dataclasses
 
+from . import polyring as _ring_mod
 from .errors import ArgumentError, FieldMismatch
 from .pfaffian import pfaffian_drop, rearrange_sign, sigma3, sigma5
+from .polyring import Polynomial
 from .resolution import BasisElement, signed_v
 
 _INDEX_PAIRS = ((1, 2), (1, 3), (2, 3))
+
+
+def _same_ring(a, b):
+    # the rule of Polynomial._check: identity first, then equality
+    return a is b or a == b
 
 
 class ChainElement:
@@ -41,7 +55,7 @@ class ChainElement:
                 raise ArgumentError(
                     f"{elem.label} has degree {elem.degree}, element is "
                     f"declared degree {degree}")
-            if coeff.ring is not ring:
+            if not _same_ring(coeff.ring, ring):
                 raise FieldMismatch("coefficient from a different ring")
             if not coeff.is_zero:
                 clean[elem] = coeff
@@ -69,7 +83,7 @@ class ChainElement:
     def _combine(self, other, sign):
         if not isinstance(other, ChainElement):
             return NotImplemented
-        if other.ring is not self.ring:
+        if not _same_ring(other.ring, self.ring):
             raise FieldMismatch("elements over different rings")
         if other.degree != self.degree:
             raise ArgumentError(
@@ -98,8 +112,8 @@ class ChainElement:
     def __eq__(self, other):
         if not isinstance(other, ChainElement):
             return NotImplemented
-        return self.ring is other.ring and self.degree == other.degree \
-            and self.coords == other.coords
+        return _same_ring(self.ring, other.ring) \
+            and self.degree == other.degree and self.coords == other.coords
 
     __hash__ = None
 
@@ -341,7 +355,7 @@ def product(td, x, y):
         return -_product_uu_mixed(td, j, s, i, l)
     if x.kind == "e":
         if y.kind == "f":
-            return _product_ef(td, x.data[0], y.data[0])
+            return _ef_pairing(td, x.data[0], y.data[0])
         return _product_ev(td, x.data[0], *y.data)
     if y.kind == "f":
         return _product_uf(td, *x.data, y.data[0])
@@ -428,10 +442,6 @@ def _ef_pairing(td, i, j):
     if j <= td.t:
         coords[BasisElement.W(j)] = _ef_w_coefficient(td, i, j)
     return ChainElement(td.ring, 3, coords)
-
-
-def _product_ef(td, i, j):
-    return _ef_pairing(td, i, j)
 
 
 def _product_ev(td, j, i, a, b):
@@ -560,25 +570,84 @@ class LeibnizReport:
                 f"{self.pairs_checked} pairs, first: {x.label}*{y.label})"]
 
 
+def _columns(mat):
+    # nonzero entries of each column of a polynomial matrix, as
+    # (row index, term dict) lists
+    cols = [[] for _ in mat[0]] if mat else []
+    for r, row in enumerate(mat):
+        for c, entry in enumerate(row):
+            if entry.terms:
+                cols[c].append((r, entry.terms))
+    return cols
+
+
+def _left_column(complex_, table, x, y):
+    # the column of L_x at y: the table's x*y as (basis index, term dict)
+    degree = 1 + y.degree
+    return [(complex_.index_of(degree, elem), coeff.terms)
+            for elem, coeff in table.lookup(x, y).coords.items()]
+
+
+def _accumulate(acc, combination, columns, addmul, p):
+    # acc += the sum of coeff * columns[index] over (index, coeff)
+    for index, coeff in combination:
+        for row, entry in columns[index]:
+            cell = acc.get(row)
+            if cell is None:
+                cell = acc[row] = {}
+            addmul(cell, entry, coeff, p, 1)
+
+
 def verify_leibniz(td, table):
-    """Check the Leibniz rule on every ordered pair with the first factor of
-    degree 1 and degree sum at most 3.  Violations carry the difference of the
-    two sides."""
+    """Check the Leibniz rule d(xy) = d(x)y - x d(y) on every ordered pair
+    with the first factor of degree 1 and degree sum at most 3.
+
+    For each degree-1 basis element x the table gives the left
+    multiplications L_x: C1 -> C2 and L_x: C2 -> C3, read through
+    ``table.lookup`` so that a tampered or incomplete table is caught.
+    The rule for all pairs (x, y) is then two polynomial-matrix identities,
+
+        on C1:  d2 L_x = d1(x) I - e_x d1,
+        on C2:  d3 L_x = d1(x) I - L_x d2,
+
+    where e_x d1 is the matrix whose only nonzero row, the row of x, is d1.
+    Column y of the residual (left side minus right side) is
+    d(xy) - (d(x)y - x d(y)).  Each nonzero column is a violation
+    (x, y, diff), with the column as a ChainElement of the degree of y;
+    violations come in (x, degree of y, basis position of y) order."""
     C = td.complex
     ring = td.ring
+    core = _ring_mod._core
+    addmul, p = core.addmul_into, ring._p
+    basis1, basis2 = C.basis(1), C.basis(2)
+    d1 = [entry.terms for entry in C.differential(1)[0]]
+    d2 = _columns(C.differential(2))
+    d3 = _columns(C.differential(3))
     violations = []
-    checked = 0
-    for x in C.basis(1):
-        x_elem = ChainElement.of(ring, x)
-        bx = boundary(C, x_elem)
-        for dy in (1, 2):
-            for y in C.basis(dy):
-                y_elem = ChainElement.of(ring, y)
-                lhs = boundary(C, table.lookup(x, y))
-                rhs = multiply(table, bx, y_elem) - \
-                    multiply(table, x_elem, boundary(C, y_elem))
-                diff = lhs - rhs
-                checked += 1
-                if not diff.is_zero:
-                    violations.append((x, y, diff))
-    return LeibnizReport(checked, tuple(violations))
+
+    def residual(acc, ix, iy, y, basis):
+        # subtract d1(x) from the diagonal; a nonzero column is a violation
+        if d1[ix]:
+            acc[iy] = core.sub_terms(acc.get(iy, {}), d1[ix], p)
+        coords = {basis[row]: Polynomial(ring, terms)
+                  for row, terms in acc.items() if terms}
+        if coords:
+            violations.append((basis1[ix], y,
+                               ChainElement(ring, y.degree, coords)))
+
+    for ix, x in enumerate(basis1):
+        left1 = [_left_column(C, table, x, y) for y in basis1]
+        left2 = [_left_column(C, table, x, y) for y in basis2]
+        for iy, y in enumerate(basis1):
+            acc = {}
+            _accumulate(acc, left1[iy], d2, addmul, p)
+            if d1[iy]:
+                acc[ix] = core.add_terms(acc.get(ix, {}), d1[iy], p)
+            residual(acc, ix, iy, y, basis1)
+        for iy, y in enumerate(basis2):
+            acc = {}
+            _accumulate(acc, left2[iy], d3, addmul, p)
+            _accumulate(acc, d2[iy], left1, addmul, p)
+            residual(acc, ix, iy, y, basis2)
+    return LeibnizReport(len(basis1) * (len(basis1) + len(basis2)),
+                         tuple(violations))

@@ -5,6 +5,7 @@ exact polynomial division.  Matrices are tuples of tuples (rows), dense.
 
 from __future__ import annotations
 
+from . import polyring as _ring_mod
 from .errors import ArgumentError
 from .polyring import Polynomial, PolyRing, monomial_degree, unpack_exponents
 
@@ -24,16 +25,18 @@ def transpose(rows):
 def mat_mul(ring: PolyRing, a, b):
     if a and b and len(a[0]) != len(b):
         raise ArgumentError(f"shape mismatch: {len(a[0])} columns times {len(b)} rows")
+    addmul = _ring_mod._core.addmul_into
+    p = ring._p
     bt = transpose(b)
     out = []
     for row in a:
         out_row = []
         for col in bt:
-            acc = ring.zero
+            acc = {}
             for f, g in zip(row, col):
                 if f.terms and g.terms:
-                    acc = acc + f * g
-            out_row.append(acc)
+                    addmul(acc, f.terms, g.terms, p, 1)
+            out_row.append(Polynomial(ring, acc))
         out.append(tuple(out_row))
     return tuple(out)
 

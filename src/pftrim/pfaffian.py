@@ -312,13 +312,14 @@ def check_identities(matrix: SkewMatrix) -> IdentityReport:
     m = matrix.m
     checks = []
 
-    def run(name, tuples, residual):
+    def run(name, outcomes):
+        # outcomes: (tuple, residual is nonzero) in tuple order
         cases = 0
         failures = 0
         first = None
-        for tup in tuples:
+        for tup, failed in outcomes:
             cases += 1
-            if residual(tup):
+            if failed:
                 failures += 1
                 if first is None:
                     first = repr(tup)
@@ -346,7 +347,7 @@ def check_identities(matrix: SkewMatrix) -> IdentityReport:
                     core.addmul_into(acc, entry.terms, sub.terms, p, -sign)
         return bool(acc)
 
-    run("expansion", expansion_tuples(), expansion_residual)
+    run("expansion", ((tup, expansion_residual(tup)) for tup in expansion_tuples()))
 
     # drop1_expansion over ordered pairs (i, j), i != j
     def drop1_tuples():
@@ -368,29 +369,43 @@ def check_identities(matrix: SkewMatrix) -> IdentityReport:
                     core.addmul_into(acc, entry.terms, sub.terms, p, -sign)
         return bool(acc)
 
-    run("drop1_expansion", drop1_tuples(), drop1_residual)
+    run("drop1_expansion", ((tup, drop1_residual(tup)) for tup in drop1_tuples()))
 
-    # sum3_vanishing over ordered distinct triples (i, j, k)
-    def sum3_tuples():
-        for i in range(1, m + 1):
-            for j in range(1, m + 1):
-                for k in range(1, m + 1):
-                    if len({i, j, k}) == 3:
-                        yield (i, j, k)
+    # the two vanishing sums are one row of T times a signed pfaffian
+    # vector [(r - 1, sign, pfaffian terms)], built once per index set
+    rows = [[entry.terms for entry in row] for row in matrix.rows]
 
-    def sum3_residual(tup):
-        i, j, k = tup
-        acc = {}
+    def signed_drops(sign_of, dropped):
+        vector = []
         for r in range(1, m + 1):
-            sign = sigma3(i, j, r)
-            entry = matrix.entry(k, r)
-            if sign and entry.terms:
-                sub = pfaffian_drop(matrix, (i, j, r))
-                if sub.terms:
-                    core.addmul_into(acc, entry.terms, sub.terms, p, sign)
+            sign = sign_of(r)
+            if sign:
+                sub = pfaffian_drop(matrix, dropped(r)).terms
+                if sub:
+                    vector.append((r - 1, sign, sub))
+        return vector
+
+    def row_times(k, vector):
+        acc = {}
+        row = rows[k - 1]
+        for r, sign, sub in vector:
+            if row[r]:
+                core.addmul_into(acc, row[r], sub, p, sign)
         return bool(acc)
 
-    run("sum3_vanishing", sum3_tuples(), sum3_residual)
+    # sum3_vanishing over ordered distinct triples (i, j, k)
+    def sum3_outcomes():
+        for i in range(1, m + 1):
+            for j in range(1, m + 1):
+                if i == j:
+                    continue
+                vector = signed_drops(lambda r: sigma3(i, j, r),
+                                      lambda r: (i, j, r))
+                for k in range(1, m + 1):
+                    if k != i and k != j:
+                        yield (i, j, k), row_times(k, vector)
+
+    run("sum3_vanishing", sum3_outcomes())
 
     # drop3_expansion over ordered distinct quadruples (i, j, r, k)
     def drop3_tuples():
@@ -416,32 +431,23 @@ def check_identities(matrix: SkewMatrix) -> IdentityReport:
                     core.addmul_into(acc, entry.terms, sub.terms, p, -sign)
         return bool(acc)
 
-    run("drop3_expansion", drop3_tuples(), drop3_residual)
+    run("drop3_expansion", ((tup, drop3_residual(tup)) for tup in drop3_tuples()))
 
     # sum5_vanishing over ordered distinct (i, h, s, k) and j outside
-    def sum5_tuples():
+    def sum5_outcomes():
         for i in range(1, m + 1):
             for h in range(1, m + 1):
                 for s in range(1, m + 1):
                     for k in range(1, m + 1):
                         if len({i, h, s, k}) != 4:
                             continue
+                        vector = signed_drops(
+                            lambda r: sigma3(i, r, h) * sigma5(i, r, h, s, k),
+                            lambda r: (i, r, h, s, k))
                         for j in range(1, m + 1):
                             if j not in (i, h, s, k):
-                                yield (i, h, s, k, j)
+                                yield (i, h, s, k, j), row_times(j, vector)
 
-    def sum5_residual(tup):
-        i, h, s, k, j = tup
-        acc = {}
-        for r in range(1, m + 1):
-            sign = sigma3(i, r, h) * sigma5(i, r, h, s, k)
-            entry = matrix.entry(j, r)
-            if sign and entry.terms:
-                sub = pfaffian_drop(matrix, (i, r, h, s, k))
-                if sub.terms:
-                    core.addmul_into(acc, entry.terms, sub.terms, p, sign)
-        return bool(acc)
-
-    run("sum5_vanishing", sum5_tuples(), sum5_residual)
+    run("sum5_vanishing", sum5_outcomes())
 
     return IdentityReport(tuple(checks))

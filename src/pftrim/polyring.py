@@ -253,7 +253,7 @@ class Polynomial:
 
     def _check(self, other) -> "Polynomial":
         if isinstance(other, Polynomial):
-            if other.ring != self.ring:
+            if other.ring is not self.ring and other.ring != self.ring:
                 raise FieldMismatch(f"cannot mix {self.ring!r} and {other.ring!r}")
             return other
         if isinstance(other, (int, Fraction)):

@@ -99,6 +99,15 @@ class TestDocument:
          "(1,9)"),
         ('{"field": {"kind": "prime", "p": 2}, "size": 5,'
          ' "upper": [[1, 4, "x"], [1, 4, "y"]]}', "duplicate entry (1,4)"),
+        # JSON booleans are not integers, although Python's bool is an int
+        ('{"field": {"kind": "prime", "p": 2}, "size": true, "upper": []}',
+         "positive integer"),
+        ('{"field": {"kind": "prime", "p": 2}, "size": 5,'
+         ' "upper": [[true, 2, "x"]]}', "malformed"),
+        ('{"field": {"kind": "prime", "p": true}, "size": 5, "upper": []}',
+         "integer 'p'"),
+        ('{"field": {"kind": "rational", "p": false}, "size": 5, "upper": []}',
+         "no characteristic"),
     ])
     def test_document_defects(self, text, needle):
         with pytest.raises(ParseError) as err:
@@ -251,6 +260,15 @@ class TestCommands:
                         ' "upper": [[1, 4, "1 + x"]]}')
         assert main(["pfaffians", str(path)]) == 2
         assert "(1,4)" in capsys.readouterr().err
+
+    def test_boolean_size_exit(self, tmp_path, capsys):
+        path = tmp_path / "bool.json"
+        path.write_text('{"field": {"kind": "prime", "p": 2}, "size": true,'
+                        ' "upper": []}')
+        assert main(["pfaffians", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "size must be a positive integer" in captured.err
 
     def test_bad_trim_value(self, example_file, capsys):
         assert main(["classify", example_file, "--trim", "9"]) == 2

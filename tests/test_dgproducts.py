@@ -73,6 +73,17 @@ class TestChainElement:
         with pytest.raises(ArgumentError):
             ChainElement(RQ, 1).scalar
 
+    def test_equal_rings_built_twice(self):
+        # rings are compared as Polynomial does: identity, then equality
+        R1, R2b = PolyRing(PrimeField(3)), PolyRing(PrimeField(3))
+        a = ChainElement(R1, 1, {B.E(1): R2b.gens[0]})
+        b = ChainElement(R2b, 1, {B.E(1): R2b.gens[0]})
+        assert a == b
+        assert (a - b).is_zero
+        assert (a + b).coefficient(B.E(1)) == R1.gens[0] * 2
+        with pytest.raises(FieldMismatch):
+            ChainElement(R1, 1, {B.E(1): PolyRing(PrimeField(5)).one})
+
     def test_str(self):
         x, y, _ = RQ.gens
         e = ChainElement(RQ, 2, {B.F(2): x + y, B.V(1, 1, 3): RQ.one,
@@ -363,6 +374,40 @@ class TestTableAndMultiply:
         assert multiply(table, left, right) == expected
 
 
+def leibniz_reference(td, table):
+    """Per-pair Leibniz differences d(xy) - (d(x)y - x d(y)), in the order
+    of verify_leibniz, through the public boundary and multiply."""
+    C = td.complex
+    out = []
+    for x in C.basis(1):
+        x_elem = ChainElement.of(td.ring, x)
+        bx = boundary(C, x_elem)
+        for dy in (1, 2):
+            for y in C.basis(dy):
+                y_elem = ChainElement.of(td.ring, y)
+                diff = boundary(C, table.lookup(x, y)) - (
+                    multiply(table, bx, y_elem)
+                    - multiply(table, x_elem, boundary(C, y_elem)))
+                if not diff.is_zero:
+                    out.append((x, y, diff))
+    return out
+
+
+def drop_w(td, table, kinds):
+    """Copy of the table with the w coordinate removed from the first
+    degree-(1, 2) cell of the given kinds that has one; returns the copy and
+    the tampered pair."""
+    entries = dict(table.entries)
+    for (x, y), value in table.entries.items():
+        if (x.kind, y.kind) != kinds:
+            continue
+        coords = {e: c for e, c in value.coords.items() if e.kind != "w"}
+        if len(coords) < len(value.coords):
+            entries[(x, y)] = ChainElement(td.ring, 3, coords)
+            return ProductTable(td.complex, entries), (x, y)
+    raise AssertionError(f"no {kinds} cell with a w coordinate")
+
+
 class TestLeibniz:
     def test_example_clean(self):
         td = example_trim()
@@ -395,8 +440,27 @@ class TestLeibniz:
         clean = entries[key]
         coords = {e: c for e, c in clean.coords.items() if e != B.V(1, 1, 3)}
         entries[key] = ChainElement(R2, 2, coords)
-        report = verify_leibniz(td, ProductTable(td.complex, entries))
+        tampered = ProductTable(td.complex, entries)
+        report = verify_leibniz(td, tampered)
         assert not report.all_passed
         assert key in [(x, y) for x, y, _ in report.violations]
+        assert list(report.violations) == leibniz_reference(td, tampered)
         assert "FAIL" in report.summary_lines()[0]
         assert "e2*e3" in report.summary_lines()[0]
+
+    @pytest.mark.parametrize("size,kinds", [
+        (5, ("u", "v")), (7, ("e", "f")), (7, ("u", "v"))])
+    def test_tampered_degree_three_cell(self, size, kinds):
+        # on the example matrix every e*f cell has a zero w coordinate
+        if size == 5:
+            td = example_trim()
+        else:
+            rng = random.Random(63)
+            td = trimmed_resolution(random_skew(R5, 7, rng, degree=1), 3)
+        tampered, key = drop_w(td, full_table(td), kinds)
+        report = verify_leibniz(td, tampered)
+        expected = leibniz_reference(td, tampered)
+        assert key in [(x, y) for x, y, _ in expected]
+        assert list(report.violations) == expected
+        r1, r2 = td.complex.rank(1), td.complex.rank(2)
+        assert report.pairs_checked == r1 * (r1 + r2)

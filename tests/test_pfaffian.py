@@ -304,6 +304,28 @@ class TestIdentities:
         bad = SkewMatrix.unchecked(RQ, rows)
         report = check_identities(bad)
         assert not report.all_passed
-        failing = [c for c in report.checks if not c.passed]
-        assert failing and all(c.first_failure for c in failing)
+        assert [(c.name, c.cases, c.failures, c.first_failure)
+                for c in report.checks] == [
+            ("expansion", 40, 25, "((1, 2), 2)"),
+            ("drop1_expansion", 20, 15, "(1, 3)"),
+            ("sum3_vanishing", 60, 20, "(1, 2, 4)"),
+            ("drop3_expansion", 20, 10, "(1, 2, 3, 5)"),
+            ("sum5_vanishing", 120, 0, None),
+        ]
         assert any("FAIL" in line for line in report.summary_lines())
+
+    def test_one_broken_entry(self):
+        # skew-symmetry broken at (6, 2) alone: every identity fails
+        R5 = PolyRing(PrimeField(5))
+        T = random_skew(R5, 7, random.Random(71), degree=1)
+        rows = [list(row) for row in T.rows]
+        rows[5][1] = rows[1][5]
+        report = check_identities(SkewMatrix.unchecked(R5, rows))
+        assert [(c.name, c.cases, c.failures, c.first_failure)
+                for c in report.checks] == [
+            ("expansion", 224, 15, "((2, 6), 6)"),
+            ("drop1_expansion", 42, 5, "(1, 6)"),
+            ("sum3_vanishing", 210, 20, "(1, 3, 6)"),
+            ("drop3_expansion", 140, 9, "(1, 3, 4, 6)"),
+            ("sum5_vanishing", 2520, 120, "(1, 3, 4, 5, 6)"),
+        ]
