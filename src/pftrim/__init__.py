@@ -1,7 +1,7 @@
 """Exact toolkit for trimmed pfaffian ideals over three-variable rings."""
 
 from .polyring import PolyRing, PrimeField, RationalField, QQ, Polynomial, \
-    kernel_backend, poly_arith, constant_term, decompose_c
+    poly_arith, constant_term, decompose_c
 from .pfaffian import SkewMatrix, pfaffian_keep, pfaffian_drop, sigma3, \
     sigma5, rearrange_sign, check_identities, IdentityReport
 from .resolution import BasisElement, ChainComplex, TrimmedData, \
@@ -20,7 +20,7 @@ from . import errors
 
 __all__ = [
     "PolyRing", "PrimeField", "RationalField", "QQ", "Polynomial",
-    "kernel_backend", "poly_arith", "constant_term", "decompose_c",
+    "poly_arith", "constant_term", "decompose_c",
     "SkewMatrix", "pfaffian_keep", "pfaffian_drop", "sigma3", "sigma5",
     "rearrange_sign", "check_identities", "IdentityReport",
     "BasisElement", "ChainComplex", "TrimmedData", "gorenstein_resolution",

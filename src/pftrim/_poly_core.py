@@ -5,9 +5,7 @@ in one integer) to a nonzero coefficient.  The modulus ``p`` selects the
 coefficient arithmetic: ``p > 0`` means integers reduced to 0..p-1,
 ``p == 0`` means exact rational arithmetic (ints and Fractions).
 
-These functions are the hot path of the whole package; a compiled twin
-with identical signatures lives in ``_poly_core_c`` and is preferred at
-import time when available.
+These functions are the hot path of the whole package.
 """
 
 
@@ -76,7 +74,10 @@ def addmul_into(acc, a, b, p, sign):
 
 
 def scale_into(acc, a, c, p, sign):
-    """acc += sign * c * a for a field scalar c."""
+    """acc += sign * c * a for a field scalar c.
+
+    No pftrim module calls this at present, but perfbench/tracing.py wraps
+    every kernel it names, this one included, so it must stay."""
     if sign < 0:
         c = -c
     for k, v in a.items():

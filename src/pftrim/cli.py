@@ -85,6 +85,8 @@ def parse_matrix_document(text: str) -> MatrixDocument:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}")
+    except RecursionError:
+        raise ParseError("document nests too deeply")
     if not isinstance(data, dict):
         raise ParseError("document must be a JSON object")
     for key in ("field", "size", "upper"):
@@ -159,8 +161,11 @@ def document_of_matrix(T: SkewMatrix) -> MatrixDocument:
 
 
 def _load_matrix(path: str) -> SkewMatrix:
-    with open(path) as handle:
-        text = handle.read()
+    try:
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text (byte {exc.start})")
     return parse_matrix_document(text).to_matrix()
 
 

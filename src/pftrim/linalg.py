@@ -7,15 +7,11 @@ from __future__ import annotations
 
 from . import polyring as _ring_mod
 from .errors import ArgumentError
-from .polyring import Polynomial, PolyRing, monomial_degree, unpack_exponents
+from .polyring import Polynomial, PolyRing, unpack_exponents
 
 
 def freeze(rows):
     return tuple(tuple(row) for row in rows)
-
-
-def zeros(ring: PolyRing, nrows: int, ncols: int):
-    return tuple((ring.zero,) * ncols for _ in range(nrows))
 
 
 def transpose(rows):
@@ -39,14 +35,6 @@ def mat_mul(ring: PolyRing, a, b):
             out_row.append(Polynomial(ring, acc))
         out.append(tuple(out_row))
     return tuple(out)
-
-
-def mat_is_zero(rows) -> bool:
-    return all(not entry for row in rows for entry in row)
-
-
-def mat_sub(a, b):
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
 def scalar_parts(rows):
@@ -89,10 +77,6 @@ def rref(field, rows):
         pivots.append(col)
         pivot_row += 1
     return [tuple(row) for row in work], tuple(pivots)
-
-
-def scalar_rank(field, rows) -> int:
-    return len(rref(field, rows)[1]) if rows else 0
 
 
 def _lead_key(f: Polynomial) -> int:
@@ -157,7 +141,3 @@ def det_bareiss(ring: PolyRing, rows) -> Polynomial:
             work[i][k] = ring.zero
         prev = pivot
     return work[n - 1][n - 1].scaled(sign)
-
-
-def total_degree_bound(rows) -> int:
-    return max((entry.degree() for row in rows for entry in row), default=-1)

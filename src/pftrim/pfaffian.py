@@ -28,11 +28,6 @@ from .polyring import Polynomial, PolyRing
 from . import polyring as _ring_mod
 
 
-def _core():
-    # resolve lazily so PFTRIM_PURE and test monkeypatching behave
-    return _ring_mod._core
-
-
 class SkewMatrix:
     """Odd-size skew-symmetric matrix with entries in the maximal ideal."""
 
@@ -138,7 +133,7 @@ class SkewMatrix:
         val = cache.get(mask)
         if val is not None:
             return val
-        core = _core()
+        core = _ring_mod._core
         p = self.ring._p
         b = (mask & -mask).bit_length() - 1
         rest = mask ^ (1 << b)
@@ -306,7 +301,7 @@ def check_identities(matrix: SkewMatrix) -> IdentityReport:
     On any valid skew matrix all five pass; the report carries the first
     failing tuple of each identity otherwise.
     """
-    core = _core()
+    core = _ring_mod._core
     ring = matrix.ring
     p = ring._p
     m = matrix.m

@@ -23,28 +23,15 @@ Example:
 
 from __future__ import annotations
 
-import os
 import re
 from fractions import Fraction
 
 from .errors import ArgumentError, EntryNotInMaximalIdeal, FieldMismatch, ParseError
 
-from . import _poly_core as _core_py
-
-try:
-    from . import _poly_core_c as _core_c
-except ImportError:
-    _core_c = None
-
-if os.environ.get("PFTRIM_PURE"):
-    _core = _core_py
-else:
-    _core = _core_c if _core_c is not None else _core_py
-
-
-def kernel_backend() -> str:
-    """Name of the term-arithmetic backend in use: "compiled" or "python"."""
-    return "python" if _core is _core_py else "compiled"
+# Every caller, in this module and the others, resolves ``polyring._core`` at
+# call time instead of binding the kernels at import, so that the counting
+# proxy of perfbench/tracing.py can stand in for the kernel module.
+from . import _poly_core as _core
 
 
 _LANE_BITS = 20

@@ -261,6 +261,24 @@ class TestCommands:
         assert main(["pfaffians", str(path)]) == 2
         assert "(1,4)" in capsys.readouterr().err
 
+    def test_undecodable_file_exit(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe{}")
+        assert main(["pfaffians", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert "not UTF-8 text" in captured.err
+
+    def test_deeply_nested_document_exit(self, tmp_path, capsys):
+        depth = 100_000
+        path = tmp_path / "deep.json"
+        path.write_text("[" * depth + "]" * depth)
+        assert main(["pfaffians", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: document nests too deeply")
+
     def test_boolean_size_exit(self, tmp_path, capsys):
         path = tmp_path / "bool.json"
         path.write_text('{"field": {"kind": "prime", "p": 2}, "size": true,'

@@ -1,5 +1,5 @@
 """Field and polynomial ring behaviour: parsing, printing, arithmetic,
-the maximal-ideal decomposition, and backend parity with the schoolbook
+the maximal-ideal decomposition, and arithmetic parity with the schoolbook
 oracle."""
 
 import random
@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from pftrim.errors import ArgumentError, EntryNotInMaximalIdeal, \
     FieldMismatch, ParseError
 from pftrim.polyring import EXPONENT_LIMIT, PolyRing, PrimeField, QQ, \
-    decompose_c, kernel_backend, poly_arith
+    decompose_c, poly_arith
 
 from oracles import oracle_poly_add, oracle_poly_mul, poly_from_tuples, \
     random_poly, tuple_terms
@@ -229,7 +229,3 @@ class TestRingAxioms:
             # the textual grammar carries integer coefficients only
             f = ring.from_terms({e: c.numerator for e, c in tuple_terms(f).items()})
         assert ring.from_string(str(f)) == f
-
-
-def test_backend_reported():
-    assert kernel_backend() in ("python", "compiled")
