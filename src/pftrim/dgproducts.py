@@ -1,28 +1,31 @@
 """Multiplication on the trimmed resolution.
 
 The trimmed complex carries a DG-algebra structure extending the one on the
-length-3 selfdual resolution and the Koszul blocks.  Each product of two basis
-elements is a polynomial combination of basis elements one degree up, with
-correction terms whose coefficients are built from signed subpfaffian sums and
-the variable-splitting constants of the matrix entries.  This module computes
-those correction constants (`d_constants`), individual products (`product`),
-the complete multiplication table (`full_table`), and checks the Leibniz rule
+length-3 selfdual resolution and the Koszul blocks.  This module computes the
+correction constants (`d_constants`), individual products (`product`), the
+complete multiplication table (`full_table`), and checks the Leibniz rule
 against the differentials (`verify_leibniz`).
 
-The Leibniz check runs as two polynomial-matrix identities per degree-1 basis
-element x, on the left multiplications L_x: C1 -> C2 and L_x: C2 -> C3 read
-from the table: d2 L_x = d1(x) I - e_x d1 on C1 (e_x d1 has the row d1 at x
-and zeros elsewhere) and d3 L_x = d1(x) I - L_x d2 on C2.  Column y of either
-residual is d(xy) - d(x)y + x d(y), so a violation names the pair (x, y) and
-carries that column as a chain element.
+A degree-1 basis element is a factor (i, l): e_i is (i, None), u^k_l is
+(k, l).  As d(u^k_l) = -z_l y_k = -z_l d(e_k), away from its own Koszul block
+u^k_l multiplies as rho(u^k_l) e_k, with rho(u^k_l) = -z_l and rho(e_i) = 1.
+So for i != j, with n u factors and z_None = 1,
 
-Products are defined once per orientation (lower degree first, canonical index
-order); the remaining pairs follow by graded commutativity.  Squares of
-odd-degree basis elements are set to zero in every characteristic, and pairs
-whose degrees sum past the top of the complex multiply to zero.
+    (i,l)(j,s) = (-1)^n [z_l z_s v(i,j) + sum_{k, a<b} C(k; i,l; j,s; a,b) v^k_ab]
+
+where v(i,j) = sum_r sigma3(i,j,r) pf(i,j,r) f_r is e_i e_j in the selfdual
+resolution and C = D(k,i,j,a,b) z_l z_s (D: signed five-index subpfaffians
+times splitting constants) unless k is the block of a u factor.  Then C
+contracts that factor's variable l': S(i,j; k,b) if l' = a, -S(i,j; k,a) if
+l' = b, else 0, times the other factor's z, with S(i,j; k,p) the sum over r
+of sigma3(i,j,r) pf(i,j,r) c_{r,k,p}.  In one block, u^k_l u^k_s =
+-y_k v^k_ls.  In degree (1, 2), x y = rho(x) (e_i y), plus a multiple of w^i
+when x = u^i_l meets f_i or v^i_ab.  Degree-(2, 1) products equal the
+(1, 2) ones; odd squares and degree sums past 3 are zero.
 """
 
 import dataclasses
+import math
 
 from . import polyring as _ring_mod
 from .errors import ArgumentError, FieldMismatch
@@ -162,12 +165,14 @@ _D_FLAVORS = {"two_index": 5, "three_index": 6, "four_index": 7}
 
 
 def d_constants(td, flavor, indices):
-    """Correction constant for the given flavor and index tuple.
+    """Correction constant C for the given flavor and index tuple.
 
     Flavors and their index tuples: "two_index" (k,i,j,a,b), "three_index"
     (k,i,j,l,a,b), "four_index" (k,i,j,l,s,a,b).  Here k labels a trimmed
     index, i and j are matrix indices, l and s are variable indices, and (a,b)
     is the target variable pair, extended antisymmetrically when a >= b.
+    The flavors are C(k; i,l; j,s; a,b) of the module docstring with no,
+    one (u^i_l times e_j) and two (u^i_l times u^j_s) u factors.
     """
     if flavor not in _D_FLAVORS:
         raise ArgumentError(f"unknown constant flavor {flavor!r}")
@@ -191,30 +196,30 @@ def d_constants(td, flavor, indices):
         return td.ring.zero
     if a > b:
         return -d_constants(td, flavor, (k, i, j, *vars_, b, a))
-    if flavor == "two_index":
-        return _d_two(td, k, i, j, a, b)
-    if flavor == "three_index":
-        return _d_three(td, k, i, j, vars_[0], a, b)
-    return _d_four(td, k, i, j, vars_[0], vars_[1], a, b)
+    l, s = (*vars_, None, None)[:2]
+    return _correction(td, k, (i, l), (j, s), a, b, _z_product(td.ring, l, s))
 
 
-def _memo(td):
-    # scratch space for the two hot sums below, keyed by their arguments;
-    # stored on the (frozen) dataclass through the __dict__ escape so the
-    # public field set stays as documented
-    cache = td.__dict__.get("_product_cache")
-    if cache is None:
-        cache = {}
-        object.__setattr__(td, "_product_cache", cache)
-    return cache
-
-
-def _d_two(td, k, i, j, a, b):
-    cache = _memo(td)
-    key = ("d2", k, i, j, a, b)
-    hit = cache.get(key)
-    if hit is not None:
+def _memo(fn):
+    # cache fn(td, i, j, *rest) on td, keyed by its arguments.  fn is
+    # antisymmetric in (i, j), so only i <= j is computed.  The cache sits on
+    # the (frozen) dataclass through the __dict__ escape so the public field
+    # set stays as documented
+    def cached(td, i, j, *rest):
+        cache = td.__dict__.setdefault("_product_cache", {})
+        key = (fn.__name__, i, j, *rest)
+        hit = cache.get(key)
+        if hit is None:
+            hit = fn(td, i, j, *rest) if i <= j else -cached(td, j, i, *rest)
+            cache[key] = hit
         return hit
+    return cached
+
+
+@_memo
+def _d_two(td, i, j, k, a, b):
+    # D(k,i,j,a,b); antisymmetric in (i, j): sigma3 changes sign, sigma5
+    # does not
     acc = td.ring.zero
     for r in range(1, td.m + 1):
         s3 = sigma3(i, j, r)
@@ -235,55 +240,60 @@ def _d_two(td, k, i, j, a, b):
                 continue
             term = pf * cr * ch
             acc = acc + term if s3 * s5 > 0 else acc - term
-    cache[key] = acc
     return acc
 
 
+@_memo
 def _skew_weighted_sum(td, i, j, var):
     # sum over r of sign(i,j,r) * subpfaffian * splitting constant of T[var][r]
-    cache = _memo(td)
-    key = ("sw", i, j, var)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
     acc = td.ring.zero
-    for r in range(1, td.m + 1):
+    for f, signed_pf in _selfdual_part(td.T, i, j, None).items():
+        weight = td.c[(f.data[0], var[0])][var[1] - 1]
+        if not weight.is_zero:
+            acc = acc + signed_pf * weight
+    return acc
+
+
+def _z_product(ring, l, s):
+    # z_l z_s over the u factors; None when both factors are e's
+    zs = [ring.gens[v - 1] for v in (l, s) if v is not None]
+    return math.prod(zs[1:], start=zs[0]) if zs else None
+
+
+def _correction(td, k, x, y, a, b, zz):
+    # C(k; i,l; j,s; a,b) for factors x = (i, l), y = (j, s) and a < b,
+    # with zz = _z_product(ring, l, s)
+    (i, l), (j, s) = x, y
+    if k == i and l is not None:
+        var, other = l, s
+    elif k == j and s is not None:
+        var, other = s, l
+    else:
+        value = _d_two(td, i, j, k, a, b)
+        return value if zz is None else value * zz
+    # k is the block of the u factor with variable var: contract it
+    if var == a:
+        value = _skew_weighted_sum(td, i, j, (k, b))
+    elif var == b:
+        value = -_skew_weighted_sum(td, i, j, (k, a))
+    else:
+        return td.ring.zero
+    return value if other is None else value * td.ring.gens[other - 1]
+
+
+def _selfdual_part(T, i, j, factor):
+    # the f-coordinates of e_i e_j in the selfdual resolution, times factor
+    coords = {}
+    for r in range(1, T.m + 1):
         s3 = sigma3(i, j, r)
         if s3 == 0:
             continue
-        weight = td.c[(r, var[0])][var[1] - 1]
-        if weight.is_zero:
-            continue
-        pf = pfaffian_drop(td.T, (i, j, r))
+        pf = pfaffian_drop(T, (i, j, r))
         if pf.is_zero:
             continue
-        term = pf * weight
-        acc = acc + term if s3 > 0 else acc - term
-    cache[key] = acc
-    return acc
-
-
-def _d_three(td, k, i, j, l, a, b):
-    if k != i:
-        return _d_two(td, k, i, j, a, b) * td.ring.gens[l - 1]
-    if {a, b, l} == {1, 2, 3}:
-        return td.ring.zero
-    if l == a:
-        return _skew_weighted_sum(td, i, j, (i, b))
-    return -_skew_weighted_sum(td, i, j, (i, a))
-
-
-def _d_four(td, k, i, j, l, s, a, b):
-    gens = td.ring.gens
-    if k != i and k != j:
-        return _d_two(td, k, i, j, a, b) * (gens[l - 1] * gens[s - 1])
-    if k == i:
-        return _d_three(td, i, i, j, l, a, b) * gens[s - 1]
-    if {a, b, s} == {1, 2, 3}:
-        return td.ring.zero
-    if s == a:
-        return _skew_weighted_sum(td, i, j, (j, b)) * gens[l - 1]
-    return -_skew_weighted_sum(td, i, j, (j, a)) * gens[l - 1]
+        value = pf * factor if factor is not None else pf
+        coords[BasisElement.F(r)] = value if s3 > 0 else -value
+    return coords
 
 
 def gorenstein_product(T, x, y):
@@ -302,25 +312,18 @@ def gorenstein_product(T, x, y):
     if x.degree + y.degree > 3:
         return zero_element(ring, x.degree + y.degree)
     if x.kind == "e" and y.kind == "e":
-        i, j = x.data[0], y.data[0]
-        coords = {}
-        for r in range(1, T.m + 1):
-            s3 = sigma3(i, j, r)
-            if s3 == 0:
-                continue
-            pf = pfaffian_drop(T, (i, j, r))
-            coords[BasisElement.F(r)] = pf if s3 > 0 else -pf
-        return ChainElement(ring, 2, coords)
-    # one factor in degree 1, the other in degree 2
-    i = x.data[0] if x.kind == "e" else y.data[0]
-    j = y.data[0] if x.kind == "e" else x.data[0]
-    if i == j:
+        return ChainElement(ring, 2,
+                            _selfdual_part(T, x.data[0], y.data[0], None))
+    # one factor in degree 1, the other in degree 2: e_i f_j = [i = j] g
+    if x.data[0] == y.data[0]:
         return ChainElement.of(ring, BasisElement.G())
     return zero_element(ring, 3)
 
 
 def product(td, x, y):
-    """Product of two basis elements of the trimmed complex."""
+    """Product of two basis elements of the trimmed complex, by the rule of
+    the module docstring: u^k_l multiplies as -z_l e_k away from its own
+    Koszul block k, with the correction constants C of `d_constants`."""
     C = td.complex
     for elem in (x, y):
         if not isinstance(elem, BasisElement):
@@ -339,97 +342,25 @@ def product(td, x, y):
     if dx > dy:
         # degrees (2,1); the commutativity sign (-1)^(2*1) is +1
         return product(td, y, x)
-    if dy == 1:
-        if x.kind == "e" and y.kind == "e":
-            return _product_ee(td, x.data[0], y.data[0])
-        if x.kind == "e":
-            return _product_eu(td, x.data[0], *y.data)
-        if y.kind == "e":
-            return -_product_eu(td, y.data[0], *x.data)
-        i, l = x.data
-        j, s = y.data
-        if i == j:
-            return _product_uu_same(td, i, l, s)
-        if i < j:
-            return _product_uu_mixed(td, i, l, j, s)
-        return -_product_uu_mixed(td, j, s, i, l)
-    if x.kind == "e":
-        if y.kind == "f":
-            return _ef_pairing(td, x.data[0], y.data[0])
-        return _product_ev(td, x.data[0], *y.data)
-    if y.kind == "f":
-        return _product_uf(td, *x.data, y.data[0])
-    i, l = x.data
-    k, a, b = y.data
-    if i == k:
-        return _product_uv_same(td, i, l, a, b)
-    return _product_uv_mixed(td, i, l, k, a, b)
-
-
-def _trimming_corrections(td, constant_of):
-    coords = {}
+    # factors (i, l): e_i is (i, None) and u^k_l is (k, l)
+    i, l = (*x.data, None)[:2]
+    if dy == 2:
+        return _product_with_degree_two(td, i, l, y)
+    j, s = (*y.data, None)[:2]
+    if i == j:
+        # two u factors of one block: u^i_l u^i_s = -y_i v^i_ls
+        sign, elem = signed_v(i, l, s)
+        return ChainElement(ring, 2, {elem: td.y[i - 1].scaled(-sign)})
+    zz = _z_product(ring, l, s)
+    coords = _selfdual_part(td.T, i, j, zz)
     for k in range(1, td.t + 1):
         for a, b in _INDEX_PAIRS:
-            value = constant_of(k, a, b)
+            value = _correction(td, k, (i, l), (j, s), a, b, zz)
             if not value.is_zero:
                 coords[BasisElement.V(k, a, b)] = value
-    return coords
-
-
-def _selfdual_part(td, i, j, factor):
-    coords = {}
-    for r in range(1, td.m + 1):
-        s3 = sigma3(i, j, r)
-        if s3 == 0:
-            continue
-        pf = pfaffian_drop(td.T, (i, j, r))
-        if pf.is_zero:
-            continue
-        value = pf * factor if factor is not None else pf
-        coords[BasisElement.F(r)] = value if s3 > 0 else -value
-    return coords
-
-
-def _product_ee(td, i, j):
-    coords = _selfdual_part(td, i, j, None)
-    coords.update(_trimming_corrections(
-        td, lambda k, a, b: _d_two(td, k, i, j, a, b)))
-    return ChainElement(td.ring, 2, coords)
-
-
-def _product_eu(td, j, i, l):
-    # defining orientation: degree-1 selfdual generator times trimmed generator
-    zl = td.ring.gens[l - 1]
-    coords = _selfdual_part(td, i, j, zl)
-    coords.update(_trimming_corrections(
-        td, lambda k, a, b: _d_three(td, k, i, j, l, a, b)))
-    return ChainElement(td.ring, 2, coords)
-
-
-def _product_uu_same(td, i, l, s):
-    sign, elem = signed_v(i, l, s)
-    if sign == 0:
-        return zero_element(td.ring, 2)
-    yi = td.y[i - 1]
-    return ChainElement(td.ring, 2, {elem: -yi if sign > 0 else yi})
-
-
-def _product_uu_mixed(td, i, l, j, s):
-    zz = td.ring.gens[l - 1] * td.ring.gens[s - 1]
-    coords = _selfdual_part(td, i, j, zz)
-    coords.update(_trimming_corrections(
-        td, lambda k, a, b: _d_four(td, k, i, j, l, s, a, b)))
-    return ChainElement(td.ring, 2, coords)
-
-
-def _ef_w_coefficient(td, i, j):
-    acc = td.ring.zero
-    for r in range(1, td.m + 1):
-        cr = td.c[(r, j)][2]
-        if cr.is_zero:
-            continue
-        acc = acc + cr * _d_two(td, j, i, r, 1, 2)
-    return acc
+    if (l is None) != (s is None):  # (-1)^n with n = 1
+        coords = {elem: -value for elem, value in coords.items()}
+    return ChainElement(ring, 2, coords)
 
 
 def _ef_pairing(td, i, j):
@@ -440,44 +371,39 @@ def _ef_pairing(td, i, j):
     if i == j:
         coords[BasisElement.G()] = td.ring.one
     if j <= td.t:
-        coords[BasisElement.W(j)] = _ef_w_coefficient(td, i, j)
+        acc = td.ring.zero
+        for r in range(1, td.m + 1):
+            cr = td.c[(r, j)][2]
+            if not cr.is_zero:
+                acc = acc + cr * _d_two(td, i, r, j, 1, 2)
+        coords[BasisElement.W(j)] = acc
     return ChainElement(td.ring, 3, coords)
 
 
-def _product_ev(td, j, i, a, b):
-    p = 6 - a - b
-    acc = _skew_weighted_sum(td, i, j, (i, p))
-    if p % 2 == 1:
-        acc = -acc
-    return ChainElement(td.ring, 3, {BasisElement.W(i): acc})
-
-
-def _product_uf(td, i, l, j):
-    result = _ef_pairing(td, i, j).scaled(-td.ring.gens[l - 1])
-    if i == j:
+def _product_with_degree_two(td, i, l, y):
+    # x y for the factor x = (i, l) and y of degree 2
+    ring = td.ring
+    if y.kind == "f":
+        result = _ef_pairing(td, i, y.data[0])
+    else:
+        # e_i v^k_ab, zero when i == k
+        k, a, b = y.data
+        p = 6 - a - b
+        acc = _skew_weighted_sum(td, k, i, (k, p))
+        result = ChainElement(ring, 3, {
+            BasisElement.W(k): -acc if p % 2 == 1 else acc})
+    if l is None:
+        return result
+    result = result.scaled(-ring.gens[l - 1])
+    if y.data[0] != i:
+        return result
+    # u^i_l against its own block
+    if y.kind == "f":
         phi, psi = sorted({1, 2, 3} - {l})
-        dval = td.dk[(i, phi, psi)]
-        if l % 2 == 0:
-            dval = -dval
-        result = result + ChainElement(td.ring, 3, {BasisElement.W(i): dval})
-    return result
-
-
-def _product_uv_same(td, i, l, a, b):
-    if l == a or l == b:
-        return zero_element(td.ring, 3)
-    sign = rearrange_sign((l, a, b), (1, 2, 3))
-    yi = td.y[i - 1]
-    return ChainElement(td.ring, 3, {
-        BasisElement.W(i): -yi if sign > 0 else yi})
-
-
-def _product_uv_mixed(td, i, l, j, a, b):
-    p = 6 - a - b
-    acc = _skew_weighted_sum(td, i, j, (j, p)) * td.ring.gens[l - 1]
-    if p % 2 == 1:
-        acc = -acc
-    return ChainElement(td.ring, 3, {BasisElement.W(j): acc})
+        own = td.dk[(i, phi, psi)].scaled(1 if l % 2 == 1 else -1)
+    else:
+        own = td.y[i - 1].scaled(-rearrange_sign((l, a, b), (1, 2, 3)))
+    return result + ChainElement(ring, 3, {BasisElement.W(i): own})
 
 
 class ProductTable:
@@ -507,12 +433,8 @@ class ProductTable:
     def pairs(self):
         """Ordered pairs in deterministic (degree, basis position) order."""
         C = self.complex
-        out = []
-        for dx, dy in ((1, 1), (1, 2), (2, 1)):
-            for x in C.basis(dx):
-                for y in C.basis(dy):
-                    out.append((x, y))
-        return out
+        return [(x, y) for dx, dy in ((1, 1), (1, 2), (2, 1))
+                for x in C.basis(dx) for y in C.basis(dy)]
 
     def records(self):
         out = []
@@ -527,16 +449,12 @@ class ProductTable:
 
 def full_table(td):
     """Multiplication table for every ordered basis pair of degree sum <= 3."""
-    entries = {}
-    C = td.complex
-    for dx, dy in ((1, 1), (1, 2), (2, 1)):
-        for x in C.basis(dx):
-            for y in C.basis(dy):
-                if dx > dy and (y, x) in entries:
-                    entries[(x, y)] = entries[(y, x)]
-                else:
-                    entries[(x, y)] = product(td, x, y)
-    return ProductTable(C, entries)
+    table = ProductTable(td.complex, {})
+    for x, y in table.pairs():
+        # the (2, 1) pairs come after the (1, 2) pairs they equal
+        table.entries[(x, y)] = table.entries[(y, x)] \
+            if x.degree > y.degree else product(td, x, y)
+    return table
 
 
 def multiply(table, left, right):

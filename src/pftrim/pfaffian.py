@@ -277,10 +277,6 @@ class IdentityReport:
         return lines
 
 
-def _complement(m: int, exclude) -> list:
-    return [v for v in range(1, m + 1) if v not in exclude]
-
-
 def check_identities(matrix: SkewMatrix) -> IdentityReport:
     """Evaluate the five pfaffian identities at every admissible tuple.
 
@@ -320,17 +316,11 @@ def check_identities(matrix: SkewMatrix) -> IdentityReport:
                     first = repr(tup)
         checks.append(IdentityCheck(name, cases, failures, first))
 
-    # expansion over every even-size subset and every expansion element
-    def expansion_tuples():
-        for mask in range(1, 1 << m):
-            subset = [v + 1 for v in range(m) if mask & (1 << v)]
-            if len(subset) % 2:
-                continue
-            for b in subset:
-                yield (tuple(subset), b)
+    # expansion over every even-size subset and every expansion element; its
+    # verdicts, keyed by (subset mask, b), also decide the drop identities
+    verdicts = {}
 
-    def expansion_residual(tup):
-        subset, b = tup
+    def expansion_residual(subset, b):
         acc = dict(pfaffian_keep(matrix, subset).terms)
         rest = [v for v in subset if v != b]
         for r in rest:
@@ -342,29 +332,28 @@ def check_identities(matrix: SkewMatrix) -> IdentityReport:
                     core.addmul_into(acc, entry.terms, sub.terms, p, -sign)
         return bool(acc)
 
-    run("expansion", ((tup, expansion_residual(tup)) for tup in expansion_tuples()))
+    def expansion_outcomes():
+        for mask in range(1, 1 << m):
+            subset = [v + 1 for v in range(m) if mask & (1 << v)]
+            if len(subset) % 2:
+                continue
+            for b in subset:
+                failed = verdicts[(mask, b)] = expansion_residual(subset, b)
+                yield (tuple(subset), b), failed
 
-    # drop1_expansion over ordered pairs (i, j), i != j
-    def drop1_tuples():
-        for i in range(1, m + 1):
-            for j in range(1, m + 1):
-                if i != j:
-                    yield (i, j)
+    run("expansion", expansion_outcomes())
 
-    def drop1_residual(tup):
-        i, j = tup
-        acc = dict(pfaffian_drop(matrix, (i,)).terms)
-        body = _complement(m, {i})
-        for r in body:
-            sign = rearrange_sign(body, (j, r) + tuple(_complement(m, {i, j, r})))
-            entry = matrix.entry(j, r)
-            if sign and entry.terms:
-                sub = pfaffian_drop(matrix, (i, j, r))
-                if sub.terms:
-                    core.addmul_into(acc, entry.terms, sub.terms, p, -sign)
-        return bool(acc)
+    full = (1 << m) - 1
 
-    run("drop1_expansion", ((tup, drop1_residual(tup)) for tup in drop1_tuples()))
+    def without(*indices):
+        # the mask of the complement of the given indices
+        return full ^ sum(1 << (v - 1) for v in indices)
+
+    # drop1_expansion over ordered pairs (i, j), i != j: the expansion of
+    # the complement of {i} along j
+    run("drop1_expansion", (((i, j), verdicts[(without(i), j)])
+                            for i in range(1, m + 1)
+                            for j in range(1, m + 1) if i != j))
 
     # the two vanishing sums are one row of T times a signed pfaffian
     # vector [(r - 1, sign, pfaffian terms)], built once per index set
@@ -402,31 +391,17 @@ def check_identities(matrix: SkewMatrix) -> IdentityReport:
 
     run("sum3_vanishing", sum3_outcomes())
 
-    # drop3_expansion over ordered distinct quadruples (i, j, r, k)
-    def drop3_tuples():
+    # drop3_expansion over ordered distinct quadruples (i, j, r, k) with
+    # i < j < r: the expansion of the complement of {i, j, r} along k
+    def drop3_outcomes():
         for i in range(1, m + 1):
             for j in range(i + 1, m + 1):
                 for r in range(j + 1, m + 1):
                     for k in range(1, m + 1):
                         if k not in (i, j, r):
-                            yield (i, j, r, k)
+                            yield (i, j, r, k), verdicts[(without(i, j, r), k)]
 
-    def drop3_residual(tup):
-        i, j, r, k = tup
-        acc = dict(pfaffian_drop(matrix, (i, j, r)).terms)
-        body = _complement(m, {i, j, r})
-        for h in body:
-            if h == k:
-                continue
-            sign = rearrange_sign(body, (k, h) + tuple(_complement(m, {i, j, r, k, h})))
-            entry = matrix.entry(k, h)
-            if sign and entry.terms:
-                sub = pfaffian_drop(matrix, (i, j, r, h, k))
-                if sub.terms:
-                    core.addmul_into(acc, entry.terms, sub.terms, p, -sign)
-        return bool(acc)
-
-    run("drop3_expansion", ((tup, drop3_residual(tup)) for tup in drop3_tuples()))
+    run("drop3_expansion", drop3_outcomes())
 
     # sum5_vanishing over ordered distinct (i, h, s, k) and j outside
     def sum5_outcomes():

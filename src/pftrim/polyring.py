@@ -365,22 +365,6 @@ class Polynomial:
         return f"Polynomial({self} over {self.ring.field!r})"
 
 
-def poly_arith(a: Polynomial, b: Polynomial, op: str) -> Polynomial:
-    """Dispatch exact arithmetic: op is one of "add", "sub", "mul"."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ArgumentError(f"op must be add, sub or mul, got {op!r}")
-
-
-def constant_term(f: Polynomial):
-    """Coefficient of the constant monomial of f (zero if absent)."""
-    return f.constant_term()
-
-
 def decompose_c(f: Polynomial) -> tuple[Polynomial, Polynomial, Polynomial]:
     """Split f with zero constant term as c1*z1 + c2*z2 + c3*z3.
 

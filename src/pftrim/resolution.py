@@ -188,20 +188,14 @@ class ChainComplex:
         except KeyError:
             raise ArgumentError(f"{elem.label} is not a degree-{d} basis element here")
 
-    def boundary_failures(self):
-        """All (d, row, col) where (boundary d) o (boundary d+1) != 0."""
-        out = []
+    def composes_to_zero(self) -> bool:
+        """Whether (boundary d) o (boundary d+1) vanishes for d = 1, 2."""
         for d in (1, 2):
             product = linalg.mat_mul(self.ring, self.differentials[d - 1],
                                      self.differentials[d])
-            for r, row in enumerate(product):
-                for c, entry in enumerate(row):
-                    if entry:
-                        out.append((d, r, c))
-        return out
-
-    def composes_to_zero(self) -> bool:
-        return not self.boundary_failures()
+            if any(entry for row in product for entry in row):
+                return False
+        return True
 
     def is_minimal(self) -> bool:
         return all(not entry.constant_term()

@@ -1,6 +1,9 @@
 """Matrix documents and the command-line surface."""
 
+import dataclasses
 import json
+import os
+import pathlib
 import subprocess
 import sys
 
@@ -14,7 +17,11 @@ from pftrim.cli import (
     parse_matrix_document,
     serialize_matrix_document,
 )
+from pftrim import cli
 from pftrim.errors import ArgumentError, EntryNotInMaximalIdeal, ParseError
+from pftrim.resolution import trimmed_resolution
+
+from test_resolution import change_d2_entry
 
 EX32_TEXT = json.dumps({
     "field": {"kind": "prime", "p": 2},
@@ -172,6 +179,18 @@ class TestCommands:
         assert "boundary composition: ok" in out
         assert "diagrams: 2 checks, ok" in out
 
+    def test_verify_boundary_composition_fail(self, example_file, capsys,
+                                              monkeypatch):
+        def broken(T, t):
+            td = trimmed_resolution(T, t)
+            return dataclasses.replace(td, complex=change_d2_entry(td.complex))
+
+        monkeypatch.setattr(cli, "trimmed_resolution", broken)
+        assert main(["verify", example_file, "--trim", "1"]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert "boundary composition: FAIL" in out
+        assert out[-1] == "verify: FAIL"
+
     def test_products_table(self, example_file, capsys):
         assert main(["products", example_file, "--trim", "1"]) == 0
         lines = capsys.readouterr().out.splitlines()
@@ -308,8 +327,11 @@ class TestCommands:
         assert "odd" in capsys.readouterr().err
 
     def test_module_entry_point(self, example_file):
+        # the child finds the package of this checkout, installed or not
+        src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "pftrim", "pfaffians", example_file],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
         assert proc.returncode == 0
         assert proc.stdout.splitlines() == PFAFFIAN_LINES

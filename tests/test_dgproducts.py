@@ -1,6 +1,10 @@
 """DG products against the printed 5x5 golden tables, correction-constant
-goldens, structural laws, and the Leibniz rule."""
+goldens, golden digests of whole tables, structural laws, and the Leibniz
+rule."""
 
+import hashlib
+import itertools
+import json
 import random
 
 import pytest
@@ -464,3 +468,57 @@ class TestLeibniz:
         assert list(report.violations) == expected
         r1, r2 = td.complex.rank(1), td.complex.rank(2)
         assert report.pairs_checked == r1 * (r1 + r2)
+
+
+# sha256 digests that pin every product and every correction constant:
+# full_table(td).records() over t = 1..m for one seeded matrix per field and
+# size (size 5: degree <= 2, three terms, not homogeneous; size 7: linear,
+# 60% of entries set), and d_constants over every admissible tuple.  A change
+# to the product rules that moves any cell changes a digest.
+DIGEST_FIELDS = {"F2": PrimeField(2), "F3": PrimeField(3),
+                 "F5": PrimeField(5), "QQ": QQ}
+TABLE_DIGESTS = {
+    ("F2", 5): "953c8a2b77e4d8a81bc60c5b45e8ebc37ff6df9f59b62fcbc838d78793a3967f",
+    ("F2", 7): "cd497772a46bc05e0e0365efafdc4fc55e65318ffa4db683a7d1f402bd58383e",
+    ("F3", 5): "14cb3298000f204eb1d4ff00a267ee65eddfa3a9ff950b1c433caedbd46549fc",
+    ("F3", 7): "da6666e0c31a6e691a4fb476183ab067941e30eb1ded55c81d945c585e0c2bb6",
+    ("F5", 5): "798cf9d4bef25ea862e59af3a0b7db319894502033e0386c0d75e5512e1ac689",
+    ("F5", 7): "a1f4c6da6d26184224b7254cd3a89d9dd2b00badb6678d8fed8921793ceb6fae",
+    ("QQ", 5): "d51a92ebbed68a65552328e099992c4d1c4c2b6a3ec035b6be822f139461357c",
+    ("QQ", 7): "4246f1e37250f928c4172b20bb8f51bca73dd34b2b820cf83dfcd552245d4a60",
+}
+D_CONSTANTS_DIGEST = \
+    "96f5820a3a80cc92c0806ad3695da66048d06b953c89c9342d958d23001ae788"
+
+
+def digest_matrix(name, m):
+    ring = PolyRing(DIGEST_FIELDS[name])
+    rng = random.Random(100 * list(DIGEST_FIELDS).index(name) + m)
+    if m == 5:
+        return random_skew(ring, m, rng, degree=2, terms=3, homogeneous=False)
+    return random_skew(ring, m, rng, degree=1, density=0.6)
+
+
+class TestGoldenDigests:
+    @pytest.mark.parametrize("name,m", sorted(TABLE_DIGESTS))
+    def test_product_tables(self, name, m):
+        T = digest_matrix(name, m)
+        h = hashlib.sha256()
+        for t in range(1, m + 1):
+            records = full_table(trimmed_resolution(T, t)).records()
+            h.update(json.dumps(records).encode())
+        assert h.hexdigest() == TABLE_DIGESTS[(name, m)]
+
+    def test_d_constants(self):
+        ring = PolyRing(QQ)
+        T = random_skew(ring, 5, random.Random(1005), degree=2, terms=3,
+                        homogeneous=False)
+        td = trimmed_resolution(T, 5)
+        h = hashlib.sha256()
+        for flavor, n_vars in (("two_index", 0), ("three_index", 1),
+                               ("four_index", 2)):
+            for k, i, j in itertools.product(range(1, 6), repeat=3):
+                for rest in itertools.product((1, 2, 3), repeat=n_vars + 2):
+                    value = d_constants(td, flavor, (k, i, j, *rest))
+                    h.update(str(value).encode() + b";")
+        assert h.hexdigest() == D_CONSTANTS_DIGEST

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from pftrim.errors import ArgumentError, EntryNotInMaximalIdeal, \
     FieldMismatch, ParseError
 from pftrim.polyring import EXPONENT_LIMIT, PolyRing, PrimeField, QQ, \
-    decompose_c, poly_arith
+    decompose_c
 
 from oracles import oracle_poly_add, oracle_poly_mul, poly_from_tuples, \
     random_poly, tuple_terms
@@ -123,14 +123,6 @@ class TestPrinting:
 
 
 class TestArithmetic:
-    def test_poly_arith_dispatch(self):
-        x, y, _ = RQ.gens
-        assert poly_arith(x, y, "add") == x + y
-        assert poly_arith(x, y, "sub") == x - y
-        assert poly_arith(x, y, "mul") == x * y
-        with pytest.raises(ArgumentError):
-            poly_arith(x, y, "div")
-
     def test_scalar_mixing(self):
         x = R5.gens[0]
         assert 2 * x + x == 3 * x

@@ -172,6 +172,11 @@ class TestTrimmed:
         assert td.complex.composes_to_zero()
         assert verify_diagrams(td).all_passed
 
+    def test_changed_d2_entry_fails_composition(self):
+        C = trimmed_resolution(example_matrix(), 1).complex
+        assert C.composes_to_zero()
+        assert not change_d2_entry(C).composes_to_zero()
+
     def test_random_composes_all_t(self):
         rng = random.Random(7)
         for m in (5, 7):
@@ -179,6 +184,15 @@ class TestTrimmed:
             for t in range(1, m + 1):
                 td = trimmed_resolution(T, t)
                 assert td.complex.composes_to_zero(), (m, t)
+
+
+def change_d2_entry(complex_):
+    """The complex with its first boundary-2 entry raised by the first
+    variable, so that boundary 1 after boundary 2 no longer vanishes."""
+    d2 = [list(row) for row in complex_.differential(2)]
+    d2[0][0] = d2[0][0] + complex_.ring.gens[0]
+    return ChainComplex(complex_.ring, complex_.bases,
+                        (complex_.differential(1), d2, complex_.differential(3)))
 
 
 class TestDiagrams:
