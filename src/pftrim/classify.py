@@ -3,10 +3,13 @@ the multiplicative class decision, the induced scalar products on the
 minimal bases, and the numerical consequences the scanner checks.
 
 The unit entries of the degree-two differential all sit in the connecting
-block, so the minimal format follows from the rank of that block over the
-residue field.  The class decision needs no products for sizes seven and
-up; for size five it reduces to vanishing conditions on the residues of
-the splitting constants.
+block Q1, so the minimal format follows from the rank of Q1 over the
+residue field.  Entry (k, l), i of Q1 is c_l of T[k, i], whose constant
+term is the coefficient of z_l in T[k, i] under the greedy rule of
+``decompose_c``; so ``classify`` reads Q1 mod the maximal ideal off T and
+never builds the resolution.  The class decision needs no products for
+sizes seven and up; for size five it reduces to vanishing 2x2 minors of
+the same residues.
 """
 
 import dataclasses
@@ -14,7 +17,7 @@ import dataclasses
 from .dgproducts import full_table
 from .errors import ArgumentError, NotApplicable, UnsupportedSize
 from .linalg import rref, scalar_parts, transpose
-from .resolution import BasisElement, trimmed_resolution
+from .resolution import BasisElement
 
 _PAIRS = ((1, 2), (1, 3), (2, 3))
 
@@ -57,51 +60,46 @@ class TorReport:
                 f"class {self.class_}"]
 
 
-def _pivot_data(td):
-    reduced, pivots = rref(td.ring.field, scalar_parts(td.Q1))
-    return reduced, pivots
-
-
-def _minor_failure(td):
+def _minor_failure(field, qbar, m, t):
     # first trimmed column and pair of untrimmed indices whose two
-    # complementary residue rows have a nonvanishing 2x2 minor
-    field = td.ring.field
+    # complementary residue columns in some block of Q1 have a
+    # nonvanishing 2x2 minor
     zero = field.of(0)
-    cbar = {key: tuple(f.constant_term() for f in split)
-            for key, split in td.c.items()}
-    m, t = td.m, td.t
     for i in range(t + 1, m + 1):
         for j in range(i + 1, m + 1):
             for k in range(1, t + 1):
-                h, r = (n for n in range(1, m + 1) if n not in (i, j, k))
-                row_h, row_r = cbar[(h, k)], cbar[(r, k)]
+                h, r = (n - 1 for n in range(1, m + 1) if n not in (i, j, k))
                 for a, b in _PAIRS:
-                    minor = row_h[a - 1] * row_r[b - 1] - \
-                        row_h[b - 1] * row_r[a - 1]
-                    if minor != zero:
+                    row_a, row_b = qbar[3 * k + a - 4], qbar[3 * k + b - 4]
+                    if field.of(row_a[h] * row_b[r] -
+                                row_b[h] * row_a[r]) != zero:
                         return i, j, k
     return None
 
 
 def classify(T, t):
     """Minimal format and Tor class of the ideal obtained by trimming the
-    first t pfaffian generators of the selfdual ideal of T."""
-    if T.m % 2 == 0 or T.m < 5:
+    first t pfaffian generators of the selfdual ideal of T.  Q1 mod the
+    maximal ideal is the z-coefficients of the first t rows of T, so no
+    pfaffian, Q2 sum or boundary map is built."""
+    m, field = T.m, T.ring.field
+    if m % 2 == 0 or m < 5:
         raise UnsupportedSize(
-            f"classification needs odd size at least 5, got {T.m}")
-    td = trimmed_resolution(T, t)
-    _, pivots = _pivot_data(td)
+            f"classification needs odd size at least 5, got {m}")
+    if not isinstance(t, int) or not 1 <= t <= m:
+        raise ArgumentError(f"trim count must satisfy 1 <= t <= {m}, got {t!r}")
+    zero = field.of(0)
+    z_keys = [next(iter(z.terms)) for z in T.ring.gens]
+    qbar = [[T.rows[k][i].terms.get(key, zero) for i in range(m)]
+            for k in range(t) for key in z_keys]
+    _, pivots = rref(field, qbar)
     rank = len(pivots)
     p = sum(1 for col in pivots if col >= t)
-    fmt = (1, T.m + 2 * t - rank, T.m + 3 * t - rank, 1 + t)
-    failure = _minor_failure(td) if T.m == 5 else None
-    if failure is None:
-        r = T.m - t - p
-        cls = f"G({r})"
-    else:
-        r = None
-        cls = "NotG"
-    return TorReport(T.m, t, rank, p, fmt, fmt[1], r, cls, failure)
+    fmt = (1, m + 2 * t - rank, m + 3 * t - rank, 1 + t)
+    failure = _minor_failure(field, qbar, m, t) if m == 5 else None
+    r = m - t - p if failure is None else None
+    cls = "NotG" if failure else f"G({r})"
+    return TorReport(m, t, rank, p, fmt, fmt[1], r, cls, failure)
 
 
 class TorProductTable:

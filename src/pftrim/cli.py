@@ -26,8 +26,8 @@ import sys
 from .classify import check_conjectures, classify, conjugate_trim_set
 from .dgproducts import full_table, verify_leibniz
 from .errors import ParseError, PftrimError
-from .families import (FamilySpec, build_family, family_checks,
-                       realizability_scan, write_scan_csv)
+from .families import (MAX_SCAN_SIZE, FamilySpec, build_family,
+                       family_checks, realizability_scan, write_scan_csv)
 from .pfaffian import SkewMatrix, check_identities
 from .polyring import PolyRing, PrimeField, QQ
 from .resolution import (gorenstein_resolution, minimize, trimmed_resolution,
@@ -405,7 +405,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--char", type=int, default=2, metavar="P",
                    help="field characteristic, 0 for rationals (default 2)")
     p.add_argument("--size", type=int, required=True, metavar="M",
-                   help="matrix size (odd, at least 5)")
+                   help=f"matrix size (odd, 5 to {MAX_SCAN_SIZE})")
     p.add_argument("--trials", type=int, default=10, metavar="N")
     p.add_argument("--degree-bound", type=int, default=2, metavar="D")
     p.add_argument("--min-degree", type=int, default=1, metavar="D")

@@ -9,6 +9,7 @@ verifies together with the shape of three distinguished pfaffians.
 ``realizability_scan`` samples random skew matrices over a chosen field
 and classifies every trim count, recording which classes actually occur.
 Records are reproducible from the seed and the call parameters alone.
+Sizes up to ``MAX_SCAN_SIZE`` (21) are practical.
 """
 
 from __future__ import annotations
@@ -18,12 +19,13 @@ import dataclasses
 import random
 
 from .classify import TorReport, classify
-from .errors import ArgumentError
+from .errors import ArgumentError, UnsupportedSize
 from .linalg import det_bareiss
 from .pfaffian import SkewMatrix, pfaffian_drop
 from .polyring import PolyRing, PrimeField, QQ
 
 __all__ = [
+    "MAX_SCAN_SIZE",
     "FamilySpec",
     "FamilyCheck",
     "FamilyReport",
@@ -188,6 +190,13 @@ def family_checks(spec: FamilySpec, ring: PolyRing = None) -> FamilyReport:
     return FamilyReport(spec, report, tuple(checks))
 
 
+#: Largest size ``realizability_scan`` accepts.  Classification reads
+#: residues only, so the drop-one pfaffians of the skip check are the one
+#: cost that grows exponentially: about four times per step of 2 in size,
+#: some 3 s of CPU and 130 MiB per trial at size 21 (F2, degree bound 2,
+#: Python 3.11 on a 2-core Xeon).
+MAX_SCAN_SIZE = 21
+
 #: Column order of the scan CSV.
 SCAN_COLUMNS = ("seed", "trial", "p", "m", "t", "rank_q1", "pivots_tail",
                 "l", "n", "r", "class")
@@ -267,9 +276,17 @@ def realizability_scan(char: int, m: int, trials: int, degree_bound: int = 2,
     whose generator vector is identically zero is skipped (its trial index
     is still consumed, so records stay reproducible).  Each kept matrix
     produces one record per trim count t in 1..m, in trial order.
+
+    Raises:
+        ArgumentError: m even or below 5, or another argument out of range.
+        UnsupportedSize: m above ``MAX_SCAN_SIZE``; checked before any
+            matrix is built.
     """
     if m % 2 == 0 or m < 5:
         raise ArgumentError(f"scan size must be odd and at least 5, got {m}")
+    if m > MAX_SCAN_SIZE:
+        raise UnsupportedSize(
+            f"scan size must be at most {MAX_SCAN_SIZE}, got {m}")
     if trials < 1:
         raise ArgumentError(f"need at least one trial, got {trials}")
     if not 1 <= min_degree <= degree_bound:

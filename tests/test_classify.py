@@ -1,10 +1,13 @@
 """Class decision against the 5x5 golden example, induced Tor products,
 conjecture verdicts, and trim-set conjugation."""
 
+import hashlib
+import json
 import random
 
 import pytest
 
+from pftrim import polyring, resolution
 from pftrim.classify import ConjectureReport, TorReport, check_conjectures, \
     classify, conjugate_trim_set, tor_products
 from pftrim.errors import ArgumentError, NotApplicable, UnsupportedSize
@@ -14,6 +17,7 @@ from pftrim.resolution import minimize, trimmed_resolution
 
 from oracles import random_skew
 
+from test_dgproducts import DIGEST_FIELDS, digest_matrix
 from test_pfaffian import example_matrix
 
 
@@ -34,6 +38,19 @@ class TestClassify:
             "m": 5, "t": 1, "rank_q1": 2, "p": 2, "format": [1, 5, 6, 2],
             "mu": 5, "r": None, "class": "NotG"}
         assert "class NotG" in rep.summary_lines()[0]
+
+    def test_size_five_minor_vanishes_mod_p(self):
+        # row 1 has residue columns (2, 1, 0) at 3 and (1, 2, 0) at 4, whose
+        # minor 2*2 - 1*1 vanishes over F3: no witness, and no degree-one
+        # products in the Tor algebra
+        T = SkewMatrix.from_upper(R3, 5, {
+            (1, 3): "2*x + y", (1, 4): "x + 2*y", (2, 4): "2*y*z + x + y",
+            (2, 5): "2*x^2 + z", (3, 4): "2*z^2", (3, 5): "2*x + 2*y",
+            (4, 5): "2*x^2"})
+        rep = classify(T, 1)
+        assert rep.failing_minor is None and rep.class_ == "G(3)"
+        assert not tor_products(trimmed_resolution(T, 1)) \
+            .has_degree_one_products()
 
     def test_full_trim_always_g0(self):
         rng = random.Random(11)
@@ -73,6 +90,70 @@ class TestClassify:
                     td = trimmed_resolution(T, t)
                     assert minimize(td.complex).ranks == rep.format
                     assert 0 <= rep.rank_q1 - rep.p <= t
+
+
+# sha256 over t = 1..m of (report document, failing minor), frozen before
+# classify read its residues straight off the matrix entries
+REPORT_DIGESTS = {
+    ("F2", 5):
+        "adadcc649422eda57c8c185c18fa328e9e81337427ebb8ccd20f568c07a1e14e",
+    ("F2", 7):
+        "4cd6ae8bf49c8a4d81f43f0e708f8ac0827e074185d7271166505d345509041f",
+    ("F3", 5):
+        "484a37e0b9a244648d1320681a993397943724ad74c18068d92520c07bb9fd86",
+    ("F3", 7):
+        "73b317fc363d2c398518a94adab4ef17b19a706d02bafd554be34464790108d8",
+    ("F3", 9):
+        "3d157eecf2ec5dedb90a887757ac0f3d442598607c4e3a21b6828304f7bcf7e0",
+    ("F5", 5):
+        "9cd7302f850e8a4225cc95ddbe076aa0b9ba01dd8dc63ab300c690557937ad37",
+    ("F5", 7):
+        "61d645a14cab402bd93356adbce14c9fdf7fc70d1f06fef0921a966afb595f24",
+    ("QQ", 5):
+        "22b558c24d0425cad1a6bb69a013cd3680fa6775a72d9081838dbb782bd068fe",
+    ("QQ", 7):
+        "a830cd4ae81b5f9cef32cc84ff1b4ffec0eb82f2b69a2acae387d89ce23f2ef5",
+    ("QQ", 11):
+        "95909b0422e46ee7770dbdd47263a73a8c17bbfb0f40d8c332dbe3e4aa06e939",
+}
+
+
+def report_matrix(name, m):
+    if m <= 7:
+        return digest_matrix(name, m)
+    ring = PolyRing(DIGEST_FIELDS[name])
+    rng = random.Random(100 * list(DIGEST_FIELDS).index(name) + m)
+    if m == 9:
+        return random_skew(ring, m, rng, degree=2, terms=3, homogeneous=False)
+    return random_skew(ring, m, rng, degree=1, density=0.6)
+
+
+def report_digest(T):
+    h = hashlib.sha256()
+    for t in range(1, T.m + 1):
+        rep = classify(T, t)
+        h.update(json.dumps([rep.to_document(), rep.failing_minor]).encode())
+    return h.hexdigest()
+
+
+class TestGoldenReports:
+    @pytest.mark.parametrize("name,m", sorted(REPORT_DIGESTS))
+    def test_reports(self, name, m):
+        assert report_digest(report_matrix(name, m)) == \
+            REPORT_DIGESTS[(name, m)]
+
+    def test_no_polynomial_work(self, monkeypatch):
+        T = report_matrix("F3", 9)
+
+        def forbidden(*args):
+            raise AssertionError("classify did polynomial work")
+
+        monkeypatch.setattr(SkewMatrix, "_pf", forbidden)
+        monkeypatch.setattr(resolution, "trimmed_resolution", forbidden)
+        monkeypatch.setattr(polyring.Polynomial, "__mul__", forbidden)
+        rep = classify(example_matrix(), 1)
+        assert rep.class_ == "NotG" and rep.failing_minor == (2, 3, 1)
+        assert report_digest(T) == REPORT_DIGESTS[("F3", 9)]
 
 
 class TestTorProducts:

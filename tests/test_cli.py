@@ -326,6 +326,12 @@ class TestCommands:
         assert main(["scan", "--size", "6", "--trials", "1"]) == 2
         assert "odd" in capsys.readouterr().err
 
+    def test_scan_size_limit_exit(self, capsys):
+        assert main(["scan", "--size", "23", "--trials", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: scan size must be at most 21, got 23\n"
+
     def test_module_entry_point(self, example_file):
         # the child finds the package of this checkout, installed or not
         src = str(pathlib.Path(__file__).resolve().parents[1] / "src")

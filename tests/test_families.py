@@ -1,11 +1,14 @@
 """Family builders, their check reports, and the realizability scanner."""
 
+import hashlib
 import io
 
 import pytest
 
-from pftrim.errors import ArgumentError
+from pftrim import families
+from pftrim.errors import ArgumentError, UnsupportedSize
 from pftrim.families import (
+    MAX_SCAN_SIZE,
     SCAN_COLUMNS,
     FamilySpec,
     build_family,
@@ -28,6 +31,20 @@ EXPECTED = {
     ("odd", 3): ((1, 20, 27, 8), "G(6)"),
     ("even", 2): ((1, 11, 15, 5), "G(3)"),
     ("even", 3): ((1, 17, 23, 7), "G(5)"),
+}
+
+
+# sha256 of the CSV of the criterion 8 and 9 scans, keyed by
+# (char, size, trials, seed, min_degree), all with degree bound 2
+SCAN_DIGESTS = {
+    (2, 7, 160, 11, 1):
+        "e88537c927bd5805044691bf1bee5e531922fc02cff3a60d92bee0d98381b74e",
+    (3, 5, 100, 12, 1):
+        "1c72541748504bf2b76d498a1222d20232248eb27f9011e4cbba98edd45200fb",
+    (2, 5, 60, 13, 2):
+        "74f2ec8936ee08c6d0e3fbf64b9f58aea9656b3096734e8b7685337c403b1b00",
+    (3, 7, 20, 14, 2):
+        "3293467a745218da72e950308f4fbd3c9326684e6f3cb090f27e83c452e49a08",
 }
 
 
@@ -211,6 +228,15 @@ class TestScan:
         with pytest.raises(ArgumentError):
             realizability_scan(4, 5, 1)
 
+    def test_size_limit_before_any_matrix(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("matrix built above the size limit")
+
+        monkeypatch.setattr(families, "_random_skew", forbidden)
+        assert MAX_SCAN_SIZE == 21
+        with pytest.raises(UnsupportedSize):
+            realizability_scan(2, MAX_SCAN_SIZE + 2, 1)
+
     def test_csv_output(self):
         result = realizability_scan(2, 5, 2, 2, seed=7)
         buffer = io.StringIO()
@@ -224,3 +250,13 @@ class TestScan:
             cells = line.split(",")
             assert cells[-1] == record.class_
             assert cells[-2] == ("" if record.r is None else str(record.r))
+
+    @pytest.mark.parametrize("char,m,trials,seed,min_degree",
+                             sorted(SCAN_DIGESTS))
+    def test_golden_csv(self, char, m, trials, seed, min_degree):
+        result = realizability_scan(char, m, trials, 2, seed,
+                                    min_degree=min_degree)
+        buffer = io.StringIO()
+        write_scan_csv(result.records, buffer)
+        digest = hashlib.sha256(buffer.getvalue().encode()).hexdigest()
+        assert digest == SCAN_DIGESTS[(char, m, trials, seed, min_degree)]
