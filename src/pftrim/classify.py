@@ -6,20 +6,18 @@ The unit entries of the degree-two differential all sit in the connecting
 block Q1, so the minimal format follows from the rank of Q1 over the
 residue field.  Entry (k, l), i of Q1 is c_l of T[k, i], whose constant
 term is the coefficient of z_l in T[k, i] under the greedy rule of
-``decompose_c``; so ``classify`` reads Q1 mod the maximal ideal off T and
-never builds the resolution.  The class decision needs no products for
-sizes seven and up; for size five it reduces to vanishing 2x2 minors of
-the same residues.
+``decompose_c``; so ``classify`` and ``tor_products`` read Q1 mod the
+maximal ideal off T, and ``classify`` never builds the resolution.  The
+class decision needs no products for sizes seven and up; for size five it
+reduces to vanishing 2x2 minors of the same residues.
 """
 
 import dataclasses
 
 from .dgproducts import full_table
 from .errors import ArgumentError, NotApplicable, UnsupportedSize
-from .linalg import rref, scalar_parts, transpose
-from .resolution import BasisElement
-
-_PAIRS = ((1, 2), (1, 3), (2, 3))
+from .linalg import rref, transpose
+from .resolution import _PAIRS, BasisElement
 
 
 @dataclasses.dataclass(frozen=True)
@@ -60,6 +58,15 @@ class TorReport:
                 f"class {self.class_}"]
 
 
+def _residue_q1(T, t):
+    # Q1 mod the maximal ideal, 3t x m: row (k, l), column i is the
+    # coefficient of z_l in T[k, i]
+    zero = T.ring.field.of(0)
+    z_keys = [next(iter(z.terms)) for z in T.ring.gens]
+    return [[T.rows[k][i].terms.get(key, zero) for i in range(T.m)]
+            for k in range(t) for key in z_keys]
+
+
 def _minor_failure(field, qbar, m, t):
     # first trimmed column and pair of untrimmed indices whose two
     # complementary residue columns in some block of Q1 have a
@@ -88,10 +95,7 @@ def classify(T, t):
             f"classification needs odd size at least 5, got {m}")
     if not isinstance(t, int) or not 1 <= t <= m:
         raise ArgumentError(f"trim count must satisfy 1 <= t <= {m}, got {t!r}")
-    zero = field.of(0)
-    z_keys = [next(iter(z.terms)) for z in T.ring.gens]
-    qbar = [[T.rows[k][i].terms.get(key, zero) for i in range(m)]
-            for k in range(t) for key in z_keys]
+    qbar = _residue_q1(T, t)
     _, pivots = rref(field, qbar)
     rank = len(pivots)
     p = sum(1 for col in pivots if col >= t)
@@ -183,7 +187,7 @@ def tor_products(td, table=None):
     Computes the full product table of the complex (or reuses a prebuilt
     one), reduces modulo the maximal ideal, and rewrites the results in
     the split basis that removes the unit pivots of the degree-two
-    differential.
+    differential, whose residues are read off T as in ``classify``.
     """
     field = td.ring.field
     zero = field.of(0)
@@ -191,7 +195,7 @@ def tor_products(td, table=None):
     m, t = td.m, td.t
     if table is None:
         table = full_table(td)
-    qbar = scalar_parts(td.Q1)
+    qbar = _residue_q1(td.T, t)
     reduced, pivots = rref(field, qbar)
     row_of = {col: row for row, col in enumerate(pivots)}
     pivot_set = set(pivots)

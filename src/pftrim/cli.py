@@ -200,7 +200,7 @@ def _index_list(text: str):
 
 def _trim_target(args, T):
     """Resolve --trim/--trim-set into (matrix, t, note lines)."""
-    if getattr(args, "trim_set", None):
+    if getattr(args, "trim_set", None) is not None:
         M, _perm = conjugate_trim_set(T, args.trim_set)
         chosen = sorted(set(args.trim_set))
         note = ("conjugated generators {" + ", ".join(map(str, chosen))

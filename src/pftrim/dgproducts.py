@@ -31,9 +31,8 @@ from . import polyring as _ring_mod
 from .errors import ArgumentError, FieldMismatch
 from .pfaffian import pfaffian_drop, rearrange_sign, sigma3, sigma5
 from .polyring import Polynomial
-from .resolution import BasisElement, signed_v
-
-_INDEX_PAIRS = ((1, 2), (1, 3), (2, 3))
+from .resolution import _PAIRS, BasisElement, _selfdual_part, _trimmed_data, \
+    signed_v
 
 
 def _same_ring(a, b):
@@ -281,43 +280,10 @@ def _correction(td, k, x, y, a, b, zz):
     return value if other is None else value * td.ring.gens[other - 1]
 
 
-def _selfdual_part(T, i, j, factor):
-    # the f-coordinates of e_i e_j in the selfdual resolution, times factor
-    coords = {}
-    for r in range(1, T.m + 1):
-        s3 = sigma3(i, j, r)
-        if s3 == 0:
-            continue
-        pf = pfaffian_drop(T, (i, j, r))
-        if pf.is_zero:
-            continue
-        value = pf * factor if factor is not None else pf
-        coords[BasisElement.F(r)] = value if s3 > 0 else -value
-    return coords
-
-
 def gorenstein_product(T, x, y):
-    """Product of two basis elements of the untrimmed selfdual resolution."""
-    ring = T.ring
-    for elem in (x, y):
-        if not isinstance(elem, BasisElement) or \
-                elem.kind not in ("one", "e", "f", "g"):
-            raise ArgumentError(f"not an untrimmed basis element: {elem!r}")
-        if elem.kind in ("e", "f") and elem.data[0] > T.m:
-            raise ArgumentError(f"{elem.label} out of range for size {T.m}")
-    if x.kind == "one":
-        return ChainElement.of(ring, y)
-    if y.kind == "one":
-        return ChainElement.of(ring, x)
-    if x.degree + y.degree > 3:
-        return zero_element(ring, x.degree + y.degree)
-    if x.kind == "e" and y.kind == "e":
-        return ChainElement(ring, 2,
-                            _selfdual_part(T, x.data[0], y.data[0], None))
-    # one factor in degree 1, the other in degree 2: e_i f_j = [i = j] g
-    if x.data[0] == y.data[0]:
-        return ChainElement.of(ring, BasisElement.G())
-    return zero_element(ring, 3)
+    """Product of two basis elements of the untrimmed selfdual resolution:
+    `product` on the trimming with nothing trimmed."""
+    return product(_trimmed_data(T, 0), x, y)
 
 
 def product(td, x, y):
@@ -354,7 +320,7 @@ def product(td, x, y):
     zz = _z_product(ring, l, s)
     coords = _selfdual_part(td.T, i, j, zz)
     for k in range(1, td.t + 1):
-        for a, b in _INDEX_PAIRS:
+        for a, b in _PAIRS:
             value = _correction(td, k, (i, l), (j, s), a, b, zz)
             if not value.is_zero:
                 coords[BasisElement.V(k, a, b)] = value
@@ -365,8 +331,9 @@ def product(td, x, y):
 
 def _ef_pairing(td, i, j):
     # the degree-3 pairing of the i-th selfdual generator with the j-th
-    # degree-2 generator, valid for any i; equals the (e, f) product when
-    # i is an untrimmed index
+    # degree-2 generator, valid for any i: g when i == j, plus a w^j part
+    # (read off c, which holds rows j <= t only) when f_j belongs to a
+    # trimmed generator; equals the (e, f) product when i is untrimmed
     coords = {}
     if i == j:
         coords[BasisElement.G()] = td.ring.one

@@ -37,12 +37,6 @@ def mat_mul(ring: PolyRing, a, b):
     return tuple(out)
 
 
-def scalar_parts(rows):
-    """Constant terms of every entry, as field values (the matrix over the
-    residue field)."""
-    return [[entry.constant_term() for entry in row] for row in rows]
-
-
 def rref(field, rows):
     """Reduced row echelon form of a matrix of field scalars.
 

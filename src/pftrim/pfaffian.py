@@ -151,7 +151,7 @@ class SkewMatrix:
                 if sub.terms:
                     core.addmul_into(acc, entry.terms, sub.terms, p, sign)
             sign = -sign
-        val = Polynomial(self.ring, acc)
+        val = Polynomial(self.ring, _ring_mod.check_exponents(acc))
         cache[mask] = val
         return val
 

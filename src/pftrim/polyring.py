@@ -25,6 +25,8 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 
 from .errors import ArgumentError, EntryNotInMaximalIdeal, FieldMismatch, ParseError
 
@@ -41,6 +43,10 @@ _LANE_MASK = (1 << _LANE_BITS) - 1
 #: two valid exponents still fits in one 20-bit lane without carrying.
 EXPONENT_LIMIT = (1 << (_LANE_BITS - 1)) - 1
 
+# the top bit of every lane; a key has an exponent above EXPONENT_LIMIT
+# exactly when it meets this mask
+_LANE_TOPS = sum(1 << (n * _LANE_BITS + _LANE_BITS - 1) for n in range(3))
+
 
 def pack_exponents(a1: int, a2: int, a3: int) -> int:
     return a1 | (a2 << _LANE_BITS) | (a3 << (2 * _LANE_BITS))
@@ -49,6 +55,22 @@ def pack_exponents(a1: int, a2: int, a3: int) -> int:
 def unpack_exponents(key: int) -> tuple[int, int, int]:
     return (key & _LANE_MASK, (key >> _LANE_BITS) & _LANE_MASK,
             (key >> (2 * _LANE_BITS)) & _LANE_MASK)
+
+
+def check_exponents(terms: dict) -> dict:
+    """Return terms after checking that no exponent exceeds EXPONENT_LIMIT.
+
+    Meant for the terms of a product of valid polynomials: their lanes
+    cannot carry, so the bitwise or of the keys shows a lane past the
+    limit.  Keeping every stored product within the limit keeps every
+    later product carry-free.
+
+    Raises:
+        ArgumentError: some exponent is above EXPONENT_LIMIT.
+    """
+    if reduce(or_, terms, 0) & _LANE_TOPS:
+        raise ArgumentError(f"product has an exponent above {EXPONENT_LIMIT}")
+    return terms
 
 
 def monomial_degree(key: int) -> int:
@@ -271,7 +293,8 @@ class Polynomial:
         other = self._check(other)
         if other is NotImplemented:
             return NotImplemented
-        return Polynomial(self.ring, _core.mul_terms(self.terms, other.terms, self.ring._p))
+        return Polynomial(self.ring, check_exponents(
+            _core.mul_terms(self.terms, other.terms, self.ring._p)))
 
     __rmul__ = __mul__
 

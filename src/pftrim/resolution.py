@@ -1,7 +1,8 @@
-"""Free resolutions: the length-3 Gorenstein resolution attached to a
-skew matrix, the rank-3 Koszul complex, and the trimmed resolution that
-glues one Koszul copy per trimmed generator onto the truncated Gorenstein
-complex.
+"""Free resolutions: the trimmed resolution that glues one Koszul copy
+per trimmed generator onto the truncated Gorenstein complex of a skew
+matrix, and the rank-3 Koszul complex it glues in.  Trimming nothing
+(t = 0) leaves the length-3 Gorenstein resolution itself, so
+``gorenstein_resolution`` is that case of the same construction.
 
 Basis conventions (order is part of the contract and golden tests rely
 on it):
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 from . import linalg
 from .errors import ArgumentError, MinimizationNotPolynomial
 from .pfaffian import SkewMatrix, pfaffian_drop, sigma3
-from .polyring import Polynomial, PolyRing, decompose_c
+from .polyring import PolyRing, decompose_c
 
 
 @dataclass(frozen=True, order=True)
@@ -119,6 +120,9 @@ def signed_v(k: int, a: int, b: int):
     return -1, BasisElement.V(k, b, a)
 
 
+#: The variable pairs (a, b) of the v-blocks, in basis order.
+_PAIRS = ((1, 2), (1, 3), (2, 3))
+
 #: Koszul boundary matrices in the fixed bases (u_1,u_2,u_3),
 #: (v_{1,2},v_{1,3},v_{2,3}), (w); entries are variable indices with sign,
 #: encoded as (sign, variable) with variable in 1..3, or None for zero.
@@ -129,6 +133,7 @@ _KOSZUL_3 = ((1, 3), (-1, 2), (1, 1))
 
 
 def _koszul_matrices(ring: PolyRing):
+    # the Koszul boundaries 2 and 3; boundary 1 is (z1, z2, z3)
     z = ring.gens
 
     def of(cell):
@@ -137,10 +142,9 @@ def _koszul_matrices(ring: PolyRing):
         sign, var = cell
         return z[var - 1] if sign == 1 else -z[var - 1]
 
-    delta1 = ((z[0], z[1], z[2]),)
     delta2 = tuple(tuple(of(cell) for cell in row) for row in _KOSZUL_2)
     delta3 = tuple((of(cell),) for cell in _KOSZUL_3)
-    return delta1, delta2, delta3
+    return delta2, delta3
 
 
 class ChainComplex:
@@ -222,7 +226,8 @@ class TrimmedData:
     Fields:
         T: the input skew matrix.
         t: number of trimmed generators.
-        c: map (i, j) -> (c1, c2, c3) splitting T[j][i] over the variables.
+        c: map (i, k) with k <= t -> (c1, c2, c3) splitting T[k][i] over
+            the variables; only the trimmed rows are split.
         y: the m signed subpfaffian generators, 1-based via y[i-1].
         dk: map (k, a, b) with a < b -> the degree-2 correction constant.
         Q1: (3t) x m connecting matrix, rows grouped in threes per copy.
@@ -248,22 +253,26 @@ class TrimmedData:
         return self.T.ring
 
 
+def _selfdual_part(T, i, j, factor):
+    # the f-coordinates of e_i e_j in the Gorenstein resolution, times factor
+    coords = {}
+    for r in range(1, T.m + 1):
+        s3 = sigma3(i, j, r)
+        if s3 == 0:
+            continue
+        pf = pfaffian_drop(T, (i, j, r))
+        if pf.is_zero:
+            continue
+        value = pf * factor if factor is not None else pf
+        coords[BasisElement.F(r)] = value if s3 > 0 else -value
+    return coords
+
+
 def gorenstein_resolution(T: SkewMatrix) -> ChainComplex:
     """The resolution 0 -> R -> R^m -> R^m -> R with boundary maps (the
-    signed subpfaffian row, T itself, the signed subpfaffian column)."""
-    ring = T.ring
-    m = T.m
-    y = T.generators()
-    bases = (
-        (BasisElement.ONE(),),
-        tuple(BasisElement.E(i) for i in range(1, m + 1)),
-        tuple(BasisElement.F(i) for i in range(1, m + 1)),
-        (BasisElement.G(),),
-    )
-    d1 = (y,)
-    d2 = T.rows
-    d3 = tuple((v,) for v in y)
-    return ChainComplex(ring, bases, (d1, d2, d3))
+    signed subpfaffian row, T itself, the signed subpfaffian column): the
+    trimmed resolution with nothing trimmed."""
+    return _trimmed_data(T, 0).complex
 
 
 def trimmed_resolution(T: SkewMatrix, t: int) -> TrimmedData:
@@ -275,55 +284,53 @@ def trimmed_resolution(T: SkewMatrix, t: int) -> TrimmedData:
     """
     if not isinstance(t, int) or not 1 <= t <= T.m:
         raise ArgumentError(f"trim count must satisfy 1 <= t <= {T.m}, got {t!r}")
+    return _trimmed_data(T, t)
+
+
+def _trimmed_data(T: SkewMatrix, t: int) -> TrimmedData:
+    # the construction for 0 <= t <= m; t = 0 is the Gorenstein resolution
     ring = T.ring
     m = T.m
     zero = ring.zero
     z = ring.gens
 
-    c = {}
-    for i in range(1, m + 1):
-        for j in range(1, m + 1):
-            c[(i, j)] = decompose_c(T.entry(j, i))
+    c = {(i, k): decompose_c(T.entry(k, i))
+         for k in range(1, t + 1) for i in range(1, m + 1)}
 
     y = T.generators()
 
-    dk = {}
-    for k in range(1, t + 1):
-        for a, b in ((1, 2), (1, 3), (2, 3)):
-            acc = zero
-            for i in range(1, m + 1):
-                for r in range(1, m + 1):
-                    sign = sigma3(i, k, r)
-                    if not sign:
-                        continue
-                    term = c[(i, k)][b - 1] * c[(r, k)][a - 1]
-                    if term:
-                        pf = pfaffian_drop(T, (i, k, r))
-                        if pf:
-                            acc = acc + (term * pf).scaled(sign)
-            dk[(k, a, b)] = acc
+    # d^k_ab = sum over i, r of c_{i,k,b} c_{r,k,a} times the f_r
+    # coordinate of e_i e_k, read once per row i with a nonzero splitting
+    dk = {(k, a, b): zero for k in range(1, t + 1) for a, b in _PAIRS}
+    for (i, k), ci in c.items():
+        if not any(ci):
+            continue
+        selfdual = _selfdual_part(T, i, k, None)
+        for a, b in _PAIRS:
+            if ci[b - 1]:
+                weights = ((c[(f.data[0], k)][a - 1], value)
+                           for f, value in selfdual.items())
+                inner = sum((w * value for w, value in weights if w), zero)
+                dk[(k, a, b)] = dk[(k, a, b)] + ci[b - 1] * inner
 
     q1 = tuple(tuple(c[(i, k)][l - 1] for i in range(1, m + 1))
                for k in range(1, t + 1) for l in (1, 2, 3))
-    q2 = tuple((dk[(k, a, b)],)
-               for k in range(1, t + 1) for (a, b) in ((1, 2), (1, 3), (2, 3)))
+    q2 = tuple((dk[(k, a, b)],) for k in range(1, t + 1) for (a, b) in _PAIRS)
 
     deg1 = tuple(BasisElement.E(i) for i in range(t + 1, m + 1)) + \
         tuple(BasisElement.U(k, l) for k in range(1, t + 1) for l in (1, 2, 3))
     deg2 = tuple(BasisElement.F(i) for i in range(1, m + 1)) + \
-        tuple(BasisElement.V(k, a, b)
-              for k in range(1, t + 1) for (a, b) in ((1, 2), (1, 3), (2, 3)))
+        tuple(BasisElement.V(k, a, b) for k in range(1, t + 1) for (a, b) in _PAIRS)
     deg3 = (BasisElement.G(),) + tuple(BasisElement.W(k) for k in range(1, t + 1))
 
-    _, delta2, delta3 = _koszul_matrices(ring)
+    delta2, delta3 = _koszul_matrices(ring)
 
-    d1 = (tuple(y[i - 1] for i in range(t + 1, m + 1)) +
-          tuple(-(y[k - 1] * z[l - 1])
-                for k in range(1, t + 1) for l in (1, 2, 3)),)
+    d1 = (y[t:] + tuple(-(y[k - 1] * z[l - 1])
+                        for k in range(1, t + 1) for l in (1, 2, 3)),)
 
     d2 = []
     for i in range(t + 1, m + 1):
-        d2.append(tuple(T.entry(i, j) for j in range(1, m + 1)) + (zero,) * (3 * t))
+        d2.append(T.rows[i - 1] + (zero,) * (3 * t))
     for k in range(1, t + 1):
         for l in (1, 2, 3):
             row = [-q1[3 * (k - 1) + (l - 1)][j] for j in range(m)]
@@ -384,7 +391,7 @@ def verify_diagrams(td: TrimmedData) -> DiagramReport:
     """
     ring = td.ring
     z = ring.gens
-    _, delta2, _ = _koszul_matrices(ring)
+    delta2, _ = _koszul_matrices(ring)
     checks = []
     for k in range(1, td.t + 1):
         block = td.Q1[3 * (k - 1): 3 * k]

@@ -311,6 +311,27 @@ class TestCommands:
         assert main(["classify", example_file, "--trim", "9"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_empty_trim_set_exit(self, example_file, capsys):
+        # an empty set is a usage error, not a request for the untrimmed
+        # resolution that resolve prints without --trim-set
+        for command in ("resolve", "products", "classify", "verify"):
+            assert main([command, example_file, "--trim-set", ""]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: no generators chosen\n", command
+
+    def test_pfaffian_exponent_overflow_exit(self, tmp_path, capsys):
+        # y7 = x^(3 * 524287) would carry between exponent lanes
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({
+            "field": {"kind": "prime", "p": 2}, "size": 7,
+            "upper": [[1, 2, "x^524287"], [3, 4, "x^524287"],
+                      [5, 6, "x^524287"]]}))
+        assert main(["pfaffians", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: product has an exponent above 524287\n"
+
     def test_usage_errors(self, example_file):
         with pytest.raises(SystemExit) as err:
             main(["classify", example_file, "--trim", "1", "--trim-set", "2"])

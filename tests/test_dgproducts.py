@@ -16,7 +16,7 @@ from pftrim.errors import ArgumentError, FieldMismatch
 from pftrim.pfaffian import pfaffian_drop, sigma3
 from pftrim.polyring import PolyRing, PrimeField, QQ
 from pftrim.resolution import BasisElement as B
-from pftrim.resolution import trimmed_resolution
+from pftrim.resolution import gorenstein_resolution, trimmed_resolution
 
 from oracles import random_skew
 
@@ -489,6 +489,19 @@ TABLE_DIGESTS = {
 }
 D_CONSTANTS_DIGEST = \
     "96f5820a3a80cc92c0806ad3695da66048d06b953c89c9342d958d23001ae788"
+# sha256 digests of the untrimmed structure on the same matrices: the
+# gorenstein_resolution document (labels and boundaries), then
+# gorenstein_product on every ordered pair of basis elements of degrees 0-3.
+UNTRIMMED_DIGESTS = {
+    ("F2", 5): "b80f219c76f3ec8f0637e6862d543818cdd6bdec9161f98c078b2d04a512b2cb",
+    ("F2", 7): "e8d5925465536ea50fcd5d7015914ec39a2d84ac8add1770c033d62beef666c0",
+    ("F3", 5): "2a177f8220d8307905ceb8fea142b175387bc7c4b1760f8e26665db95f4e0003",
+    ("F3", 7): "e5131476cdf20c24678bd24e8ea780f738004639a7c7bff852e0e20005a10309",
+    ("F5", 5): "48f1b91fc72114da4a8aef47a559dd4efa0a5b066a606c341eab7da09e0c318a",
+    ("F5", 7): "c2b61046a054b12bc3ba9b8cdd011796120a82bb4a1d32ed6ef4728374270f82",
+    ("QQ", 5): "a786a3f694f6837648ce89f5d023f2d1a7f65ce527cdfecb1cab51d68d112b9d",
+    ("QQ", 7): "ac44bfdde8569803dd5e8bf798f2162faa8f8b0d11cdb13d1f1c7a6804af21d2",
+}
 
 
 def digest_matrix(name, m):
@@ -508,6 +521,18 @@ class TestGoldenDigests:
             records = full_table(trimmed_resolution(T, t)).records()
             h.update(json.dumps(records).encode())
         assert h.hexdigest() == TABLE_DIGESTS[(name, m)]
+
+    @pytest.mark.parametrize("name,m", sorted(UNTRIMMED_DIGESTS))
+    def test_untrimmed_structure(self, name, m):
+        T = digest_matrix(name, m)
+        F = gorenstein_resolution(T)
+        h = hashlib.sha256(json.dumps(F.to_document()).encode())
+        basis = [x for d in range(4) for x in F.basis(d)]
+        for x in basis:
+            for y in basis:
+                value = gorenstein_product(T, x, y)
+                h.update(f"{x.label}*{y.label}={value.degree}:{value};".encode())
+        assert h.hexdigest() == UNTRIMMED_DIGESTS[(name, m)]
 
     def test_d_constants(self):
         ring = PolyRing(QQ)

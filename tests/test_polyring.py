@@ -69,6 +69,18 @@ class TestRingConstruction:
             RQ.monomial(1, (0, 0, EXPONENT_LIMIT + 1))
         assert RQ.monomial(0, (1, 2, 3)).is_zero
 
+    def test_product_past_exponent_limit_raises(self):
+        # unchecked, x^524287 cubed would carry between lanes into y
+        top = R2.monomial(1, (EXPONENT_LIMIT, 0, 0))
+        with pytest.raises(ArgumentError, match="exponent above"):
+            top * top * top
+        with pytest.raises(ArgumentError, match="exponent above"):
+            top * R2.gens[0]
+        with pytest.raises(ArgumentError, match="exponent above"):
+            R2.monomial(1, (0, 0, EXPONENT_LIMIT)) ** 2
+        half = R2.monomial(1, (0, EXPONENT_LIMIT // 2, 0))
+        assert (half * half * R2.gens[1]).monomials() == [(0, EXPONENT_LIMIT, 0)]
+
 
 class TestParsing:
     def test_golden_strings(self):

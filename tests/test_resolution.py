@@ -7,7 +7,7 @@ import random
 import pytest
 
 from pftrim.errors import ArgumentError, MinimizationNotPolynomial
-from pftrim.linalg import rref, scalar_parts
+from pftrim.linalg import rref
 from pftrim.pfaffian import SkewMatrix, pfaffian_drop, sigma3
 from pftrim.polyring import PolyRing, PrimeField, QQ
 from pftrim.resolution import BasisElement, ChainComplex, gorenstein_resolution, \
@@ -136,7 +136,8 @@ class TestTrimmed:
         assert td.dk[(1, 1, 2)].is_zero and td.dk[(1, 2, 3)].is_zero
 
     def test_c_table(self):
-        td = trimmed_resolution(example_matrix(), 1)
+        # only trimmed rows are split, so trim all five to see every one
+        td = trimmed_resolution(example_matrix(), 5)
         x, y, z = R2.gens
         # splitting T[j][i] over the variables, checked via reconstruction
         for i in range(1, 6):
@@ -145,6 +146,34 @@ class TestTrimmed:
                 assert c1 * x + c2 * y + c3 * z == td.T.entry(j, i)
         assert td.c[(4, 1)] == (R2.one, R2.zero, R2.zero)
         assert td.c[(5, 1)] == (R2.zero, R2.zero, R2.one)
+
+    def test_splits_only_trimmed_rows(self):
+        T = example_matrix()
+        for t in (1, 3, 5):
+            td = trimmed_resolution(T, t)
+            assert set(td.c) == {(i, k) for i in range(1, 6)
+                                 for k in range(1, t + 1)}
+            assert set(td.dk) == {(k, a, b) for k in range(1, t + 1)
+                                  for a, b in ((1, 2), (1, 3), (2, 3))}
+
+    def test_dk_matches_direct_double_sum(self):
+        # d^k_ab summed term by term over (i, r), as the definition reads
+        rng = random.Random(9)
+        for ring in (PolyRing(PrimeField(3)), RQ):
+            T = random_skew(ring, 7, rng, degree=1, density=0.6)
+            for t in (1, 4, 7):
+                td = trimmed_resolution(T, t)
+                for (k, a, b), value in td.dk.items():
+                    acc = ring.zero
+                    for i in range(1, 8):
+                        for r in range(1, 8):
+                            sign = sigma3(i, k, r)
+                            if sign:
+                                acc = acc + (td.c[(i, k)][b - 1] *
+                                             td.c[(r, k)][a - 1] *
+                                             pfaffian_drop(T, (i, k, r))
+                                             ).scaled(sign)
+                    assert value == acc, (ring, t, k, a, b)
 
     def test_trim_count_validation(self):
         T = example_matrix()
@@ -256,7 +285,9 @@ class TestMinimize:
             T = random_skew(ring, m, rng, degree=1)
             for t in range(1, m + 1):
                 td = trimmed_resolution(T, t)
-                rank = len(rref(field, scalar_parts(td.Q1))[1])
+                residues = [[entry.constant_term() for entry in row]
+                            for row in td.Q1]
+                rank = len(rref(field, residues)[1])
                 minimal = minimize(td.complex)
                 assert minimal.ranks == \
                     (1, m + 2 * t - rank, m + 3 * t - rank, 1 + t), (m, t)
