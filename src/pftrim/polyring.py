@@ -23,6 +23,7 @@ Example:
 
 from __future__ import annotations
 
+import decimal
 import re
 from fractions import Fraction
 from functools import reduce
@@ -372,11 +373,11 @@ class Polynomial:
             if coeff < 0:
                 sign, coeff = "-", -coeff
             if not factors:
-                body = str(coeff)
+                body = _coeff_text(coeff)
             elif coeff == 1:
                 body = "*".join(factors)
             else:
-                body = "*".join([str(coeff)] + factors)
+                body = "*".join([_coeff_text(coeff)] + factors)
             parts.append((sign, body))
         first_sign, first_body = parts[0]
         out = [first_sign + first_body if first_sign else first_body]
@@ -413,6 +414,25 @@ def decompose_c(f: Polynomial) -> tuple[Polynomial, Polynomial, Polynomial]:
     return tuple(Polynomial(f.ring, p) for p in parts)
 
 
+def _coeff_text(coeff) -> str:
+    """Decimal text of an int or Fraction coefficient.  ``str`` refuses ints
+    longer than ``sys.get_int_max_str_digits()`` (4300 digits by default),
+    a guard for parsing untrusted text; ``decimal.Decimal`` prints any int
+    exactly."""
+    if isinstance(coeff, Fraction) and coeff.denominator != 1:
+        return f"{_coeff_text(coeff.numerator)}/{_coeff_text(coeff.denominator)}"
+    return str(decimal.Decimal(int(coeff)))
+
+
+def _literal(text: str, col: int) -> int:
+    """The integer a digit token spells; a ParseError when it is longer than
+    Python converts (``sys.get_int_max_str_digits()``)."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(f"integer literal too long ({len(text)} digits) at column {col}")
+
+
 _TOKENS = re.compile(r"(\d+)|([A-Za-z_][A-Za-z_0-9]*)|(\^)|(\*)|(\+)|(-)|(\S)")
 
 
@@ -447,7 +467,7 @@ def _parse(ring: PolyRing, text: str) -> Polynomial:
             kind, value, col = peek()
             if kind == 1:
                 pos += 1
-                coeff *= int(value)
+                coeff *= _literal(value, col)
             elif kind == 2:
                 if value not in var_index:
                     raise ParseError(f"unknown variable {value!r} at column {col}")
@@ -460,7 +480,7 @@ def _parse(ring: PolyRing, text: str) -> Polynomial:
                     if kind != 1:
                         raise ParseError(f"expected an exponent at column {col2}")
                     pos += 1
-                    power = int(value2)
+                    power = _literal(value2, col2)
                 exps[var_index[value]] += power
             else:
                 raise ParseError(f"expected a coefficient or variable at column {col}")

@@ -1,13 +1,18 @@
 """Matrix documents and the command-line surface."""
 
+import contextlib
 import dataclasses
+import decimal
+import io
 import json
 import os
 import pathlib
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from pftrim.classify import classify, conjugate_trim_set
 from pftrim.cli import (
@@ -19,6 +24,7 @@ from pftrim.cli import (
 )
 from pftrim import cli
 from pftrim.errors import ArgumentError, EntryNotInMaximalIdeal, ParseError
+from pftrim.pfaffian import MAX_IDENTITY_SIZE
 from pftrim.resolution import trimmed_resolution
 
 from test_resolution import change_d2_entry
@@ -332,6 +338,42 @@ class TestCommands:
         assert captured.out == ""
         assert captured.err == "error: product has an exponent above 524287\n"
 
+    def test_verify_size_limit_exit(self, tmp_path, capsys):
+        size = MAX_IDENTITY_SIZE + 2
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"field": {"kind": "prime", "p": 3},
+                                    "size": size, "upper": []}))
+        assert main(["verify", str(path), "--trim", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: identity checks need size at most "
+                                f"{MAX_IDENTITY_SIZE}, got {size}\n")
+
+    def test_long_integer_literal_exit(self, tmp_path, capsys):
+        # int() raises ValueError past 4300 digits
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps({
+            "field": {"kind": "rational"}, "size": 5,
+            "upper": [[1, 4, "9" * 5000 + "*x"]]}))
+        assert main(["pfaffians", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: entry (1,4): integer literal too long "
+                                "(5000 digits) at column 1\n")
+
+    def test_long_coefficient_output(self, tmp_path, capsys):
+        # y7 has a 4500-digit coefficient, past what str() converts
+        c = "9" * 1500
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({
+            "field": {"kind": "rational"}, "size": 7,
+            "upper": [[1, 2, c + "*x"], [3, 4, c + "*y"], [5, 6, c + "*z"]]}))
+        assert main(["pfaffians", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:6] == [f"y{i} = 0" for i in range(1, 7)]
+        cube = decimal.Decimal(int(c) ** 3)
+        assert lines[6] == f"y7 = {cube}*x*y*z"
+
     def test_usage_errors(self, example_file):
         with pytest.raises(SystemExit) as err:
             main(["classify", example_file, "--trim", "1", "--trim-set", "2"])
@@ -362,3 +404,91 @@ class TestCommands:
             capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
         assert proc.returncode == 0
         assert proc.stdout.splitlines() == PFAFFIAN_LINES
+
+
+# Polynomial entries: valid ones, near misses of the grammar, integer
+# literals past Python's 4300-digit conversion limit, and random text.
+FUZZ_ENTRIES = st.one_of(
+    st.sampled_from(["x", "y*z", "2*x - y", "x^2 + y*z", "-z", "x + 1", "1",
+                     "0", "", "x^", "x^-1", "**", "x y", "1/2*x", "x^524287",
+                     "x^99999999999", "y7", "(x)", " z ", "\u00e9", "3*",
+                     "x--y", "x^\u00b2"]),
+    st.sampled_from(["9" * 4400 + "*x", "x^" + "9" * 4400, "7" * 1500 + "*y"]),
+    st.text(alphabet="xyzab0123456789+-*^/ ()._", max_size=12),
+    st.text(max_size=6))
+FUZZ_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-3, 12), st.floats(),
+              st.text(max_size=6)),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.dictionaries(st.text(max_size=6), inner, max_size=3)),
+    max_leaves=8)
+FUZZ_FIELDS = [{"kind": "prime", "p": 2}, {"kind": "prime", "p": 3},
+               {"kind": "prime", "p": 5}, {"kind": "rational"}]
+# what replaces one part of a well-formed document
+FUZZ_SPOILERS = {
+    "field": st.one_of(
+        st.fixed_dictionaries({"kind": st.just("prime"), "p": st.sampled_from(
+            [2147483647, 4, 1, 0, -3, True, "3", 3.0, None])}),
+        st.fixed_dictionaries({"kind": st.just("rational"),
+                               "p": st.sampled_from([1, False, None])}),
+        FUZZ_VALUES),
+    "variables": st.one_of(
+        st.sampled_from([["a", "b", "c"], ["x", "x", "y"], ["", "1", "x y"],
+                         ["x", "y"]]),
+        st.lists(st.text(max_size=3), min_size=3, max_size=3), FUZZ_VALUES),
+    "size": st.one_of(st.integers(-1, 9), st.booleans(), FUZZ_VALUES),
+    "upper": st.one_of(st.lists(st.one_of(
+        st.lists(st.one_of(st.integers(-1, 8), st.booleans(), FUZZ_ENTRIES),
+                 max_size=4),
+        FUZZ_VALUES), max_size=4), FUZZ_VALUES),
+    "extra": FUZZ_VALUES,
+}
+
+
+@st.composite
+def fuzz_documents(draw):
+    """Matrix document text: well-formed with odd entries, now and then
+    with a part missing or replaced, cut short, or no document at all."""
+    if not draw(st.integers(0, 7)):
+        return draw(st.one_of(st.text(max_size=20), FUZZ_VALUES.map(json.dumps)))
+    size = draw(st.integers(1, 7))
+    pairs = draw(st.lists(st.tuples(st.integers(1, size), st.integers(1, size))
+                          .map(sorted).map(tuple), max_size=8, unique=True))
+    doc = {"field": draw(st.sampled_from(FUZZ_FIELDS)), "size": size,
+           "upper": [[i, j, draw(FUZZ_ENTRIES)] for i, j in pairs]}
+    for key in draw(st.lists(st.sampled_from(sorted(FUZZ_SPOILERS)), max_size=2)):
+        if draw(st.booleans()):
+            doc.pop(key, None)
+        else:
+            doc[key] = draw(FUZZ_SPOILERS[key])
+    text = json.dumps(doc)
+    if not draw(st.integers(0, 9)):
+        text = text[:draw(st.integers(0, len(text)))]
+    return text
+
+
+class TestFuzz:
+    @settings(max_examples=150, derandomize=True, database=None, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(text=fuzz_documents(),
+           command=st.sampled_from(["pfaffians", "classify"]),
+           trim=st.integers(-1, 8), conjectures=st.booleans())
+    def test_cli_never_raises(self, text, command, trim, conjectures):
+        try:
+            parse_matrix_document(text)
+        except ParseError:
+            pass
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "doc.json")
+            with open(path, "wb") as handle:
+                # lone surrogates go out as bytes that are not UTF-8
+                handle.write(text.encode("utf-8", "surrogatepass"))
+            argv = [command, path]
+            if command == "classify":
+                argv += ["--trim", str(trim)]
+                if conjectures:
+                    argv.append("--conjectures")
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                assert main(argv) in (0, 1, 2)

@@ -1,13 +1,17 @@
 """Pfaffian engine and sign functions against the brute-force oracles,
 plus skew-matrix validation and the five-identity checker."""
 
+import hashlib
+import itertools
+import json
 import random
 
 import pytest
 
 from pftrim.errors import ArgumentError, EntryNotInMaximalIdeal, UnsupportedSize
-from pftrim.pfaffian import SkewMatrix, check_identities, pfaffian_drop, \
-    pfaffian_keep, rearrange_sign, sigma3, sigma5
+from pftrim.pfaffian import MAX_IDENTITY_SIZE, SkewMatrix, _expansion_sign, \
+    check_identities, pfaffian_drop, pfaffian_keep, rearrange_sign, sigma3, \
+    sigma5
 from pftrim.polyring import PolyRing, PrimeField, QQ
 
 from oracles import oracle_det, oracle_pfaffian, oracle_sign, random_skew
@@ -115,6 +119,41 @@ class TestSigns:
             dst = src[:]
             rng.shuffle(dst)
             assert rearrange_sign(src, dst) == oracle_sign(src, dst)
+
+
+class TestSignLemmas:
+    """The sign facts that let check_identities evaluate each vanishing-sum
+    and expansion verdict once per index set."""
+
+    def test_sum5_vector_is_sorted_vector_up_to_sign(self):
+        m = 13
+        for quad in itertools.permutations(range(1, m + 1), 4):
+            i, h, s, k = quad
+            a, b, c, d = sorted(quad)
+            ratios = set()
+            for r in range(1, m + 1):
+                ordered = sigma3(i, r, h) * sigma5(i, r, h, s, k)
+                canonical = sigma3(a, r, b) * sigma5(a, r, b, c, d)
+                assert (ordered == 0) == (canonical == 0), (quad, r)
+                if ordered:
+                    ratios.add(ordered * canonical)
+            assert len(ratios) == 1, quad
+
+    def test_sum3_swap_negates(self):
+        for i, j, r in itertools.permutations(range(1, 14), 3):
+            assert sigma3(j, i, r) == -sigma3(i, j, r), (i, j, r)
+
+    def test_expansion_sign_is_rearrange_sign(self):
+        m = 9
+        for size in range(2, m + 1, 2):
+            for subset in itertools.combinations(range(1, m + 1), size):
+                for pb, b in enumerate(subset):
+                    for pr, r in enumerate(subset):
+                        if pr == pb:
+                            continue
+                        rest = tuple(v for v in subset if v not in (b, r))
+                        assert _expansion_sign(pb, pr) == \
+                            rearrange_sign(subset, (b, r) + rest), (subset, b, r)
 
 
 class TestSkewMatrixValidation:
@@ -329,3 +368,75 @@ class TestIdentities:
             ("drop3_expansion", 140, 9, "(1, 3, 4, 6)"),
             ("sum5_vanishing", 2520, 120, "(1, 3, 4, 5, 6)"),
         ]
+
+    def test_tampered_reports(self):
+        failing = set()
+        for (name, m, kind), digest in TAMPERED_DIGESTS.items():
+            report = check_identities(tampered_matrix(name, m, kind))
+            rows = [(c.name, c.cases, c.failures, c.first_failure)
+                    for c in report.checks]
+            assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == \
+                digest, (name, m, kind, rows)
+            failing.update(c.name for c in report.checks if c.failures)
+        assert failing == {"expansion", "drop1_expansion", "sum3_vanishing",
+                           "drop3_expansion", "sum5_vanishing"}
+
+    def test_size_limit_comes_first(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("check_identities did pfaffian work")
+
+        monkeypatch.setattr(SkewMatrix, "_pf", forbidden)
+        too_big = SkewMatrix.from_upper(RQ, MAX_IDENTITY_SIZE + 2, {})
+        with pytest.raises(UnsupportedSize, match=f"at most {MAX_IDENTITY_SIZE}"):
+            check_identities(too_big)
+        # the largest accepted size gets as far as the first pfaffian
+        with pytest.raises(AssertionError, match="pfaffian work"):
+            check_identities(SkewMatrix.from_upper(RQ, MAX_IDENTITY_SIZE, {}))
+
+
+TAMPERED_FIELDS = {"F2": PrimeField(2), "F3": PrimeField(3),
+                   "F5": PrimeField(5), "QQ": QQ}
+
+
+def tampered_matrix(name, m, kind):
+    """A random matrix with skew-symmetry broken in one of four ways."""
+    ring = PolyRing(TAMPERED_FIELDS[name])
+    x, y, z = ring.gens
+    T = random_skew(ring, m, random.Random(10 * m + len(kind)), degree=1)
+    rows = [list(row) for row in T.rows]
+    if kind == "pair":
+        rows[1][m - 1] = rows[1][m - 1] + x * y
+    elif kind == "diagonal":
+        rows[2][2] = z
+    elif kind == "symmetric":
+        for i in range(m):
+            for j in range(i + 1, m):
+                rows[j][i] = rows[i][j]
+    elif kind == "two":
+        rows[m - 1][0] = rows[0][m - 1]
+        rows[3][1] = rows[1][3] + y
+    return SkewMatrix.unchecked(ring, rows)
+
+
+# sha256 digests of [(name, cases, failures, first_failure)] over the five
+# identities of each tampered matrix, taken when every ordered tuple was
+# still evaluated on its own, so they pin that sharing verdicts across the
+# orderings of an index set changes no report.
+TAMPERED_DIGESTS = {
+    ("F2", 5, "pair"):
+        "db11685013b4e9073f3ee58e0919e516883e6d18c6ca015f51b15d196b3db4ee",
+    ("F3", 7, "diagonal"):
+        "1ad62b5e87d04fe54ffb5582fc05cea7f1184e7b2f9638419eb0194dff3e611d",
+    ("F5", 7, "symmetric"):
+        "9cc61d1afa343fdbe38fc7998bf8892e482cc8f1d95dc972b3dcbf621a445a58",
+    ("QQ", 9, "two"):
+        "96d0909288a66d63ff3a940c14d4c3e818470d674568517a48dae9407cc4675c",
+    ("F3", 9, "pair"):
+        "eaa8f7466aaead145f423c47cb0b852a9e7156d6c0a18e9226d834b2b3884d83",
+    ("QQ", 5, "diagonal"):
+        "c95b0774c6a8437acb42aedd2165a0c80087ac8109f63ef410d82167312bbdef",
+    ("QQ", 7, "symmetric"):
+        "7b26e6853f640029bc0b8b6ea53468129813828d328cbedb59a5fcda9df6f9bc",
+    ("F2", 7, "two"):
+        "39333b7e1283d81cc5f242cd863019b60acd46236b193fa771f35771a47e88df",
+}

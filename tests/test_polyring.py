@@ -107,6 +107,13 @@ class TestParsing:
         with pytest.raises(ParseError, match="column 3"):
             RQ.from_string("x @")
 
+    def test_integer_literal_past_digit_limit(self):
+        # int() refuses more than 4300 digits with a ValueError
+        with pytest.raises(ParseError, match=r"too long \(5000 digits\) at column 1"):
+            RQ.from_string("9" * 5000 + "*x")
+        with pytest.raises(ParseError, match=r"too long \(4400 digits\) at column 7"):
+            RQ.from_string("y + x^" + "9" * 4400)
+
     def test_custom_names(self):
         ring = PolyRing(PrimeField(3), ("u", "v", "w"))
         u, v, w = ring.gens
@@ -127,6 +134,14 @@ class TestPrinting:
 
     def test_zero(self):
         assert str(RQ.zero) == "0"
+
+    def test_coefficients_past_digit_limit(self):
+        # str() refuses ints of more than 4300 digits with a ValueError
+        x = RQ.gens[0]
+        big = 10 ** 5000
+        assert str(x.scaled(-big) + 1) == "-1" + "0" * 5000 + "*x + 1"
+        assert str(x.scaled(Fraction(3, big))) == "3/1" + "0" * 5000 + "*x"
+        assert str(RQ.constant(Fraction(big, 7))) == "1" + "0" * 5000 + "/7"
 
     def test_roundtrip_small(self):
         for text in ("x^2 + y*z", "-x + y - z", "2*x^2*y^3*z", "7"):
