@@ -16,7 +16,7 @@ import dataclasses
 
 from .dgproducts import full_table
 from .errors import ArgumentError, NotApplicable, UnsupportedSize
-from .linalg import rref, transpose
+from .linalg import insert_row, rref, transpose
 from .resolution import _PAIRS, BasisElement
 
 
@@ -89,21 +89,34 @@ def classify(T, t):
     first t pfaffian generators of the selfdual ideal of T.  Q1 mod the
     maximal ideal is the z-coefficients of the first t rows of T, so no
     pfaffian, Q2 sum or boundary map is built."""
-    m, field = T.m, T.ring.field
+    m = T.m
     if m % 2 == 0 or m < 5:
         raise UnsupportedSize(
             f"classification needs odd size at least 5, got {m}")
     if not isinstance(t, int) or not 1 <= t <= m:
         raise ArgumentError(f"trim count must satisfy 1 <= t <= {m}, got {t!r}")
-    qbar = _residue_q1(T, t)
-    _, pivots = rref(field, qbar)
-    rank = len(pivots)
-    p = sum(1 for col in pivots if col >= t)
-    fmt = (1, m + 2 * t - rank, m + 3 * t - rank, 1 + t)
-    failure = _minor_failure(field, qbar, m, t) if m == 5 else None
-    r = m - t - p if failure is None else None
-    cls = "NotG" if failure else f"G({r})"
-    return TorReport(m, t, rank, p, fmt, fmt[1], r, cls, failure)
+    *_, report = _trim_reports(T, t)
+    return report
+
+
+def _trim_reports(T, last):
+    # the report of every trim count 1..last, from one elimination: the
+    # residue block of trim t is the first 3t rows of that of trim last,
+    # so its rank is the size of the echelon basis after those rows, and
+    # its pivot columns (those of its RREF) are the basis's lead columns
+    m, field = T.m, T.ring.field
+    qbar = _residue_q1(T, last)
+    basis = {}
+    for t in range(1, last + 1):
+        for row in qbar[3 * t - 3:3 * t]:
+            insert_row(basis, row, field.char)
+        rank = len(basis)
+        p = sum(1 for col in basis if col >= t)
+        fmt = (1, m + 2 * t - rank, m + 3 * t - rank, 1 + t)
+        failure = _minor_failure(field, qbar, m, t) if m == 5 else None
+        r = m - t - p if failure is None else None
+        cls = "NotG" if failure else f"G({r})"
+        yield TorReport(m, t, rank, p, fmt, fmt[1], r, cls, failure)
 
 
 class TorProductTable:

@@ -99,6 +99,9 @@ def parse_matrix_document(text: str) -> MatrixDocument:
     field = data["field"]
     if not isinstance(field, dict) or "kind" not in field:
         raise ParseError("field must be an object with a 'kind'")
+    unknown = set(field) - {"kind", "p"}
+    if unknown:
+        raise ParseError(f"unknown field keys {sorted(unknown)}")
     kind = field["kind"]
     if kind == "prime":
         char = field.get("p")
@@ -107,7 +110,7 @@ def parse_matrix_document(text: str) -> MatrixDocument:
     elif kind == "rational":
         char = 0
         given = field.get("p", 0)
-        if isinstance(given, bool) or given != 0:
+        if not _is_int(given) or given != 0:
             raise ParseError("rational field takes no characteristic")
     else:
         raise ParseError(f"field kind must be 'prime' or 'rational', got {kind!r}")

@@ -8,8 +8,10 @@ verifies together with the shape of three distinguished pfaffians.
 
 ``realizability_scan`` samples random skew matrices over a chosen field
 and classifies every trim count, recording which classes actually occur.
-Records are reproducible from the seed and the call parameters alone.
-Sizes up to ``MAX_SCAN_SIZE`` (21) are practical.
+Records are reproducible from the seed and the call parameters alone.  A
+matrix whose value at a fixed point has full rank is kept without any
+pfaffian, and all its trims are classified from one elimination; sizes up
+to ``MAX_SCAN_SIZE`` (21) are accepted.
 """
 
 from __future__ import annotations
@@ -18,11 +20,11 @@ import csv
 import dataclasses
 import random
 
-from .classify import TorReport, classify
+from .classify import TorReport, _trim_reports, classify
 from .errors import ArgumentError, UnsupportedSize
-from .linalg import det_bareiss
+from .linalg import det_bareiss, insert_row
 from .pfaffian import SkewMatrix, pfaffian_drop
-from .polyring import PolyRing, PrimeField, QQ
+from .polyring import PolyRing, PrimeField, QQ, unpack_exponents
 
 __all__ = [
     "MAX_SCAN_SIZE",
@@ -191,11 +193,66 @@ def family_checks(spec: FamilySpec, ring: PolyRing = None) -> FamilyReport:
 
 
 #: Largest size ``realizability_scan`` accepts.  Classification reads
-#: residues only, so the drop-one pfaffians of the skip check are the one
-#: cost that grows exponentially: about four times per step of 2 in size,
-#: some 3 s of CPU and 130 MiB per trial at size 21 (F2, degree bound 2,
-#: Python 3.11 on a 2-core Xeon).
+#: residues only, and the skip check is settled by evaluation for nearly
+#: every matrix; the bound is for the rest, whose drop-one pfaffians the
+#: check computes symbolically.  Their cost grows about four times per
+#: step of 2 in size, some 3 s of CPU and 130 MiB per trial at size 21
+#: (F2, degree bound 2, Python 3.11 on a 2-core Xeon).
 MAX_SCAN_SIZE = 21
+
+# the skip-check certificate evaluates rational matrices mod this prime
+_QQ_MODULUS = 2 ** 31 - 1
+
+# the points the certificate tries, in order: the nonzero points of
+# {0, 1}^3, which stay distinct and nonzero mod every prime (T vanishes at
+# the origin)
+_POINTS = ((1, 1, 1), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 0, 1),
+           (0, 1, 1))
+
+
+def _certified(T):
+    """True when T evaluated at one of ``_POINTS`` in F_p^3 has rank
+    m - 1 over F_p (rationals: mod ``_QQ_MODULUS``).  A skew matrix has a
+    nonsingular principal submatrix of the size of its rank, and
+    evaluation commutes with the pfaffian, so then some drop-one pfaffian
+    of T is a nonzero polynomial.  False proves nothing."""
+    m = T.m
+    rational = not T.ring.field.char
+    p = T.ring.field.char or _QQ_MODULUS
+    entries = []
+    for (i, j), f in T.upper_entries():
+        terms = []
+        for key, c in f.terms.items():
+            if rational:
+                if c.denominator % p == 0:
+                    return False
+                c = c.numerator * pow(c.denominator, -1, p) % p
+            terms.append((c, *unpack_exponents(key)))
+        entries.append((i - 1, j - 1, terms))
+    for x, y, z in _POINTS:
+        rows = [[0] * m for _ in range(m)]
+        for i, j, terms in entries:
+            v = sum(c * x ** a * y ** b * z ** d for c, a, b, d in terms) % p
+            rows[i][j] = v
+            rows[j][i] = -v % p
+        basis = {}
+        misses = 0
+        for row in rows:
+            if insert_row(basis, row, p) is None:
+                misses += 1
+                if misses > 1:
+                    break  # the rank is below m - 1 already
+        if len(basis) == m - 1:
+            return True
+    return False
+
+
+def _keeps(T):
+    # the skip check: some drop-one pfaffian is nonzero, by certificate or
+    # else computed exactly
+    return _certified(T) or \
+        any(pfaffian_drop(T, (i,)) for i in range(1, T.m + 1))
+
 
 #: Column order of the scan CSV.
 SCAN_COLUMNS = ("seed", "trial", "p", "m", "t", "rank_q1", "pivots_tail",
@@ -300,13 +357,12 @@ def realizability_scan(char: int, m: int, trials: int, degree_bound: int = 2,
         # per-trial generator, so trials are independent and order-stable
         rng = random.Random(seed * 1_000_003 + trial)
         T = _random_skew(ring, m, rng, min_degree, degree_bound)
-        if not any(pfaffian_drop(T, (i,)) for i in range(1, m + 1)):
+        if not _keeps(T):
             skipped += 1
             continue
-        for t in range(1, m + 1):
-            rep = classify(T, t)
-            records.append(ScanRecord(seed, trial, field.char, m, t,
-                                      rep.rank_q1, rep.p, rep.mu, t + 1,
+        for rep in _trim_reports(T, m):
+            records.append(ScanRecord(seed, trial, field.char, m, rep.t,
+                                      rep.rank_q1, rep.p, rep.mu, rep.t + 1,
                                       rep.r, rep.class_, degree_bound))
     return ScanResult(tuple(records), trials, skipped)
 

@@ -5,6 +5,8 @@ exact polynomial division.  Matrices are tuples of tuples (rows), dense.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from . import polyring as _ring_mod
 from .errors import ArgumentError
 from .polyring import Polynomial, PolyRing, unpack_exponents
@@ -37,40 +39,57 @@ def mat_mul(ring: PolyRing, a, b):
     return tuple(out)
 
 
-def rref(field, rows):
-    """Reduced row echelon form of a matrix of field scalars.
+def insert_row(basis, row, p):
+    """One Gauss-Jordan step on canonical scalars of F_p, or of the
+    rationals (Fractions) when p is 0.
 
-    Row-major sweep: columns left to right, pivot on the first untouched
-    row with a nonzero entry.  Returns (rref_rows, pivot_columns).
+    ``basis`` maps each lead column to its row, which is 1 there and 0 in
+    every other lead column.  The row is reduced against the basis; if
+    anything is left, it is scaled to 1 at its first nonzero column, that
+    column is cleared from the other rows, and the row joins the basis.
+    Returns the new lead column, or None when the row is in the span; the
+    row passed in is left as it is.
     """
-    work = [list(row) for row in rows]
-    nrows = len(work)
-    ncols = len(work[0]) if work else 0
-    zero = field.of(0)
-    pivots = []
-    pivot_row = 0
-    for col in range(ncols):
-        if pivot_row >= nrows:
-            break
-        hit = None
-        for r in range(pivot_row, nrows):
-            if work[r][col] != zero:
-                hit = r
-                break
-        if hit is None:
-            continue
-        work[pivot_row], work[hit] = work[hit], work[pivot_row]
-        inv = field.inv(work[pivot_row][col])
-        work[pivot_row] = [field.of(v * inv) for v in work[pivot_row]]
-        for r in range(nrows):
-            if r != pivot_row:
-                factor = work[r][col]
-                if factor != zero:
-                    work[r] = [field.of(a - factor * b)
-                               for a, b in zip(work[r], work[pivot_row])]
-        pivots.append(col)
-        pivot_row += 1
-    return [tuple(row) for row in work], tuple(pivots)
+    for lead, other in basis.items():
+        factor = row[lead]
+        if factor:
+            row = _sub_multiple(row, factor, other, p)
+    lead = next((col for col, v in enumerate(row) if v), None)
+    if lead is None:
+        return None
+    if p:
+        inv = pow(row[lead], -1, p)
+        row = [v * inv % p for v in row]
+    else:
+        inv = 1 / Fraction(row[lead])
+        row = [v * inv for v in row]
+    for col, other in basis.items():
+        factor = other[lead]
+        if factor:
+            basis[col] = _sub_multiple(other, factor, row, p)
+    basis[lead] = row
+    return lead
+
+
+def _sub_multiple(row, factor, other, p):
+    if p:
+        return [(a - factor * b) % p for a, b in zip(row, other)]
+    return [a - factor * b for a, b in zip(row, other)]
+
+
+def rref(field, rows):
+    """Reduced row echelon form of a matrix of canonical field scalars.
+
+    Returns (rref_rows, pivot_columns): the nonzero rows in pivot order,
+    then as many zero rows as the rank falls short of the row count.
+    """
+    basis = {}
+    for row in rows:
+        insert_row(basis, row, field.char)
+    pivots = tuple(sorted(basis))
+    zero_row = (field.of(0),) * (len(rows[0]) if rows else 0)
+    reduced = [tuple(basis[col]) for col in pivots]
+    return reduced + [zero_row] * (len(rows) - len(pivots)), pivots
 
 
 def _lead_key(f: Polynomial) -> int:

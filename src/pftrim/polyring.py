@@ -433,7 +433,8 @@ def _literal(text: str, col: int) -> int:
         raise ParseError(f"integer literal too long ({len(text)} digits) at column {col}")
 
 
-_TOKENS = re.compile(r"(\d+)|([A-Za-z_][A-Za-z_0-9]*)|(\^)|(\*)|(\+)|(-)|(\S)")
+# ASCII digits only: \d would also take every other Unicode decimal digit
+_TOKENS = re.compile(r"([0-9]+)|([A-Za-z_][A-Za-z_0-9]*)|(\^)|(\*)|(\+)|(-)|(\S)")
 
 
 def _parse(ring: PolyRing, text: str) -> Polynomial:

@@ -167,3 +167,33 @@ def random_skew(ring: PolyRing, m: int, rng, degree: int = 1,
                 f = f - f.constant_term()
             upper[(i, j)] = f
     return SkewMatrix.from_upper(ring, m, upper)
+
+
+def oracle_rank(vectors, p) -> int:
+    """Rank of a list of vectors over F_p (the rationals when p is 0), by
+    fraction-free elimination down the columns: a row is cleared below a
+    pivot by cross-multiplying, never by dividing."""
+    work = [[v % p if p else Fraction(v) for v in vec] for vec in vectors]
+    rank = 0
+    for col in range(len(work[0]) if work else 0):
+        hit = next((r for r in range(rank, len(work)) if work[r][col]), None)
+        if hit is None:
+            continue
+        work[rank], work[hit] = work[hit], work[rank]
+        top = work[rank]
+        for r in range(rank + 1, len(work)):
+            f = work[r][col]
+            if f:
+                work[r] = [a * top[col] - f * b for a, b in zip(work[r], top)]
+                if p:
+                    work[r] = [v % p for v in work[r]]
+        rank += 1
+    return rank
+
+
+def oracle_pivots(rows, p) -> tuple:
+    """Pivot columns of the reduced row echelon form of rows: the columns
+    outside the span of the columns before them."""
+    cols = list(zip(*rows))
+    return tuple(j for j in range(len(cols))
+                 if oracle_rank(cols[:j + 1], p) > oracle_rank(cols[:j], p))

@@ -4,18 +4,20 @@ conjecture verdicts, and trim-set conjugation."""
 import hashlib
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
 from pftrim import polyring, resolution
 from pftrim.classify import ConjectureReport, TorReport, check_conjectures, \
-    classify, conjugate_trim_set, tor_products
+    classify, conjugate_trim_set, tor_products, _trim_reports
 from pftrim.errors import ArgumentError, NotApplicable, UnsupportedSize
 from pftrim.pfaffian import SkewMatrix, pfaffian_drop
-from pftrim.polyring import PolyRing, PrimeField
+from pftrim.linalg import rref
+from pftrim.polyring import PolyRing, PrimeField, QQ
 from pftrim.resolution import minimize, trimmed_resolution
 
-from oracles import random_skew
+from oracles import oracle_pivots, random_skew
 
 from test_dgproducts import DIGEST_FIELDS, digest_matrix
 from test_pfaffian import example_matrix
@@ -154,6 +156,62 @@ class TestGoldenReports:
         rep = classify(example_matrix(), 1)
         assert rep.class_ == "NotG" and rep.failing_minor == (2, 3, 1)
         assert report_digest(T) == REPORT_DIGESTS[("F3", 9)]
+
+
+class TestTrimReports:
+    # one elimination for all trims against a per-trim oracle, on residues
+    # read straight off the entries: row (k, l), column i is the
+    # coefficient of the l-th variable in T[k, i]
+    UNITS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+    @pytest.mark.parametrize("field", [PrimeField(2), PrimeField(3),
+                                       PrimeField(5), QQ], ids=repr)
+    def test_against_oracle(self, field):
+        ring = PolyRing(field)
+        rng = random.Random(field.char + 17)
+        for m in (5, 7, 9, 11, 13):
+            for shape in ({"degree": 1}, {"degree": 1, "density": 0.4},
+                          {"degree": 2, "terms": 3, "homogeneous": False}):
+                T = random_skew(ring, m, rng, **shape)
+                residues = [[T.entry(k, i).coefficient(unit)
+                             for i in range(1, m + 1)]
+                            for k in range(1, m + 1) for unit in self.UNITS]
+                reports = list(_trim_reports(T, m))
+                assert [rep.t for rep in reports] == list(range(1, m + 1))
+                for t, rep in enumerate(reports, start=1):
+                    pivots = oracle_pivots(residues[:3 * t], field.char)
+                    assert rep.rank_q1 == len(pivots), (field, m, shape, t)
+                    assert rep.p == sum(1 for col in pivots if col >= t)
+                    assert rep == classify(T, t)
+
+    def test_prefix_of_a_shorter_run(self):
+        T = report_matrix("QQ", 7)
+        assert list(_trim_reports(T, 4)) == list(_trim_reports(T, 7))[:4]
+
+
+class TestRref:
+    # outputs frozen before rref was rebuilt on linalg.insert_row
+    def test_prime_field_with_zero_rows(self):
+        rows = [[0, 2, 4, 1, 0, 3], [0, 0, 0, 0, 0, 0], [0, 4, 3, 2, 0, 1],
+                [0, 1, 0, 3, 4, 2], [0, 3, 1, 0, 2, 4]]
+        assert rref(PrimeField(5), rows) == (
+            [(0, 1, 0, 0, 3, 1), (0, 0, 1, 0, 3, 1), (0, 0, 0, 1, 2, 2),
+             (0, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 0)], (1, 2, 3))
+
+    def test_rationals_with_zero_rows(self):
+        F = Fraction
+        rows = [[F(0), F(2), F(-1, 3), F(1)], [F(0), F(4), F(-2, 3), F(2)],
+                [F(0), F(0), F(0), F(0)], [F(1), F(1, 2), F(0), F(-3)],
+                [F(0), F(0), F(5), F(1)]]
+        zero = (F(0),) * 4
+        assert rref(QQ, rows) == (
+            [(F(1), F(0), F(0), F(-49, 15)), (F(0), F(1), F(0), F(8, 15)),
+             (F(0), F(0), F(1), F(1, 5)), zero, zero], (0, 1, 2))
+
+    def test_empty_and_zero(self):
+        assert rref(QQ, []) == ([], ())
+        assert rref(PrimeField(2), [[0, 0], [0, 0]]) == \
+            ([(0, 0), (0, 0)], ())
 
 
 class TestTorProducts:

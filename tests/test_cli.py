@@ -127,6 +127,27 @@ class TestDocument:
             parse_matrix_document(text)
         assert needle in str(err.value)
 
+    @pytest.mark.parametrize("field,needle", [
+        ({"kind": "prime", "p": 2, "q": 1}, "unknown field keys ['q']"),
+        ({"kind": "rational", "char": 0}, "unknown field keys ['char']"),
+        ({"kind": "rational", "p": 0.0}, "no characteristic"),
+        ({"kind": "rational", "p": "0"}, "no characteristic"),
+    ])
+    def test_field_object_defects(self, field, needle, tmp_path, capsys):
+        text = json.dumps({"field": field, "size": 5, "upper": []})
+        with pytest.raises(ParseError) as err:
+            parse_matrix_document(text)
+        assert needle in str(err.value)
+        path = tmp_path / "field.json"
+        path.write_text(text)
+        assert main(["pfaffians", str(path)]) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_rational_field_explicit_zero(self):
+        doc = parse_matrix_document(
+            '{"field": {"kind": "rational", "p": 0}, "size": 3, "upper": []}')
+        assert doc.char == 0
+
     def test_entry_parse_error_names_position(self):
         text = ('{"field": {"kind": "prime", "p": 2}, "size": 5,'
                 ' "upper": [[2, 3, "x +"]]}')
@@ -348,6 +369,19 @@ class TestCommands:
         assert captured.out == ""
         assert captured.err == ("error: identity checks need size at most "
                                 f"{MAX_IDENTITY_SIZE}, got {size}\n")
+
+    def test_non_ascii_digit_exit(self, tmp_path, capsys):
+        # \u0663 is ARABIC-INDIC DIGIT THREE, a decimal digit to \d
+        for entry, col in (("\u0663*x", 1), ("x^\u0663", 3)):
+            path = tmp_path / "digit.json"
+            path.write_text(json.dumps({
+                "field": {"kind": "prime", "p": 5}, "size": 5,
+                "upper": [[1, 4, entry]]}))
+            assert main(["pfaffians", str(path)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == ("error: entry (1,4): unexpected character "
+                                    f"'\u0663' at column {col}\n")
 
     def test_long_integer_literal_exit(self, tmp_path, capsys):
         # int() raises ValueError past 4300 digits

@@ -2,6 +2,7 @@
 
 import hashlib
 import io
+from fractions import Fraction
 
 import pytest
 
@@ -19,10 +20,11 @@ from pftrim.families import (
     _band,
 )
 from pftrim.linalg import det_bareiss
-from pftrim.pfaffian import pfaffian_drop
+from pftrim.pfaffian import SkewMatrix, pfaffian_drop
 from pftrim.polyring import PolyRing, PrimeField, QQ
 
 RQ = PolyRing(QQ)
+R2 = PolyRing(PrimeField(2))
 
 # format and class for each member, frozen from the closed forms
 EXPECTED = {
@@ -260,3 +262,52 @@ class TestScan:
         write_scan_csv(result.records, buffer)
         digest = hashlib.sha256(buffer.getvalue().encode()).hexdigest()
         assert digest == SCAN_DIGESTS[(char, m, trials, seed, min_degree)]
+
+
+class TestSkipCertificate:
+    def test_certified_scans_compute_no_pfaffian(self, monkeypatch):
+        golden = {(char, m): realizability_scan(char, m, 6, 2, seed=5)
+                  for char, m in ((2, 13), (0, 7))}
+
+        def forbidden(*args):
+            raise AssertionError("a certified scan computed a pfaffian")
+
+        monkeypatch.setattr(SkewMatrix, "_pf", forbidden)
+        for (char, m), expected in golden.items():
+            result = realizability_scan(char, m, 6, 2, seed=5)
+            assert result.skipped == 0
+            assert result.records == expected.records
+
+    def test_vanishing_generators_are_skipped(self):
+        # rows 1 and 2 are zero, so every drop-one pfaffian keeps a zero row
+        x, y, z = R2.gens
+        T = SkewMatrix.from_upper(R2, 5, {(3, 4): x, (3, 5): y, (4, 5): z})
+        assert not families._certified(T)
+        assert not families._keeps(T)
+
+    def test_uncertified_nonzero_generator_is_kept(self, monkeypatch):
+        # xy(x + y) vanishes at every point of F2^3, so T does too, but the
+        # pfaffian dropping index 5 is its square
+        f = R2.from_string("x^2*y + x*y^2")
+        T = SkewMatrix.from_upper(R2, 5, {(1, 2): f, (3, 4): f})
+        assert pfaffian_drop(T, (5,)) == f * f
+        calls = []
+        monkeypatch.setattr(families, "pfaffian_drop",
+                            lambda *args: calls.append(args) or
+                            pfaffian_drop(*args))
+        assert not families._certified(T)
+        assert families._keeps(T)
+        assert calls
+
+    def test_rational_denominator_at_the_modulus(self):
+        # a coefficient with no value mod the prime gives no certificate
+        x, y, z = RQ.gens
+        big = families._QQ_MODULUS
+        upper = {(i, j): x + y.scaled(i) + z.scaled(j)
+                 for i in range(1, 6) for j in range(i + 1, 6)}
+        T = SkewMatrix.from_upper(RQ, 5, upper)
+        assert families._certified(T)
+        upper[(1, 2)] = x.scaled(Fraction(1, big))
+        T = SkewMatrix.from_upper(RQ, 5, upper)
+        assert not families._certified(T)
+        assert families._keeps(T)

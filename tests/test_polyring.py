@@ -114,6 +114,15 @@ class TestParsing:
         with pytest.raises(ParseError, match=r"too long \(4400 digits\) at column 7"):
             RQ.from_string("y + x^" + "9" * 4400)
 
+    def test_non_ascii_digits(self):
+        # Arabic-Indic three and a fullwidth two are decimal digits to \d
+        with pytest.raises(ParseError, match="column 1"):
+            RQ.from_string("\u0663*x")
+        with pytest.raises(ParseError, match="column 3"):
+            RQ.from_string("x^\u0663")
+        with pytest.raises(ParseError, match="column 6"):
+            RQ.from_string("y + 1\uff12*z")
+
     def test_custom_names(self):
         ring = PolyRing(PrimeField(3), ("u", "v", "w"))
         u, v, w = ring.gens
