@@ -16,7 +16,7 @@ import dataclasses
 
 from .dgproducts import full_table
 from .errors import ArgumentError, NotApplicable, UnsupportedSize
-from .linalg import insert_row, rref, transpose
+from .linalg import insert_row
 from .resolution import _PAIRS, BasisElement
 
 
@@ -208,10 +208,13 @@ def tor_products(td, table=None):
     m, t = td.m, td.t
     if table is None:
         table = full_table(td)
-    qbar = _residue_q1(td.T, t)
-    reduced, pivots = rref(field, qbar)
-    row_of = {col: row for row, col in enumerate(pivots)}
-    pivot_set = set(pivots)
+    # one Gauss-Jordan pass over the residue rows gives the reduced pivot
+    # rows, keyed by pivot column, and the rows independent of the earlier
+    # ones, which split away with them
+    basis = {}
+    split_rows = {idx for idx, row in enumerate(_residue_q1(td.T, t))
+                  if insert_row(basis, row, field.char) is not None}
+    pivots = sorted(basis)
 
     # degree 1: every selfdual class, corrected on pivot columns so that
     # products with the corrected degree-2 classes vanish, then the
@@ -219,15 +222,14 @@ def tor_products(td, table=None):
     deg1 = []
     for i in range(t + 1, m + 1):
         rep = {BasisElement.E(i): one}
-        if i - 1 in pivot_set:
-            row = reduced[row_of[i - 1]]
+        if i - 1 in basis:
+            row = basis[i - 1]
             for k in range(t + 1, m + 1):
-                if k - 1 not in pivot_set and row[k - 1] != zero:
+                if k - 1 not in basis and row[k - 1] != zero:
                     rep[BasisElement.E(k)] = row[k - 1]
         deg1.append((BasisElement.E(i).label, rep))
-    dropped_rows = set(rref(field, transpose(qbar))[1])
     for row_idx in range(3 * t):
-        if row_idx in dropped_rows:
+        if row_idx in split_rows:
             continue
         k, l = divmod(row_idx, 3)
         elem = BasisElement.U(k + 1, l + 1)
@@ -236,11 +238,11 @@ def tor_products(td, table=None):
     # degree 2: nonpivot columns absorb the pivot ones, Koszul part as is
     deg2 = []
     for j in range(1, m + 1):
-        if j - 1 in pivot_set:
+        if j - 1 in basis:
             continue
         rep = {BasisElement.F(j): one}
         for col in pivots:
-            alpha = -reduced[row_of[col]][j - 1]
+            alpha = -basis[col][j - 1]
             if alpha != zero:
                 rep[BasisElement.F(col + 1)] = alpha
         deg2.append((BasisElement.F(j).label, rep))

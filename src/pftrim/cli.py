@@ -367,7 +367,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_file(p)
     _add_trim(p, required=False)
     p.add_argument("--minimize", action="store_true",
-                   help="strip constant pivots before printing")
+                   help="split off unit pivots before printing")
     _add_out(p)
     p.set_defaults(handler=cmd_resolve)
 

@@ -422,148 +422,83 @@ def minimize(complex_: ChainComplex) -> ChainComplex:
     """Split off trivial summands until every boundary entry sits in the
     maximal ideal; the resulting ranks are the Betti numbers.
 
-    Pivots are taken row-major on the lowest boundary index, preferring
-    entries that are honest nonzero constants (splitting there stays in
-    the polynomial ring).  If no constant entry remains but some entry
-    still has a nonzero constant term, elimination continues with local
-    fractions and the final entries are divided back; inputs whose
-    minimal boundary maps are not polynomial raise.
+    One elimination over the local ring, in which each row of a boundary
+    carries one unit denominator (None for 1).  Pivots are taken
+    row-major on the lowest boundary index: the first nonzero constant in
+    a row without denominator, else the first entry with a nonzero
+    constant term.  With pivot p and pivot row b, a row e whose entry in
+    the pivot column is c becomes e - (c/p)*b when p is such a constant,
+    and e*p - c*b, its denominator multiplied by p, otherwise (the pivot
+    row's own denominator cancels).  At the end each row is divided back
+    by its denominator; inputs whose minimal boundary maps are not
+    polynomial raise.
 
     Raises:
-        MinimizationNotPolynomial: the fraction tier could not return to
-            polynomial entries.
+        MinimizationNotPolynomial: a row did not divide back into the
+            polynomial ring.
     """
     ring = complex_.ring
     field = ring.field
     bases = [list(b) for b in complex_.bases]
-    mats = {d: [list(row) for row in complex_.differential(d)] for d in (1, 2, 3)}
-
-    def find_constant_pivot():
-        for d in (1, 2, 3):
-            for r, row in enumerate(mats[d]):
-                for c, entry in enumerate(row):
-                    if entry.terms and entry.is_constant():
-                        return d, r, c
-        return None
-
-    while True:
-        spot = find_constant_pivot()
-        if spot is None:
-            break
-        d, r0, c0 = spot
-        inv = field.inv(mats[d][r0][c0].constant_term())
-        # subtract (col entry / pivot) * pivot row from each other row
-        mat = mats[d]
-        pivot_row = mat[r0]
-        new_mat = []
-        for r, row in enumerate(mat):
-            if r == r0:
-                continue
-            factor = row[c0].scaled(inv)
-            if factor.terms:
-                new_row = [entry - factor * pivot_row[c]
-                           for c, entry in enumerate(row) if c != c0]
-            else:
-                new_row = [entry for c, entry in enumerate(row) if c != c0]
-            new_mat.append(new_row)
-        mats[d] = new_mat
-        if d + 1 in mats:
-            mats[d + 1] = [row for r, row in enumerate(mats[d + 1]) if r != c0]
-        if d - 1 in mats:
-            mats[d - 1] = [[entry for c, entry in enumerate(row) if c != r0]
-                           for row in mats[d - 1]]
-        bases[d] = [elem for c, elem in enumerate(bases[d]) if c != c0]
-        bases[d - 1] = [elem for r, elem in enumerate(bases[d - 1]) if r != r0]
-
-    def has_unit_entry():
-        for d in (1, 2, 3):
-            for row in mats[d]:
-                for entry in row:
-                    if entry.terms.get(0):
-                        return True
-        return False
-
-    if has_unit_entry():
-        _minimize_with_fractions(ring, bases, mats)
-
-    return ChainComplex(ring, [tuple(b) for b in bases],
-                        (mats[1], mats[2], mats[3]))
-
-
-def _minimize_with_fractions(ring, bases, mats):
-    """Finish minimization when a boundary entry is a non-constant local
-    unit: run the same elimination over local fractions (numerator,
-    denominator with unit constant term), then divide back."""
-    field = ring.field
-    one = ring.one
-
-    def reduce(num, den):
-        if not num.terms:
-            return ring.zero, one
-        if den.is_constant():
-            return num.scaled(field.inv(den.constant_term())), one
-        q = linalg.divide_exact(num, den)
-        if q is not None:
-            return q, one
-        return num, den
-
-    frac = {d: [[(entry, one) for entry in row] for row in mat]
-            for d, mat in mats.items()}
+    # boundary d as (denominator, row) pairs, rows indexed by bases[d - 1]
+    mats = {d: [(None, list(row)) for row in complex_.differential(d)]
+            for d in (1, 2, 3)}
 
     def find_pivot():
+        unit = None
         for d in (1, 2, 3):
-            for r, row in enumerate(frac[d]):
-                for c, (num, _) in enumerate(row):
-                    if num.terms.get(0):
-                        return d, r, c
-        return None
+            for r, (den, row) in enumerate(mats[d]):
+                for c, entry in enumerate(row):
+                    if entry.terms.get(0):
+                        if den is None and entry.is_constant():
+                            return d, r, c
+                        unit = unit or (d, r, c)
+        return unit
 
     while True:
         spot = find_pivot()
         if spot is None:
             break
         d, r0, c0 = spot
-        pn, pd = frac[d][r0][c0]
-        mat = frac[d]
-        pivot_row = mat[r0]
+        pivot_den, pivot_row = mats[d][r0]
+        pivot = pivot_row[c0]
+        inv = field.inv(pivot.constant_term()) \
+            if pivot_den is None and pivot.is_constant() else None
         new_mat = []
-        for r, row in enumerate(mat):
+        for r, (den, row) in enumerate(mats[d]):
             if r == r0:
                 continue
-            cn, cd = row[c0]
-            new_row = []
-            for c, (en, ed) in enumerate(row):
-                if c == c0:
-                    continue
-                if cn.terms:
-                    bn, bd = pivot_row[c]
-                    # e - (c/p) * b, with p = pivot
-                    sub_n = cn * bn * pd
-                    sub_d = cd * bd * pn
-                    num = en * sub_d - sub_n * ed
-                    den = ed * sub_d
-                    new_row.append(reduce(num, den))
-                else:
-                    new_row.append((en, ed))
-            new_mat.append(new_row)
-        frac[d] = new_mat
-        if d + 1 in frac:
-            frac[d + 1] = [row for r, row in enumerate(frac[d + 1]) if r != c0]
-        if d - 1 in frac:
-            frac[d - 1] = [[entry for c, entry in enumerate(row) if c != r0]
-                           for row in frac[d - 1]]
+            factor = row[c0]
+            if not factor.terms:
+                row = [entry for c, entry in enumerate(row) if c != c0]
+            elif inv is not None:
+                factor = factor.scaled(inv)
+                row = [entry - factor * pivot_row[c]
+                       for c, entry in enumerate(row) if c != c0]
+            else:
+                row = [entry * pivot - factor * pivot_row[c]
+                       for c, entry in enumerate(row) if c != c0]
+                den = pivot if den is None else den * pivot
+            new_mat.append((den, row))
+        mats[d] = new_mat
+        if d + 1 in mats:
+            mats[d + 1] = [pair for r, pair in enumerate(mats[d + 1]) if r != c0]
+        if d - 1 in mats:
+            mats[d - 1] = [(den, [entry for c, entry in enumerate(row) if c != r0])
+                           for den, row in mats[d - 1]]
         bases[d] = [elem for c, elem in enumerate(bases[d]) if c != c0]
         bases[d - 1] = [elem for r, elem in enumerate(bases[d - 1]) if r != r0]
 
-    for d in (1, 2, 3):
-        out = []
-        for row in frac[d]:
-            out_row = []
-            for num, den in row:
-                num, den = reduce(num, den)
-                if den != one:
+    differentials = []
+    for d, mat in mats.items():
+        rows = []
+        for r, (den, row) in enumerate(mat):
+            if den is not None:
+                row = [linalg.divide_exact(entry, den) for entry in row]
+                if None in row:
                     raise MinimizationNotPolynomial(
-                        f"boundary {d} entry {num}/{den} has no polynomial form")
-                out_row.append(num)
-            out.append(out_row)
-        mats[d] = out
+                        f"boundary {d} entry at row {bases[d - 1][r].label}, column "
+                        f"{bases[d][row.index(None)].label} has no polynomial form")
+            rows.append(row)
+        differentials.append(rows)
+    return ChainComplex(ring, bases, differentials)

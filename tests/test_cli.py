@@ -7,6 +7,7 @@ import io
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
 import tempfile
@@ -24,7 +25,9 @@ from pftrim.cli import (
 )
 from pftrim import cli
 from pftrim.errors import ArgumentError, EntryNotInMaximalIdeal, ParseError
+from pftrim.families import _random_skew
 from pftrim.pfaffian import MAX_IDENTITY_SIZE
+from pftrim.polyring import PolyRing, PrimeField
 from pftrim.resolution import trimmed_resolution
 
 from test_resolution import change_d2_entry
@@ -247,6 +250,18 @@ class TestCommands:
         lines = capsys.readouterr().out.splitlines()
         assert "minimized" in lines
         assert "ranks: 1 5 6 2" in lines
+
+    def test_resolve_minimize_not_polynomial(self, tmp_path, capsys):
+        # mixed degrees: the trim-3 minimal maps would divide by a
+        # non-constant local unit
+        T = _random_skew(PolyRing(PrimeField(5)), 7, random.Random(347771649),
+                         1, 2)
+        path = tmp_path / "unit.json"
+        path.write_text(serialize_matrix_document(document_of_matrix(T)))
+        assert main(["resolve", str(path), "--trim", "3", "--minimize"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and len(err[0]) < 200
+        assert "row e4" in err[0] and "column v1_12" in err[0]
 
     def test_trim_set_matches_direct_conjugation(self, example_file, capsys):
         assert main(["classify", example_file, "--trim-set", "2,4"]) == 0

@@ -2,11 +2,15 @@
 verification, and minimization."""
 
 import dataclasses
+import hashlib
+import json
 import random
 
 import pytest
 
+from pftrim.classify import classify
 from pftrim.errors import ArgumentError, MinimizationNotPolynomial
+from pftrim.families import _random_skew
 from pftrim.linalg import rref
 from pftrim.pfaffian import SkewMatrix, pfaffian_drop, sigma3
 from pftrim.polyring import PolyRing, PrimeField, QQ
@@ -20,6 +24,8 @@ from test_pfaffian import example_matrix
 
 R2 = PolyRing(PrimeField(2))
 RQ = PolyRing(QQ)
+MIXED_FIELDS = {"F2": PrimeField(2), "F3": PrimeField(3),
+                "F5": PrimeField(5), "QQ": QQ}
 
 
 def mat_of(ring, rows):
@@ -294,30 +300,131 @@ class TestMinimize:
 
     def test_fraction_tier_success(self):
         x, y, _ = RQ.gens
-        one = RQ.one
-        C = ChainComplex(
-            RQ,
-            ((BasisElement.ONE(),), (BasisElement.E(1), BasisElement.E(2)),
-             (BasisElement.F(1), BasisElement.F(2)), ()),
-            (((RQ.zero, RQ.zero),),
-             ((one + y, y * (one + y)), (x, x * x)),
-             ((), ())))
-        minimal = minimize(C)
+        minimal = minimize(unit_pivot_complex(y * (RQ.one + y)))
         assert minimal.ranks == (1, 1, 1, 0)
         assert minimal.differential(2) == ((x * x - x * y,),)
 
     def test_fraction_tier_failure(self):
-        x, y, _ = RQ.gens
-        one = RQ.one
-        C = ChainComplex(
-            RQ,
-            ((BasisElement.ONE(),), (BasisElement.E(1), BasisElement.E(2)),
-             (BasisElement.F(1), BasisElement.F(2)), ()),
-            (((RQ.zero, RQ.zero),),
-             ((one + y, y), (x, x * x)),
-             ((), ())))
-        with pytest.raises(MinimizationNotPolynomial):
-            minimize(C)
+        _, y, _ = RQ.gens
+        with pytest.raises(MinimizationNotPolynomial) as info:
+            minimize(unit_pivot_complex(y))
+        # one short line naming the entry, not the fraction
+        message = str(info.value)
+        assert "\n" not in message and len(message) < 200
+        assert "row e2" in message and "column f2" in message
+
+    def test_mixed_degree_digests(self):
+        # outputs frozen before the constant and local-unit pivots shared
+        # one elimination loop
+        unit_pivots = raised = 0
+        for (name, lo, hi, m), digest in MINIMIZE_DIGESTS.items():
+            outcomes = []
+            for _, _, C in mixed_degree_complexes(name, lo, hi, m, range(2)):
+                unit_pivots += needs_unit_pivot(C)
+                outcomes.append(minimized_outcome(C))
+            raised += outcomes.count("raise")
+            assert hashlib.sha256(json.dumps(outcomes).encode()).hexdigest() \
+                == digest, (name, lo, hi, m)
+        assert unit_pivots >= 20 and raised >= 10
+
+    @pytest.mark.parametrize("name", sorted(MIXED_FIELDS))
+    def test_local_unit_pivots(self, name):
+        succeeded = 0
+        for m in (5, 7):
+            for T, t, C in mixed_degree_complexes(name, 1, 2, m, range(2, 6)):
+                try:
+                    minimal = minimize(C)
+                except MinimizationNotPolynomial:
+                    continue
+                assert minimal.is_minimal() and minimal.composes_to_zero()
+                assert minimal.ranks == classify(T, t).format, (m, t)
+                succeeded += 1
+        assert succeeded
+
+
+def unit_pivot_complex(top_right):
+    """Boundary 2 = [[1 + y, top_right], [x, x^2]] over QQ, between bases
+    (e1, e2) and (f1, f2); its one unit entry 1 + y is not a constant."""
+    x, y, _ = RQ.gens
+    return ChainComplex(
+        RQ,
+        ((BasisElement.ONE(),), (BasisElement.E(1), BasisElement.E(2)),
+         (BasisElement.F(1), BasisElement.F(2)), ()),
+        (((RQ.zero, RQ.zero),),
+         ((RQ.one + y, top_right), (x, x * x)),
+         ((), ())))
+
+
+def mixed_degree_complexes(name, lo, hi, m, seeds):
+    """(T, t, trimmed complex) for every trim of seeded random matrices
+    whose entries have degrees lo..hi; mixed degrees give boundary entries
+    that are local units without being constants."""
+    ring = PolyRing(MIXED_FIELDS[name])
+    for seed in seeds:
+        T = _random_skew(ring, m, random.Random(f"{name}-{lo}{hi}-{m}-{seed}"),
+                         lo, hi)
+        for t in range(1, m + 1):
+            yield T, t, trimmed_resolution(T, t).complex
+
+
+def minimized_outcome(C):
+    """Basis labels and boundary strings of minimize(C), or "raise"."""
+    try:
+        minimal = minimize(C)
+    except MinimizationNotPolynomial:
+        return "raise"
+    return [[list(minimal.labels(d)) for d in range(4)],
+            [[[str(entry) for entry in row] for row in minimal.differential(d)]
+             for d in (1, 2, 3)]]
+
+
+def needs_unit_pivot(C):
+    """Whether splitting off constant pivots alone leaves a boundary entry
+    with a nonzero constant term, so that minimizing C has to pivot on a
+    non-constant local unit."""
+    field = C.ring.field
+    mats = {d: [list(row) for row in C.differential(d)] for d in (1, 2, 3)}
+    while True:
+        spot = next(((d, r, c) for d in (1, 2, 3)
+                     for r, row in enumerate(mats[d])
+                     for c, entry in enumerate(row)
+                     if entry.terms and entry.is_constant()), None)
+        if spot is None:
+            return any(entry.constant_term() for mat in mats.values()
+                       for row in mat for entry in row)
+        d, r0, c0 = spot
+        pivot_row = mats[d][r0]
+        inv = field.inv(pivot_row[c0].constant_term())
+        mats[d] = [[entry - row[c0].scaled(inv) * pivot_row[c]
+                    for c, entry in enumerate(row) if c != c0]
+                   for r, row in enumerate(mats[d]) if r != r0]
+        if d < 3:
+            mats[d + 1] = [row for r, row in enumerate(mats[d + 1]) if r != c0]
+        if d > 1:
+            mats[d - 1] = [[entry for c, entry in enumerate(row) if c != r0]
+                           for row in mats[d - 1]]
+
+
+#: sha256 of the JSON list of minimized_outcome over
+#: mixed_degree_complexes(name, lo, hi, m, range(2)).
+MINIMIZE_DIGESTS = {
+    ("F2", 1, 2, 5): "31ca34518862142be41f65c0524146c232a2ee69f28e57021df9a49869768d71",
+    ("F2", 1, 2, 7): "398d6d9d220dd9ea610e2f9524f85b34de749883e9f7cc1bbb23d4988fa73ef2",
+    ("F2", 2, 2, 5): "6e8498a6b4db87b5b1dfb42a8f7e07ef7dc97695c10593d0bcbfe5f4393102d2",
+    ("F2", 2, 2, 7): "edfce3f692228931b8efa56eb916c430a145b78ec5aeb1b13c017c1edf66f8fb",
+    ("F3", 1, 2, 5): "1466771a47964912233397d0c885f89a1cd1f5237328a10e2a8edb6d4705ed7d",
+    ("F3", 1, 2, 7): "829086aff752e7582679508f33ff92296bfb26b3e01c9d2eb75ddc54b1d5d637",
+    ("F3", 2, 2, 5): "09a91c1e9c82c13615cfc8ff2936585f7847b5a625dae566a269686036ad6fdf",
+    ("F3", 2, 2, 7): "9ce539f908bf07df135ec7c908e26713cd2958647570de2e977ce49d3b386fe5",
+    ("F5", 1, 2, 5): "2f04aa166285f75e03a047cd8189253b4b976bfc7ccda56312062dc66f42b730",
+    ("F5", 1, 2, 7): "4f08554ef16a8791864d7e9d31bde4936577a1857e2b778cf040f3617b514a6b",
+    ("F5", 2, 2, 5): "3a8614c276be8d61a91803e487ab88beb28439106a25a04ce5d54b50dcc3b342",
+    ("F5", 2, 2, 7): "e7dcbb1b65571481a5292afe02689912bcfb5aa4530b2c71b56fa71dc379a820",
+    ("QQ", 1, 2, 5): "d6f50e70396e32814129bf8a825fe56e2894d4b6102e8441f9d21550dad60d10",
+    ("QQ", 1, 2, 7): "398d6d9d220dd9ea610e2f9524f85b34de749883e9f7cc1bbb23d4988fa73ef2",
+    ("QQ", 2, 2, 5): "e85b408696d9e6d54c299da2fd34051aba23bf1b11d5aceb5a07d2986c1edd33",
+    ("QQ", 2, 2, 7): "84cfc31ca730717804b083144f2988836b4bcbe54cd380828d258b9746aef455",
+}
 
 
 class TestDocument:
