@@ -5,6 +5,15 @@ in one integer) to a nonzero coefficient.  The modulus ``p`` selects the
 coefficient arithmetic: ``p > 0`` means integers reduced to 0..p-1,
 ``p == 0`` means exact rational arithmetic (ints and Fractions).
 
+Deferred reduction: a caller summing many products over F_p may pass
+``p = 0`` to the accumulating kernels when every input coefficient is a
+canonical residue (0..p-1).  The accumulator then holds exact integer
+sums, congruent mod p to the reduced result, and ``reduce_terms`` brings
+it back to canonical form in one pass.  Whether a term (or the whole
+accumulator) is zero is known only after that pass: an unreduced nonzero
+integer may be a multiple of p.  Over the rationals (``p == 0`` already)
+there is nothing to reduce.
+
 These functions are the hot path of the whole package.
 """
 
@@ -71,6 +80,17 @@ def addmul_into(acc, a, b, p, sign):
                 acc[k] = s
             else:
                 acc.pop(k, None)
+
+
+def reduce_terms(a, p):
+    """The terms of a, summed with p = 0 on canonical residues, reduced mod
+    p > 0 with the zero terms dropped."""
+    out = {}
+    for k, c in a.items():
+        c %= p
+        if c:
+            out[k] = c
+    return out
 
 
 def scale_into(acc, a, c, p, sign):

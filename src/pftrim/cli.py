@@ -24,8 +24,8 @@ import json
 import sys
 
 from .classify import check_conjectures, classify, conjugate_trim_set
-from .dgproducts import full_table, verify_leibniz
-from .errors import ParseError, PftrimError
+from .dgproducts import MAX_PRODUCT_SIZE, full_table, verify_leibniz
+from .errors import ParseError, PftrimError, UnsupportedSize
 from .families import (MAX_SCAN_SIZE, FamilySpec, build_family,
                        family_checks, realizability_scan, write_scan_csv)
 from .pfaffian import SkewMatrix, check_identities
@@ -241,6 +241,9 @@ def cmd_resolve(args) -> int:
 
 def cmd_products(args) -> int:
     T = _load_matrix(args.file)
+    if T.m > MAX_PRODUCT_SIZE:
+        raise UnsupportedSize(f"product tables need size at most "
+                              f"{MAX_PRODUCT_SIZE}, got {T.m}")
     M, t, lines = _trim_target(args, T)
     td = trimmed_resolution(M, t)
     table = full_table(td)

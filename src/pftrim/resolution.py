@@ -253,19 +253,16 @@ class TrimmedData:
         return self.T.ring
 
 
-def _selfdual_part(T, i, j, factor):
-    # the f-coordinates of e_i e_j in the Gorenstein resolution, times factor
-    coords = {}
+def _selfdual_part(T, i, j):
+    # the f-coordinates of e_i e_j in the Gorenstein resolution, as the
+    # tuple (sigma3(i, j, r) pf(i, j, r) for r = 1..m)
+    zero = T.ring.zero
+    coords = []
     for r in range(1, T.m + 1):
         s3 = sigma3(i, j, r)
-        if s3 == 0:
-            continue
-        pf = pfaffian_drop(T, (i, j, r))
-        if pf.is_zero:
-            continue
-        value = pf * factor if factor is not None else pf
-        coords[BasisElement.F(r)] = value if s3 > 0 else -value
-    return coords
+        pf = pfaffian_drop(T, (i, j, r)) if s3 else zero
+        coords.append(-pf if s3 < 0 else pf)
+    return tuple(coords)
 
 
 def gorenstein_resolution(T: SkewMatrix) -> ChainComplex:
@@ -305,11 +302,11 @@ def _trimmed_data(T: SkewMatrix, t: int) -> TrimmedData:
     for (i, k), ci in c.items():
         if not any(ci):
             continue
-        selfdual = _selfdual_part(T, i, k, None)
+        selfdual = _selfdual_part(T, i, k)
         for a, b in _PAIRS:
             if ci[b - 1]:
-                weights = ((c[(f.data[0], k)][a - 1], value)
-                           for f, value in selfdual.items())
+                weights = ((c[(r, k)][a - 1], value)
+                           for r, value in enumerate(selfdual, 1) if value)
                 inner = sum((w * value for w, value in weights if w), zero)
                 dk[(k, a, b)] = dk[(k, a, b)] + ci[b - 1] * inner
 

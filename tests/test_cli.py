@@ -24,9 +24,10 @@ from pftrim.cli import (
     serialize_matrix_document,
 )
 from pftrim import cli
+from pftrim.dgproducts import MAX_PRODUCT_SIZE
 from pftrim.errors import ArgumentError, EntryNotInMaximalIdeal, ParseError
 from pftrim.families import _random_skew
-from pftrim.pfaffian import MAX_IDENTITY_SIZE
+from pftrim.pfaffian import MAX_IDENTITY_SIZE, SkewMatrix
 from pftrim.polyring import PolyRing, PrimeField
 from pftrim.resolution import trimmed_resolution
 
@@ -384,6 +385,22 @@ class TestCommands:
         assert captured.out == ""
         assert captured.err == ("error: identity checks need size at most "
                                 f"{MAX_IDENTITY_SIZE}, got {size}\n")
+
+    def test_products_size_limit_exit(self, tmp_path, capsys, monkeypatch):
+        # the limit is checked before any pfaffian is computed
+        def no_pfaffians(matrix, mask):
+            raise AssertionError("a pfaffian was computed")
+        monkeypatch.setattr(SkewMatrix, "_pf", no_pfaffians)
+        size = MAX_PRODUCT_SIZE + 2
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"field": {"kind": "prime", "p": 3},
+                                    "size": size, "upper": []}))
+        for trim in (["--trim", "1"], ["--trim-set", "1,2"]):
+            assert main(["products", str(path), *trim]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == ("error: product tables need size at most "
+                                    f"{MAX_PRODUCT_SIZE}, got {size}\n")
 
     def test_non_ascii_digit_exit(self, tmp_path, capsys):
         # \u0663 is ARABIC-INDIC DIGIT THREE, a decimal digit to \d

@@ -9,6 +9,7 @@ import random
 
 import pytest
 
+from pftrim import dgproducts
 from pftrim.dgproducts import ChainElement, LeibnizReport, ProductTable, \
     boundary, d_constants, full_table, gorenstein_product, multiply, \
     product, verify_leibniz, zero_element
@@ -196,6 +197,22 @@ class TestGorensteinProduct:
             gorenstein_product(T, B.U(1, 1), B.E(2))
         with pytest.raises(ArgumentError):
             gorenstein_product(T, B.E(6), B.E(2))
+
+    def test_untrimmed_data_built_once(self, monkeypatch):
+        T = random_skew(R5, 7, random.Random(42), degree=1)
+        build = dgproducts._trimmed_data
+        calls = []
+
+        def counted(matrix, t):
+            calls.append(t)
+            return build(matrix, t)
+        monkeypatch.setattr(dgproducts, "_trimmed_data", counted)
+        F = gorenstein_resolution(T)
+        basis = [x for d in range(4) for x in F.basis(d)]
+        for x in basis:
+            for y in basis:
+                gorenstein_product(T, x, y)
+        assert calls == [0]
 
     def test_matches_trimmed_selfdual_component(self):
         rng = random.Random(41)
@@ -466,6 +483,58 @@ class TestLeibniz:
         expected = leibniz_reference(td, tampered)
         assert key in [(x, y) for x, y, _ in expected]
         assert list(report.violations) == expected
+        r1, r2 = td.complex.rank(1), td.complex.rank(2)
+        assert report.pairs_checked == r1 * (r1 + r2)
+
+
+def tamper_degree_one(td, table, mode):
+    """Copy of the table with degree-(1, 1) cells changed, and the changed
+    pairs.  "one" changes e*u of one pair and u*e of another, each in one
+    order only; "negatives" changes both orders of a pair to exact
+    negatives of each other; "different" changes both orders of a pair by
+    unrelated elements."""
+    ring = td.ring
+    basis1, basis2 = td.complex.basis(1), td.complex.basis(2)
+    e, e2, u2, u = basis1[0], basis1[1], basis1[-2], basis1[-1]
+    x, y, z = ring.gens
+    delta = ChainElement(ring, 2, {basis2[0]: z, basis2[-1]: x})
+    entries = dict(table.entries)
+    if mode == "one":
+        keys = [(e, u), (u2, e2)]
+        for key in keys:
+            entries[key] = entries[key] + delta
+    elif mode == "negatives":
+        keys = [(e, u), (u, e)]
+        entries[(e, u)] = entries[(e, u)] + delta
+        entries[(u, e)] = -entries[(e, u)]
+    else:
+        keys = [(e, u), (u, e)]
+        entries[(e, u)] = entries[(e, u)] + delta
+        entries[(u, e)] = entries[(u, e)] + delta.scaled(y)
+    return ProductTable(td.complex, entries), keys
+
+
+class TestLeibnizSharedResiduals:
+    """The degree-(1, 1) residual of (x, y) is read off that of (y, x) when
+    the table's two cells are negatives of each other; tampered cells must
+    give the same violations as the reference either way."""
+
+    @pytest.mark.parametrize("mode", ["one", "negatives", "different"])
+    @pytest.mark.parametrize("ring,size", [
+        (R2, 5), (R2, 7), (R5, 5), (R5, 7), (RQ, 5)],
+        ids=["F2-5", "F2-7", "F5-5", "F5-7", "QQ-5"])
+    def test_tampered_degree_one_cells(self, ring, size, mode):
+        T = random_skew(ring, size, random.Random(70 + size), degree=1)
+        td = trimmed_resolution(T, 2)
+        tampered, keys = tamper_degree_one(td, full_table(td), mode)
+        report = verify_leibniz(td, tampered)
+        expected = leibniz_reference(td, tampered)
+        assert list(report.violations) == expected
+        diffs = {(x, y): diff for x, y, diff in report.violations}
+        assert set(keys) <= set(diffs)
+        if mode == "negatives":
+            (x, y), _ = keys
+            assert diffs[(y, x)] == -diffs[(x, y)]
         r1, r2 = td.complex.rank(1), td.complex.rank(2)
         assert report.pairs_checked == r1 * (r1 + r2)
 

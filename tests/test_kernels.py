@@ -1,7 +1,9 @@
 """The term kernels against the schoolbook oracle, and the kernel names the
 benchmark's tracing layer relies on."""
 
+import ast
 import importlib.util
+import inspect
 import pathlib
 import random
 
@@ -87,6 +89,22 @@ class TestParity:
         assert triples(out) == oracle_poly_add(acc, oracle_scale(a, sign * c, p), p)
 
 
+@pytest.mark.parametrize("p", [2, 5, BIG_PRIME])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_deferred_reduction(p, data):
+    # products of canonical residues summed with p = 0 and reduced once equal
+    # the sum reduced at every step, cancelled terms included
+    parts = data.draw(st.lists(st.tuples(
+        triple_dicts(p), triple_dicts(p), st.sampled_from((1, -1))), max_size=5))
+    parts += [(a, b, -sign) for a, b, sign in parts[:1]]
+    eager, lazy = {}, {}
+    for a, b, sign in parts:
+        kernels.addmul_into(eager, packed(a), packed(b), p, sign)
+        kernels.addmul_into(lazy, packed(a), packed(b), 0, sign)
+    assert kernels.reduce_terms(lazy, p) == eager
+
+
 class TestBounds:
     def test_largest_modulus_exact(self):
         p = BIG_PRIME
@@ -131,3 +149,21 @@ def test_trace_proxy_covers_every_kernel():
     assert tracer.counts["pfaffian.identity_cases"] == \
         sum(check.cases for check in report.checks)
     assert polyring._core is kernels
+
+
+def test_every_kernel_has_a_caller():
+    # A public kernel that no pftrim module refers to is dead code unless the
+    # traced benchmark run wraps it by name (scale_into).
+    tracing = _load_tracing()
+    package = pathlib.Path(kernels.__file__).parent
+    referenced = set()
+    for path in package.glob("*.py"):
+        if path.name != "_poly_core.py":
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            referenced.update(node.attr for node in ast.walk(tree)
+                              if isinstance(node, ast.Attribute))
+    public = [name for name, fn in inspect.getmembers(kernels, inspect.isfunction)
+              if fn.__module__ == kernels.__name__ and not name.startswith("_")]
+    assert "addmul_into" in public
+    for name in public:
+        assert name in referenced or name in tracing.KERNELS, name
