@@ -28,6 +28,8 @@ import dataclasses
 
 from . import polyring as _ring_mod
 from .errors import ArgumentError, FieldMismatch
+from .linalg import POINTS, insert_row, residue_modulus, residue_terms, \
+    residues_at
 from .pfaffian import pfaffian_drop, rearrange_sign, sigma3, sigma5
 from .polyring import Polynomial, check_exponents, pack_exponents
 from .resolution import _PAIRS, BasisElement, _selfdual_part, _trimmed_data, \
@@ -560,6 +562,42 @@ def _negates(column, other, p):
     return dict(column) == {index: neg(terms, p) for index, terms in other}
 
 
+def _certified_rows(C):
+    """Rows S of C2 that settle the C2 Leibniz identity, or None.
+
+    S is returned when, at one of ``linalg.POINTS`` in F_p^3 (rationals:
+    mod ``linalg.QQ_MODULUS``, refusing a matrix with a denominator that
+    vanishes there), d3 has rank rank C3 and the ranks of d2 and d3 add up
+    to rank C2, and when d1 d2 = 0 and d2 d3 = 0 hold exactly.  It holds
+    the rows of C2 that ``linalg.insert_row`` accepts when fed the rows of
+    d3 at that point in order, so the S-rows of d3 form a square block
+    whose determinant is a nonzero polynomial."""
+    p = residue_modulus(C.ring)
+    d2, d3 = ([[residue_terms(entry, p) for entry in row]
+               for row in C.differential(d)] for d in (2, 3))
+    if any(None in row for row in d2 + d3):
+        return None
+    for point in POINTS:
+        basis = {}
+        rows = frozenset(
+            r for r, row in enumerate(d3)
+            if insert_row(basis, residues_at(row, point, p), p) is not None)
+        if len(rows) != C.rank(3):
+            continue
+        basis = {}
+        for row in d2:
+            insert_row(basis, residues_at(row, point, p), p)
+        if len(basis) + len(rows) == C.rank(2):
+            return rows if C.composes_to_zero() else None
+    return None
+
+
+def _on_rows(columns, rows):
+    # the columns of (row index, term dict) pairs cut down to the rows given
+    return [[(r, terms) for r, terms in column if r in rows]
+            for column in columns]
+
+
 def verify_leibniz(td, table):
     """Check the Leibniz rule d(xy) = d(x)y - x d(y) on every ordered pair
     with the first factor of degree 1 and degree sum at most 3.
@@ -584,7 +622,23 @@ def verify_leibniz(td, table):
     (y, x) and is read off that one.  A pair whose two cells are not
     negatives of each other (a table tampered in one order, say) has its
     column computed from its own cell.  Each cell is summed over the
-    integers and reduced once (the deferred reduction of _poly_core)."""
+    integers and reduced once (the deferred reduction of _poly_core).
+
+    On C2 most columns are checked on t + 1 rows only.  Let R be the C2
+    residual of x.  When the C1 identity holds for x, and d1 d2 = 0 and
+    d2 d3 = 0, then d2 R = d2 d3 L_x - d1(x) d2 + (d1(x) d2 - e_x d1 d2)
+    = 0.  If also, at a point P of F_p^3, rank d3(P) = rank C3 (= t + 1)
+    and rank d2(P) + rank d3(P) = rank C2, the complex is exact at C2 over
+    the fraction field (the rank criterion of Buchsbaum and Eisenbud), so
+    each column of R is d3 applied to some vector.  On the rows S where
+    d3(P) has a nonzero maximal minor (``_certified_rows``: the rows
+    ``linalg.insert_row`` accepts from d3(P) in order) that block of d3 is
+    invertible over the fraction field, so a column of R is zero exactly
+    when it is zero on S.  The full column is computed, as the violation's
+    diff or in place of the restricted one, when no point certifies, a
+    composition is nonzero, x has a C1 violation, or the column is
+    nonzero on S; every report is therefore the one the full check
+    gives."""
     C = td.complex
     ring = td.ring
     core = _ring_mod._core
@@ -594,13 +648,16 @@ def verify_leibniz(td, table):
     d2 = _columns(C.differential(2))
     d3 = _columns(C.differential(3))
     left1 = [[_left_column(C, table, x, y) for y in basis1] for x in basis1]
+    rows = _certified_rows(C)
+    if rows is not None:
+        d3_rows = _on_rows(d3, rows)
     violations = []
     shared = {}  # (x, y) position -> nonzero C1 residual column, for (y, x)
 
-    def residual(acc, ix, iy):
-        # subtract d1(x) from the diagonal, then reduce each cell once;
-        # the nonzero cells of the column
-        if d1[ix]:
+    def residual(acc, ix, iy, diagonal=True):
+        # subtract d1(x) from the diagonal unless told not to, then reduce
+        # each cell once; the nonzero cells of the column
+        if d1[ix] and diagonal:
             acc[iy] = core.sub_terms(acc.get(iy, {}), d1[ix], 0)
         if p:
             acc = {row: core.reduce_terms(terms, p)
@@ -615,6 +672,7 @@ def verify_leibniz(td, table):
                                ChainElement(ring, y.degree, coords)))
 
     for ix, x in enumerate(basis1):
+        clean = len(violations)
         for iy, y in enumerate(basis1):
             if iy < ix and _negates(left1[ix][iy], left1[iy][ix], p):
                 column = {row: core.neg_terms(terms, p) for row, terms
@@ -628,8 +686,17 @@ def verify_leibniz(td, table):
                 if column and iy > ix:
                     shared[(ix, iy)] = column
             record(ix, y, column, basis1)
+        certified = rows is not None and len(violations) == clean
+        if certified:
+            left1_rows = _on_rows(left1[ix], rows)
         left2 = [_left_column(C, table, x, y) for y in basis2]
         for iy, y in enumerate(basis2):
+            if certified:
+                acc = {}
+                _accumulate(acc, left2[iy], d3_rows, addmul)
+                _accumulate(acc, d2[iy], left1_rows, addmul)
+                if not residual(acc, ix, iy, iy in rows):
+                    continue
             acc = {}
             _accumulate(acc, left2[iy], d3, addmul)
             _accumulate(acc, d2[iy], left1[ix], addmul)

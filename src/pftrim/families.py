@@ -22,9 +22,10 @@ import random
 
 from .classify import TorReport, _trim_reports, classify
 from .errors import ArgumentError, UnsupportedSize
-from .linalg import det_bareiss, insert_row
+from .linalg import POINTS, det_bareiss, insert_row, residue_modulus, \
+    residue_terms, residues_at
 from .pfaffian import SkewMatrix, pfaffian_drop
-from .polyring import PolyRing, PrimeField, QQ, unpack_exponents
+from .polyring import PolyRing, PrimeField, QQ
 
 __all__ = [
     "MAX_SCAN_SIZE",
@@ -200,39 +201,25 @@ def family_checks(spec: FamilySpec, ring: PolyRing = None) -> FamilyReport:
 #: (F2, degree bound 2, Python 3.11 on a 2-core Xeon).
 MAX_SCAN_SIZE = 21
 
-# the skip-check certificate evaluates rational matrices mod this prime
-_QQ_MODULUS = 2 ** 31 - 1
-
-# the points the certificate tries, in order: the nonzero points of
-# {0, 1}^3, which stay distinct and nonzero mod every prime (T vanishes at
-# the origin)
-_POINTS = ((1, 1, 1), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 0, 1),
-           (0, 1, 1))
-
 
 def _certified(T):
-    """True when T evaluated at one of ``_POINTS`` in F_p^3 has rank
-    m - 1 over F_p (rationals: mod ``_QQ_MODULUS``).  A skew matrix has a
-    nonsingular principal submatrix of the size of its rank, and
+    """True when T evaluated at one of ``linalg.POINTS`` in F_p^3 has rank
+    m - 1 over F_p (rationals: mod ``linalg.QQ_MODULUS``).  A skew matrix
+    has a nonsingular principal submatrix of the size of its rank, and
     evaluation commutes with the pfaffian, so then some drop-one pfaffian
     of T is a nonzero polynomial.  False proves nothing."""
     m = T.m
-    rational = not T.ring.field.char
-    p = T.ring.field.char or _QQ_MODULUS
-    entries = []
+    p = residue_modulus(T.ring)
+    cells, polys = [], []
     for (i, j), f in T.upper_entries():
-        terms = []
-        for key, c in f.terms.items():
-            if rational:
-                if c.denominator % p == 0:
-                    return False
-                c = c.numerator * pow(c.denominator, -1, p) % p
-            terms.append((c, *unpack_exponents(key)))
-        entries.append((i - 1, j - 1, terms))
-    for x, y, z in _POINTS:
+        terms = residue_terms(f, p)
+        if terms is None:
+            return False
+        cells.append((i - 1, j - 1))
+        polys.append(terms)
+    for point in POINTS:
         rows = [[0] * m for _ in range(m)]
-        for i, j, terms in entries:
-            v = sum(c * x ** a * y ** b * z ** d for c, a, b, d in terms) % p
+        for (i, j), v in zip(cells, residues_at(polys, point, p)):
             rows[i][j] = v
             rows[j][i] = -v % p
         basis = {}

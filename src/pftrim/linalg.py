@@ -1,6 +1,13 @@
 """Internal exact linear algebra: polynomial matrices, reduced row
 echelon form over the coefficient field, fraction-free determinants, and
 exact polynomial division.  Matrices are tuples of tuples (rows), dense.
+
+It also holds the point evaluation that the evaluation certificates share
+(the scan's skip check in ``families`` and the Leibniz check on C2 in
+``dgproducts``): the points ``POINTS`` of F_p^3, rational coefficients
+read mod ``QQ_MODULUS``, and ``residue_terms`` / ``residues_at`` taking
+polynomials to their values at a point.  A nonzero value, or a nonzero
+minor of an evaluated matrix, proves the same of the polynomial one.
 """
 
 from __future__ import annotations
@@ -16,20 +23,16 @@ def freeze(rows):
     return tuple(tuple(row) for row in rows)
 
 
-def transpose(rows):
-    return tuple(zip(*rows)) if rows else ()
-
-
 def mat_mul(ring: PolyRing, a, b):
     if a and b and len(a[0]) != len(b):
         raise ArgumentError(f"shape mismatch: {len(a[0])} columns times {len(b)} rows")
     addmul = _ring_mod._core.addmul_into
     p = ring._p
-    bt = transpose(b)
+    cols = tuple(zip(*b))
     out = []
     for row in a:
         out_row = []
-        for col in bt:
+        for col in cols:
             acc = {}
             for f, g in zip(row, col):
                 if f.terms and g.terms:
@@ -37,6 +40,45 @@ def mat_mul(ring: PolyRing, a, b):
             out_row.append(Polynomial(ring, acc))
         out.append(tuple(out_row))
     return tuple(out)
+
+
+#: rational matrices are evaluated mod this prime
+QQ_MODULUS = 2 ** 31 - 1
+
+#: the points an evaluation certificate tries, in order: the nonzero points
+#: of {0, 1}^3, which stay distinct and nonzero mod every prime (entries in
+#: the maximal ideal vanish at the origin)
+POINTS = ((1, 1, 1), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 0, 1),
+          (0, 1, 1))
+
+
+def residue_modulus(ring: PolyRing) -> int:
+    """The prime evaluations over ``ring`` reduce mod: the characteristic,
+    or ``QQ_MODULUS`` for the rationals."""
+    return ring.field.char or QQ_MODULUS
+
+
+def residue_terms(f: Polynomial, p: int):
+    """The terms of f as (coefficient mod p, a1, a2, a3) tuples, or None
+    when a rational coefficient has a denominator divisible by p: f then
+    has no residue mod p."""
+    rational = not f.ring.field.char
+    terms = []
+    for key, c in f.terms.items():
+        if rational:
+            if c.denominator % p == 0:
+                return None
+            c = c.numerator * pow(c.denominator, -1, p) % p
+        terms.append((c, *unpack_exponents(key)))
+    return terms
+
+
+def residues_at(polys, point, p: int):
+    """The values mod p at ``point`` of polynomials given by their
+    ``residue_terms``, as a list."""
+    x, y, z = point
+    return [sum(c * pow(x, a, p) * pow(y, b, p) * pow(z, d, p)
+                for c, a, b, d in terms) % p for terms in polys]
 
 
 def insert_row(basis, row, p):

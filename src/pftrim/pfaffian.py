@@ -284,8 +284,9 @@ class IdentityReport:
 #: Largest matrix size ``check_identities`` accepts.  The expansion identity
 #: visits every even index subset, 2^(m-1) of them.  On dense linear forms
 #: over F3 (CPU time, Python 3.11 on a 2-core Xeon) the identities took
-#: 2.4 s at size 13, 9.4 s at 15 and 69 s at 17, and ``pftrim verify --trim m``
-#: 12 s, 35 s and 130 s, with a peak of 120, 240 and 550 MiB.
+#: 2.4 s at size 13, 9.4 s at 15 and 69 s at 17.  ``pftrim verify --trim m``
+#: took 0.5 s at size 9, 1.5 s at 11, 5-6 s at 13 and 15-19 s at 15, with a
+#: peak RSS of 33, 57, 115 and 224 MiB; past 15 the identities dominate.
 MAX_IDENTITY_SIZE = 15
 
 

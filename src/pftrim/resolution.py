@@ -38,6 +38,9 @@ from .pfaffian import SkewMatrix, pfaffian_drop, sigma3
 from .polyring import PolyRing, decompose_c
 
 
+_DEGREES = {"one": 0, "e": 1, "u": 1, "f": 2, "v": 2, "g": 3, "w": 3}
+
+
 @dataclass(frozen=True, order=True)
 class BasisElement:
     """One basis symbol of the resolution, tagged by kind.
@@ -90,7 +93,7 @@ class BasisElement:
 
     @property
     def degree(self) -> int:
-        return {"one": 0, "e": 1, "u": 1, "f": 2, "v": 2, "g": 3, "w": 3}[self.kind]
+        return _DEGREES[self.kind]
 
     @property
     def label(self) -> str:

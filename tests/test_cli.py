@@ -350,6 +350,25 @@ class TestCommands:
         assert captured.out == ""
         assert "size must be a positive integer" in captured.err
 
+    def test_document_size_limit_exit(self, tmp_path, capsys, monkeypatch):
+        # a size past the limit is refused while parsing, before the dense
+        # m x m matrix is allocated
+        def no_matrix(*args):
+            raise AssertionError("a matrix was built")
+        monkeypatch.setattr(SkewMatrix, "from_upper", no_matrix)
+        limit = cli.MAX_DOCUMENT_SIZE
+        text = '{{"field": {{"kind": "prime", "p": 2}}, "size": {}, "upper": []}}'
+        assert parse_matrix_document(text.format(limit)).size == limit
+        path = tmp_path / "huge.json"
+        for size in (limit + 1, 40000):
+            path.write_text(text.format(size))
+            for command in ("pfaffians", "resolve"):
+                assert main([command, str(path)]) == 2
+                captured = capsys.readouterr()
+                assert captured.out == ""
+                assert captured.err == (f"error: size must be at most {limit}, "
+                                        f"got {size}\n")
+
     def test_bad_trim_value(self, example_file, capsys):
         assert main(["classify", example_file, "--trim", "9"]) == 2
         assert "error:" in capsys.readouterr().err
@@ -534,27 +553,60 @@ def fuzz_documents(draw):
     return text
 
 
+# entries that parse, the lane-size power among them
+FUZZ_GOOD_ENTRIES = st.sampled_from(["x", "y", "z", "x + y", "2*x - y", "y*z",
+                                     "x^2 + y*z", "-z", "x^524287", "3*x + z"])
+
+
+@st.composite
+def fuzz_matrices(draw):
+    """Well-formed matrix documents of size 5 or 7 with any set of entries,
+    so that the commands get past parsing, degenerate matrices whose
+    pfaffians vanish among them."""
+    size = draw(st.sampled_from([5, 7]))
+    cells = [(i, j) for i in range(1, size + 1) for j in range(i + 1, size + 1)]
+    chosen = draw(st.lists(st.sampled_from(cells), unique=True))
+    doc = {"field": draw(st.sampled_from(FUZZ_FIELDS)), "size": size,
+           "upper": [[i, j, draw(FUZZ_GOOD_ENTRIES)] for i, j in sorted(chosen)]}
+    return json.dumps(doc)
+
+
+def run_cli_on(text, argv):
+    """The exit code of the command with the document text as its file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "doc.json")
+        with open(path, "wb") as handle:
+            # lone surrogates go out as bytes that are not UTF-8
+            handle.write(text.encode("utf-8", "surrogatepass"))
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            return main([argv[0], path, *argv[1:]])
+
+
 class TestFuzz:
     @settings(max_examples=150, derandomize=True, database=None, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(text=fuzz_documents(),
-           command=st.sampled_from(["pfaffians", "classify"]),
+           command=st.sampled_from(["pfaffians", "classify", "verify",
+                                    "products"]),
            trim=st.integers(-1, 8), conjectures=st.booleans())
     def test_cli_never_raises(self, text, command, trim, conjectures):
         try:
             parse_matrix_document(text)
         except ParseError:
             pass
-        with tempfile.TemporaryDirectory() as tmp:
-            path = os.path.join(tmp, "doc.json")
-            with open(path, "wb") as handle:
-                # lone surrogates go out as bytes that are not UTF-8
-                handle.write(text.encode("utf-8", "surrogatepass"))
-            argv = [command, path]
-            if command == "classify":
-                argv += ["--trim", str(trim)]
-                if conjectures:
-                    argv.append("--conjectures")
-            with contextlib.redirect_stdout(io.StringIO()), \
-                    contextlib.redirect_stderr(io.StringIO()):
-                assert main(argv) in (0, 1, 2)
+        argv = [command]
+        if command != "pfaffians":
+            argv += ["--trim", str(trim)]
+        if command == "classify" and conjectures:
+            argv.append("--conjectures")
+        assert run_cli_on(text, argv) in (0, 1, 2)
+
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(text=fuzz_matrices(), command=st.sampled_from(["verify", "products"]),
+           trim=st.integers(1, 7))
+    def test_table_commands_never_raise(self, text, command, trim):
+        # verify and products on documents that parse, so that the tables
+        # and the Leibniz certificate run, certified or not
+        assert run_cli_on(text, [command, "--trim", str(trim)]) in (0, 1, 2)

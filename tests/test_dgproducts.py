@@ -2,6 +2,7 @@
 goldens, golden digests of whole tables, structural laws, and the Leibniz
 rule."""
 
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -9,15 +10,17 @@ import random
 
 import pytest
 
-from pftrim import dgproducts
+from pftrim import _poly_core, dgproducts
 from pftrim.dgproducts import ChainElement, LeibnizReport, ProductTable, \
     boundary, d_constants, full_table, gorenstein_product, multiply, \
     product, verify_leibniz, zero_element
 from pftrim.errors import ArgumentError, FieldMismatch
-from pftrim.pfaffian import pfaffian_drop, sigma3
+from pftrim.linalg import det_bareiss
+from pftrim.pfaffian import SkewMatrix, pfaffian_drop, sigma3
 from pftrim.polyring import PolyRing, PrimeField, QQ
 from pftrim.resolution import BasisElement as B
-from pftrim.resolution import gorenstein_resolution, trimmed_resolution
+from pftrim.resolution import ChainComplex, gorenstein_resolution, \
+    trimmed_resolution
 
 from oracles import random_skew
 
@@ -537,6 +540,107 @@ class TestLeibnizSharedResiduals:
             assert diffs[(y, x)] == -diffs[(x, y)]
         r1, r2 = td.complex.rank(1), td.complex.rank(2)
         assert report.pairs_checked == r1 * (r1 + r2)
+
+
+class TestCertifiedRows:
+    """On C2, verify_leibniz checks each residual column on the t + 1 rows
+    of _certified_rows and computes the full column only when the check
+    cannot settle it; every report must be the one of the full check."""
+
+    def test_rows_carry_a_nonzero_minor(self):
+        tds = [example_trim()]
+        for ring, size, t in ((R2, 7, 3), (R5, 5, 5), (R5, 7, 1), (RQ, 5, 2)):
+            T = random_skew(ring, size, random.Random(80 + size + t), degree=1)
+            tds.append(trimmed_resolution(T, t))
+        for td in tds:
+            rows = dgproducts._certified_rows(td.complex)
+            assert rows is not None and len(rows) == td.t + 1
+            d3 = td.complex.differential(3)
+            assert det_bareiss(td.ring, [d3[r] for r in sorted(rows)])
+
+    def test_no_certificate_when_pfaffians_vanish(self):
+        # one nonzero entry pair: every drop-one pfaffian is zero
+        T = SkewMatrix.from_upper(R5, 5, {(1, 2): R5.gens[0]})
+        for t in (1, 3):
+            td = trimmed_resolution(T, t)
+            assert dgproducts._certified_rows(td.complex) is None
+            table = full_table(td)
+            for tab in (table, tamper_degree_one(td, table, "one")[0]):
+                report = verify_leibniz(td, tab)
+                assert list(report.violations) == leibniz_reference(td, tab)
+
+    @pytest.mark.parametrize("ring,size", [(R2, 7), (R5, 7), (RQ, 5)],
+                             ids=["F2-7", "F5-7", "QQ-5"])
+    def test_same_reports_without_certificate(self, ring, size, monkeypatch):
+        T = random_skew(ring, size, random.Random(90 + size), degree=1)
+        td = trimmed_resolution(T, 3)
+        assert dgproducts._certified_rows(td.complex) is not None
+        table = full_table(td)
+        tables = [table, drop_w(td, table, ("u", "v"))[0]] + [
+            tamper_degree_one(td, table, mode)[0]
+            for mode in ("one", "negatives", "different")]
+        reports = [verify_leibniz(td, tab) for tab in tables]
+        assert reports[0].all_passed
+        assert not any(report.all_passed for report in reports[1:])
+        monkeypatch.setattr(dgproducts, "_certified_rows", lambda C: None)
+        assert [verify_leibniz(td, tab) for tab in tables] == reports
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_changed_boundary_gives_no_certificate(self, d):
+        # d1 d2 or d2 d3 no longer vanishes: the rows are not trusted, and
+        # the report is still the full check's
+        T = random_skew(R5, 7, random.Random(65), degree=1)
+        td = trimmed_resolution(T, 3)
+        C = td.complex
+        bounds = [[list(row) for row in C.differential(k)] for k in (1, 2, 3)]
+        bounds[d - 1][-1][0] = bounds[d - 1][-1][0] + R5.gens[0]
+        changed = dataclasses.replace(
+            td, complex=ChainComplex(td.ring, C.bases, bounds))
+        assert not changed.complex.composes_to_zero()
+        assert dgproducts._certified_rows(changed.complex) is None
+        table = full_table(td)
+        report = verify_leibniz(changed, table)
+        assert list(report.violations) == leibniz_reference(changed, table)
+
+    def test_no_certificate_without_exactness(self):
+        # with d1 and d2 zero every composition vanishes and d3 keeps its
+        # rank, but ker d2 is all of C2, so the rank count refuses
+        td = trimmed_resolution(random_skew(R5, 7, random.Random(65)), 3)
+        C = td.complex
+        zeros = [[[R5.zero] * len(row) for row in C.differential(k)]
+                 for k in (1, 2)]
+        C0 = ChainComplex(R5, C.bases, (*zeros, C.differential(3)))
+        assert C0.composes_to_zero()
+        assert dgproducts._certified_rows(C0) is None
+
+    def test_c2_products_read_only_certified_rows(self, monkeypatch):
+        T = random_skew(R5, 7, random.Random(64), degree=1)
+        td = trimmed_resolution(T, 3)
+        C = td.complex
+        table = full_table(td)
+        rows = dgproducts._certified_rows(C)
+        assert rows is not None
+        # the term dicts of L_x on C1, by whether their row is in S
+        inside, outside = set(), set()
+        for x in C.basis(1):
+            for y in C.basis(1):
+                for elem, coeff in table.lookup(x, y).coords.items():
+                    side = inside if C.index_of(2, elem) in rows else outside
+                    side.add(id(coeff.terms))
+        outside -= {id(entry.terms) for d in (1, 2, 3)
+                    for row in C.differential(d) for entry in row}
+        read = set()
+        addmul = _poly_core.addmul_into
+
+        def recording(acc, a, b, p, sign):
+            # in L_x d2 the first factor is the L_x entry
+            read.add(id(a))
+            return addmul(acc, a, b, p, sign)
+
+        monkeypatch.setattr(_poly_core, "addmul_into", recording)
+        assert verify_leibniz(td, table).all_passed
+        assert read & inside
+        assert not read & outside
 
 
 # sha256 digests that pin every product and every correction constant:

@@ -19,7 +19,7 @@ from pftrim.families import (
     write_scan_csv,
     _band,
 )
-from pftrim.linalg import det_bareiss
+from pftrim.linalg import QQ_MODULUS, det_bareiss
 from pftrim.pfaffian import SkewMatrix, pfaffian_drop
 from pftrim.polyring import PolyRing, PrimeField, QQ
 
@@ -302,7 +302,7 @@ class TestSkipCertificate:
     def test_rational_denominator_at_the_modulus(self):
         # a coefficient with no value mod the prime gives no certificate
         x, y, z = RQ.gens
-        big = families._QQ_MODULUS
+        big = QQ_MODULUS
         upper = {(i, j): x + y.scaled(i) + z.scaled(j)
                  for i in range(1, 6) for j in range(i + 1, 6)}
         T = SkewMatrix.from_upper(RQ, 5, upper)
