@@ -3,7 +3,12 @@
 A polynomial is a dict mapping a packed exponent key (three 20-bit lanes
 in one integer) to a nonzero coefficient.  The modulus ``p`` selects the
 coefficient arithmetic: ``p > 0`` means integers reduced to 0..p-1,
-``p == 0`` means exact rational arithmetic (ints and Fractions).
+``p == 0`` means exact rational arithmetic on the values of
+``polyring.RationalField``: an int where the denominator is 1, a Fraction
+otherwise.  The kernels only add, subtract and multiply, so int inputs
+give int outputs and integer work never builds a Fraction; a Fraction
+result with denominator 1 may appear from non-integral inputs, and it
+equals and hashes as its int.
 
 Deferred reduction: a caller summing many products over F_p may pass
 ``p = 0`` to the accumulating kernels when every input coefficient is a

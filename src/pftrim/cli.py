@@ -26,8 +26,9 @@ import sys
 from .classify import check_conjectures, classify, conjugate_trim_set
 from .dgproducts import MAX_PRODUCT_SIZE, full_table, verify_leibniz
 from .errors import ParseError, PftrimError, UnsupportedSize
-from .families import (MAX_SCAN_SIZE, FamilySpec, build_family,
-                       family_checks, realizability_scan, write_scan_csv)
+from .families import (MAX_FAMILY_BAND, MAX_SCAN_SIZE, FamilySpec,
+                       build_family, family_checks, realizability_scan,
+                       write_scan_csv)
 from .pfaffian import SkewMatrix, check_identities
 from .polyring import PolyRing, PrimeField, QQ
 from .resolution import (gorenstein_resolution, minimize, trimmed_resolution,
@@ -409,7 +410,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("family", help="build a banded family member")
     p.add_argument("kind", choices=("odd", "even"))
     p.add_argument("--s", type=int, required=True, metavar="S",
-                   help="band size parameter")
+                   help=f"band size parameter (at most {MAX_FAMILY_BAND})")
     p.add_argument("--char", type=int, default=0, metavar="P",
                    help="field characteristic, 0 for rationals (default)")
     p.add_argument("--classify", action="store_true",

@@ -487,12 +487,23 @@ MAX_PRODUCT_SIZE = 15
 
 
 def full_table(td):
-    """Multiplication table for every ordered basis pair of degree sum <= 3."""
+    """Multiplication table for every ordered basis pair of degree sum <= 3.
+
+    Each unordered pair is multiplied once: by graded commutativity
+    y x = (-1)^(|x| |y|) x y, so a degree-(1, 1) cell y x after x y is its
+    negative and a (2, 1) cell is the (1, 2) cell before it."""
     table = ProductTable(td.complex, {})
+    entries = table.entries
     for x, y in table.pairs():
-        # the (2, 1) pairs come after the (1, 2) pairs they equal
-        table.entries[(x, y)] = table.entries[(y, x)] \
-            if x.degree > y.degree else product(td, x, y)
+        other = entries.get((y, x))
+        if other is None:
+            entries[(x, y)] = product(td, x, y)
+        elif x.degree == y.degree:
+            entries[(x, y)] = _element(other.ring, other.degree,
+                                       {elem: -value for elem, value
+                                        in other.coords.items()})
+        else:
+            entries[(x, y)] = other
     return table
 
 

@@ -4,7 +4,8 @@ Two families are built from a symmetric band matrix whose antidiagonals
 carry x, z, y^2.  The odd family has size 4s+3 and trims its first 2s+1
 generators; the even family has size 4s+1 and trims its first 2s.  Both
 hit known residue-field formats and classes, which ``family_checks``
-verifies together with the shape of three distinguished pfaffians.
+verifies together with the shape of three distinguished pfaffians.  Band
+sizes up to ``MAX_FAMILY_BAND`` (8) are accepted.
 
 ``realizability_scan`` samples random skew matrices over a chosen field
 and classifies every trim count, recording which classes actually occur.
@@ -28,6 +29,7 @@ from .pfaffian import SkewMatrix, pfaffian_drop
 from .polyring import PolyRing, PrimeField, QQ
 
 __all__ = [
+    "MAX_FAMILY_BAND",
     "MAX_SCAN_SIZE",
     "FamilySpec",
     "FamilyCheck",
@@ -43,6 +45,15 @@ __all__ = [
 
 _KINDS = ("odd", "even")
 
+#: Largest band size s a ``FamilySpec`` accepts, so that ``pftrim family``
+#: exits 2 above it before any pfaffian is computed.  The odd family's
+#: checks compute three drop-one pfaffians, whose cost grows about four
+#: times per step of s: over QQ, ``family odd --checks`` took 0.34 s at
+#: s = 6, 1.05 s at 7, 4.2 s at 8 and 18.4 s at 9, with a peak RSS of 24,
+#: 44, 124 and 437 MiB (CPU time, Python 3.11 on a 2-core Xeon).  The
+#: largest member, of size 35, is far below ``cli.MAX_DOCUMENT_SIZE``.
+MAX_FAMILY_BAND = 8
+
 
 @dataclasses.dataclass(frozen=True)
 class FamilySpec:
@@ -56,6 +67,9 @@ class FamilySpec:
             raise ArgumentError(f"family kind must be one of {_KINDS}, got {self.kind!r}")
         if not isinstance(self.s, int) or self.s < 1:
             raise ArgumentError(f"band size must be a positive integer, got {self.s!r}")
+        if self.s > MAX_FAMILY_BAND:
+            raise UnsupportedSize(
+                f"band size must be at most {MAX_FAMILY_BAND}, got {self.s}")
         if self.kind == "even" and self.s < 2:
             raise ArgumentError("even family needs band size at least 2")
 

@@ -12,8 +12,6 @@ minor of an evaluated matrix, proves the same of the polynomial one.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from . import polyring as _ring_mod
 from .errors import ArgumentError
 from .polyring import Polynomial, PolyRing, unpack_exponents
@@ -83,7 +81,8 @@ def residues_at(polys, point, p: int):
 
 def insert_row(basis, row, p):
     """One Gauss-Jordan step on canonical scalars of F_p, or of the
-    rationals (Fractions) when p is 0.
+    rationals (ints and Fractions, see ``polyring.RationalField``) when p
+    is 0.
 
     ``basis`` maps each lead column to its row, which is 1 there and 0 in
     every other lead column.  The row is reduced against the basis; if
@@ -103,7 +102,7 @@ def insert_row(basis, row, p):
         inv = pow(row[lead], -1, p)
         row = [v * inv % p for v in row]
     else:
-        inv = 1 / Fraction(row[lead])
+        inv = _ring_mod.QQ.inv(row[lead])
         row = [v * inv for v in row]
     for col, other in basis.items():
         factor = other[lead]

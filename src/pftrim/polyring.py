@@ -140,7 +140,11 @@ class PrimeField:
 
 
 class RationalField:
-    """The rationals, with fully reduced Fraction values."""
+    """The rationals.  A value is a Python int when its denominator is 1
+    and a reduced Fraction otherwise, so integer coefficients take int
+    arithmetic.  Sums and products of Fractions can still give a Fraction
+    with denominator 1; it compares, hashes and prints as the int does, so
+    no result depends on which form a value takes."""
 
     __slots__ = ()
 
@@ -148,11 +152,14 @@ class RationalField:
     def char(self) -> int:
         return 0
 
-    def of(self, value) -> Fraction:
-        return Fraction(value)
+    def of(self, value):
+        if isinstance(value, int):
+            return int(value)
+        value = Fraction(value)
+        return value.numerator if value.denominator == 1 else value
 
-    def inv(self, value) -> Fraction:
-        return 1 / Fraction(value)
+    def inv(self, value):
+        return self.of(1 / Fraction(value))
 
     def __eq__(self, other):
         return isinstance(other, RationalField)

@@ -170,6 +170,7 @@ class ChainComplex:
                 raise ArgumentError(f"boundary {d} shape does not match basis sizes")
         self._index = tuple({elem: i for i, elem in enumerate(basis)}
                             for basis in self.bases)
+        self._composes = None
 
     def rank(self, d: int) -> int:
         return len(self.bases[d])
@@ -196,13 +197,15 @@ class ChainComplex:
             raise ArgumentError(f"{elem.label} is not a degree-{d} basis element here")
 
     def composes_to_zero(self) -> bool:
-        """Whether (boundary d) o (boundary d+1) vanishes for d = 1, 2."""
-        for d in (1, 2):
-            product = linalg.mat_mul(self.ring, self.differentials[d - 1],
-                                     self.differentials[d])
-            if any(entry for row in product for entry in row):
-                return False
-        return True
+        """Whether (boundary d) o (boundary d+1) vanishes for d = 1, 2;
+        computed on the first call only, as the complex is immutable."""
+        if self._composes is None:
+            self._composes = not any(
+                entry for d in (1, 2)
+                for row in linalg.mat_mul(self.ring, self.differentials[d - 1],
+                                          self.differentials[d])
+                for entry in row)
+        return self._composes
 
     def is_minimal(self) -> bool:
         return all(not entry.constant_term()

@@ -24,9 +24,9 @@ from pftrim.cli import (
     serialize_matrix_document,
 )
 from pftrim import cli
-from pftrim.dgproducts import MAX_PRODUCT_SIZE
+from pftrim.dgproducts import MAX_PRODUCT_SIZE, full_table
 from pftrim.errors import ArgumentError, EntryNotInMaximalIdeal, ParseError
-from pftrim.families import _random_skew
+from pftrim.families import MAX_FAMILY_BAND, _random_skew
 from pftrim.pfaffian import MAX_IDENTITY_SIZE, SkewMatrix
 from pftrim.polyring import PolyRing, PrimeField
 from pftrim.resolution import trimmed_resolution
@@ -421,6 +421,26 @@ class TestCommands:
             assert captured.err == ("error: product tables need size at most "
                                     f"{MAX_PRODUCT_SIZE}, got {size}\n")
 
+    def test_family_band_limit_exit(self, capsys, monkeypatch):
+        # every mode exits 2 above the limit before any pfaffian is computed
+        def no_pfaffians(*args):
+            raise AssertionError("a pfaffian was computed")
+        monkeypatch.setattr(SkewMatrix, "_pf", no_pfaffians)
+        monkeypatch.setattr(SkewMatrix, "generators", no_pfaffians)
+        s = MAX_FAMILY_BAND + 1
+        for kind in ("odd", "even"):
+            for mode in ([], ["--classify"], ["--checks"]):
+                assert main(["family", kind, "--s", str(s), *mode]) == 2
+                captured = capsys.readouterr()
+                assert captured.out == ""
+                assert captured.err == ("error: band size must be at most "
+                                        f"{MAX_FAMILY_BAND}, got {s}\n")
+
+    def test_largest_family_document_parses(self, capsys):
+        assert main(["family", "odd", "--s", str(MAX_FAMILY_BAND)]) == 0
+        doc = parse_matrix_document(capsys.readouterr().out)
+        assert doc.size == 4 * MAX_FAMILY_BAND + 3 <= cli.MAX_DOCUMENT_SIZE
+
     def test_non_ascii_digit_exit(self, tmp_path, capsys):
         # \u0663 is ARABIC-INDIC DIGIT THREE, a decimal digit to \d
         for entry, col in (("\u0663*x", 1), ("x^\u0663", 3)):
@@ -531,18 +551,34 @@ FUZZ_SPOILERS = {
 }
 
 
+#: least share of test_cli_never_raises's examples whose command builds a
+#: product table
+FUZZ_TABLE_SHARE = 0.1
+
+# entries that parse, the lane-size power among them
+FUZZ_GOOD_ENTRIES = st.sampled_from(["x", "y", "z", "x + y", "2*x - y", "y*z",
+                                     "x^2 + y*z", "-z", "x^524287", "3*x + z"])
+
+
 @st.composite
 def fuzz_documents(draw):
-    """Matrix document text: well-formed with odd entries, now and then
-    with a part missing or replaced, cut short, or no document at all."""
+    """Matrix document text: well-formed, mostly with entries that parse
+    (``FUZZ_GOOD_ENTRIES``) so that the commands get past parsing, and now
+    and then with odd entries, a part missing or replaced, cut short, or no
+    document at all."""
     if not draw(st.integers(0, 7)):
         return draw(st.one_of(st.text(max_size=20), FUZZ_VALUES.map(json.dumps)))
-    size = draw(st.integers(1, 7))
-    pairs = draw(st.lists(st.tuples(st.integers(1, size), st.integers(1, size))
-                          .map(sorted).map(tuple), max_size=8, unique=True))
+    size = draw(st.sampled_from([5, 7]) if draw(st.integers(0, 3))
+                else st.integers(1, 7))
+    cells = [(i, j) for i in range(1, size + 1) for j in range(i + 1, size + 1)]
+    pairs = sorted(draw(st.lists(st.sampled_from(cells), max_size=8,
+                                 unique=True))) if cells else []
+    entries = FUZZ_GOOD_ENTRIES if draw(st.integers(0, 3)) else FUZZ_ENTRIES
     doc = {"field": draw(st.sampled_from(FUZZ_FIELDS)), "size": size,
-           "upper": [[i, j, draw(FUZZ_ENTRIES)] for i, j in pairs]}
-    for key in draw(st.lists(st.sampled_from(sorted(FUZZ_SPOILERS)), max_size=2)):
+           "upper": [[i, j, draw(entries)] for i, j in pairs]}
+    spoiled = [] if draw(st.integers(0, 3)) else draw(st.lists(
+        st.sampled_from(sorted(FUZZ_SPOILERS)), min_size=1, max_size=2))
+    for key in spoiled:
         if draw(st.booleans()):
             doc.pop(key, None)
         else:
@@ -551,11 +587,6 @@ def fuzz_documents(draw):
     if not draw(st.integers(0, 9)):
         text = text[:draw(st.integers(0, len(text)))]
     return text
-
-
-# entries that parse, the lane-size power among them
-FUZZ_GOOD_ENTRIES = st.sampled_from(["x", "y", "z", "x + y", "2*x - y", "y*z",
-                                     "x^2 + y*z", "-z", "x^524287", "3*x + z"])
 
 
 @st.composite
@@ -584,23 +615,36 @@ def run_cli_on(text, argv):
 
 
 class TestFuzz:
-    @settings(max_examples=150, derandomize=True, database=None, deadline=None,
-              suppress_health_check=[HealthCheck.too_slow])
-    @given(text=fuzz_documents(),
-           command=st.sampled_from(["pfaffians", "classify", "verify",
-                                    "products"]),
-           trim=st.integers(-1, 8), conjectures=st.booleans())
-    def test_cli_never_raises(self, text, command, trim, conjectures):
-        try:
-            parse_matrix_document(text)
-        except ParseError:
-            pass
-        argv = [command]
-        if command != "pfaffians":
-            argv += ["--trim", str(trim)]
-        if command == "classify" and conjectures:
-            argv.append("--conjectures")
-        assert run_cli_on(text, argv) in (0, 1, 2)
+    def test_cli_never_raises(self, monkeypatch):
+        reached = []
+        monkeypatch.setattr(cli, "full_table",
+                            lambda td: reached.append(1) or full_table(td))
+        examples = []
+
+        @settings(max_examples=150, derandomize=True, database=None,
+                  deadline=None, suppress_health_check=[HealthCheck.too_slow])
+        @given(text=fuzz_documents(),
+               command=st.sampled_from(["pfaffians", "classify", "verify",
+                                        "products"]),
+               trim=st.one_of(st.integers(1, 5), st.integers(-1, 8)),
+               conjectures=st.booleans())
+        def run(text, command, trim, conjectures):
+            examples.append(command)
+            try:
+                parse_matrix_document(text)
+            except ParseError:
+                pass
+            argv = [command]
+            if command != "pfaffians":
+                argv += ["--trim", str(trim)]
+            if command == "classify" and conjectures:
+                argv.append("--conjectures")
+            assert run_cli_on(text, argv) in (0, 1, 2)
+
+        run()
+        # verify and products build a product table on a share of the
+        # examples, so the fuzz reaches past the parser
+        assert len(reached) >= FUZZ_TABLE_SHARE * len(examples)
 
     @settings(max_examples=60, derandomize=True, database=None, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])

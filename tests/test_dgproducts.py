@@ -397,6 +397,25 @@ class TestTableAndMultiply:
             product(td, B.E(2), B.E(4)).scaled(y * y)
         assert multiply(table, left, right) == expected
 
+    @pytest.mark.parametrize("ring", [R5, RQ])
+    def test_each_unordered_pair_multiplied_once(self, ring, monkeypatch):
+        # y*x of degree (1, 1) is the negative of x*y and a (2, 1) cell is
+        # its (1, 2) cell; every cell equals the product computed directly
+        td = trimmed_resolution(random_skew(ring, 7, random.Random(65),
+                                            degree=1), 3)
+        pairs = ProductTable(td.complex, {}).pairs()
+        direct = {(x, y): product(td, x, y) for x, y in pairs}
+        calls = []
+        monkeypatch.setattr(dgproducts, "product",
+                            lambda td, x, y: calls.append((x, y))
+                            or product(td, x, y))
+        table = full_table(td)
+        r1, r2 = td.complex.rank(1), td.complex.rank(2)
+        assert len(calls) == len(set(calls)) == r1 * (r1 + 1) // 2 + r1 * r2
+        assert table.entries == direct
+        assert [str(table.entries[pair]) for pair in pairs] == \
+            [str(direct[pair]) for pair in pairs]
+
 
 def leibniz_reference(td, table):
     """Per-pair Leibniz differences d(xy) - (d(x)y - x d(y)), in the order

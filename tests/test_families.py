@@ -9,6 +9,7 @@ import pytest
 from pftrim import families
 from pftrim.errors import ArgumentError, UnsupportedSize
 from pftrim.families import (
+    MAX_FAMILY_BAND,
     MAX_SCAN_SIZE,
     SCAN_COLUMNS,
     FamilySpec,
@@ -67,6 +68,9 @@ class TestFamilySpec:
             FamilySpec("odd", -2)
         with pytest.raises(ArgumentError):
             FamilySpec("even", 1)
+        assert FamilySpec("even", MAX_FAMILY_BAND).size == 4 * MAX_FAMILY_BAND + 1
+        with pytest.raises(UnsupportedSize):
+            FamilySpec("odd", MAX_FAMILY_BAND + 1)
 
 
 class TestBand:

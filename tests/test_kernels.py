@@ -12,7 +12,11 @@ from hypothesis import given, settings, strategies as st
 
 from pftrim import _poly_core as kernels
 from pftrim import pfaffian, polyring
-from pftrim.polyring import PolyRing, PrimeField, pack_exponents, unpack_exponents
+from pftrim.dgproducts import full_table, verify_leibniz
+from pftrim.pfaffian import SkewMatrix
+from pftrim.polyring import PolyRing, PrimeField, QQ, pack_exponents, \
+    unpack_exponents
+from pftrim.resolution import trimmed_resolution
 
 from oracles import oracle_poly_add, oracle_poly_mul, random_skew
 
@@ -167,3 +171,30 @@ def test_every_kernel_has_a_caller():
     assert "addmul_into" in public
     for name in public:
         assert name in referenced or name in tracing.KERNELS, name
+
+
+def test_integer_rational_matrix_stays_in_ints():
+    # a matrix like the benchmark corpus's rational ones (half the upper
+    # cells, two-term linear entries, coefficients -3..3): every kernel
+    # result is an int, so the trimmed complex and its product table hold
+    # no Fraction
+    ring = PolyRing(QQ)
+    rng = random.Random(39)
+    m = 7
+    cells = [(i, j) for i in range(1, m + 1) for j in range(i + 1, m + 1)]
+    upper = {}
+    for cell in rng.sample(cells, len(cells) // 2):
+        upper[cell] = ring.from_terms(
+            {tuple(int(v == n) for n in range(3)): rng.choice((-3, -2, -1, 1, 2, 3))
+             for v in rng.sample(range(3), 2)})
+    T = SkewMatrix.from_upper(ring, m, upper)
+    assert any(T.generators())
+    td = trimmed_resolution(T, 3)
+    table = full_table(td)
+    assert verify_leibniz(td, table).all_passed
+    values = [entry for d in (1, 2, 3) for row in td.complex.differential(d)
+              for entry in row]
+    values += [coeff for cell in table.entries.values()
+               for coeff in cell.coords.values()]
+    types = {type(c) for f in values for c in f.terms.values()}
+    assert types == {int}

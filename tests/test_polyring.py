@@ -10,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from pftrim.errors import ArgumentError, EntryNotInMaximalIdeal, \
     FieldMismatch, ParseError
-from pftrim.polyring import EXPONENT_LIMIT, PolyRing, PrimeField, QQ, \
-    decompose_c
+from pftrim.polyring import EXPONENT_LIMIT, PolyRing, Polynomial, \
+    PrimeField, QQ, decompose_c, pack_exponents
 
 from oracles import oracle_poly_add, oracle_poly_mul, poly_from_tuples, \
     random_poly, tuple_terms
@@ -39,13 +39,50 @@ class TestFields:
 
     def test_rationals(self):
         assert QQ.char == 0
-        assert QQ.of(3) == Fraction(3)
+        assert QQ.of(3) == Fraction(3) == 3
         assert QQ.inv(Fraction(2, 3)) == Fraction(3, 2)
 
     def test_equality(self):
         assert PrimeField(7) == PrimeField(7)
         assert PrimeField(7) != PrimeField(5)
         assert QQ == QQ and QQ != PrimeField(2)
+
+
+def coefficient_types(f):
+    return {type(c) for c in f.terms.values()}
+
+
+class TestRationalForm:
+    # over QQ a value is an int when its denominator is 1, a Fraction
+    # otherwise
+    def test_integral_values_are_ints(self):
+        for value in (QQ.of(3), QQ.of(Fraction(6, 3)), QQ.inv(1), QQ.inv(-1),
+                      QQ.inv(Fraction(-1, 4))):
+            assert type(value) is int
+        assert (QQ.inv(1), QQ.inv(-1), QQ.inv(Fraction(-1, 4))) == (1, -1, -4)
+        f = RQ.from_string("3*x^2 - 2*y*z + 5")
+        g = RQ.from_string("-x + 7*z")
+        built = (f, g, f + g, f - g, f * g, -f, f ** 2, f + 1, 2 - g,
+                 f.scaled(4), f.scaled(Fraction(8, 2)), RQ.constant(-2),
+                 RQ.monomial(Fraction(9, 3), (1, 0, 0)),
+                 RQ.from_terms({(1, 0, 0): Fraction(4, 2), (0, 1, 0): -1}))
+        for h in built:
+            assert coefficient_types(h) == {int}, h
+
+    def test_non_integral_values_stay_fractions(self):
+        assert type(QQ.of(Fraction(2, 4))) is Fraction
+        assert QQ.inv(2) == Fraction(1, 2) and type(QQ.inv(2)) is Fraction
+        x = RQ.gens[0]
+        f = x.scaled(Fraction(2, 3)) - RQ.constant(Fraction(-1, 2))
+        assert coefficient_types(f) == {Fraction}
+        assert str(f) == "2/3*x + 1/2"
+
+    def test_both_forms_of_an_integer_agree(self):
+        key = pack_exponents(1, 0, 2)
+        a = Polynomial(RQ, {key: 2})
+        b = Polynomial(RQ, {key: Fraction(2)})
+        assert a == b and hash(a) == hash(b) and str(a) == str(b) == "2*x*z^2"
+        assert a - b == RQ.zero
 
 
 class TestRingConstruction:

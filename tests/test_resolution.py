@@ -11,6 +11,7 @@ import pytest
 from pftrim.classify import classify
 from pftrim.errors import ArgumentError, MinimizationNotPolynomial
 from pftrim.families import _random_skew
+from pftrim import linalg
 from pftrim.linalg import rref
 from pftrim.pfaffian import SkewMatrix, pfaffian_drop, sigma3
 from pftrim.polyring import PolyRing, PrimeField, QQ
@@ -211,6 +212,18 @@ class TestTrimmed:
         C = trimmed_resolution(example_matrix(), 1).complex
         assert C.composes_to_zero()
         assert not change_d2_entry(C).composes_to_zero()
+
+    def test_composition_computed_once(self, monkeypatch):
+        td = trimmed_resolution(random_skew(R2, 7, random.Random(3), degree=1), 2)
+        calls = []
+        mat_mul = linalg.mat_mul
+        monkeypatch.setattr(linalg, "mat_mul",
+                            lambda *args: calls.append(1) or mat_mul(*args))
+        assert td.complex.composes_to_zero() and td.complex.composes_to_zero()
+        assert len(calls) == 2
+        broken = change_d2_entry(td.complex)
+        assert not broken.composes_to_zero() and not broken.composes_to_zero()
+        assert len(calls) == 3
 
     def test_random_composes_all_t(self):
         rng = random.Random(7)
