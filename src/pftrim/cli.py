@@ -31,8 +31,8 @@ from .families import (MAX_FAMILY_BAND, MAX_SCAN_SIZE, FamilySpec,
                        write_scan_csv)
 from .pfaffian import SkewMatrix, check_identities
 from .polyring import PolyRing, PrimeField, QQ
-from .resolution import (gorenstein_resolution, minimize, trimmed_resolution,
-                         verify_diagrams)
+from .resolution import (MAX_RESOLUTION_SIZE, gorenstein_resolution,
+                         minimize, trimmed_resolution, verify_diagrams)
 
 __all__ = [
     "MAX_DOCUMENT_SIZE",
@@ -234,6 +234,9 @@ def cmd_pfaffians(args) -> int:
 
 def cmd_resolve(args) -> int:
     T = _load_matrix(args.file)
+    if T.m > MAX_RESOLUTION_SIZE:
+        raise UnsupportedSize(f"resolutions need size at most "
+                              f"{MAX_RESOLUTION_SIZE}, got {T.m}")
     M, t, lines = _trim_target(args, T)
     if t is None:
         complex_ = gorenstein_resolution(M)

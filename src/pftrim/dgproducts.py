@@ -22,9 +22,19 @@ of sigma3(i,j,r) pf(i,j,r) c_{r,k,p}.  In one block, u^k_l u^k_s =
 -y_k v^k_ls.  In degree (1, 2), x y = rho(x) (e_i y), plus a multiple of w^i
 when x = u^i_l meets f_i or v^i_ab.  Degree-(2, 1) products equal the
 (1, 2) ones; odd squares and degree sums past 3 are zero.
+
+So every degree-(1, 1) cell of an index pair is a monomial shift of one
+vector.  A factor index is a u block up to t and an e above it, and D(k,i,j)
+vanishes for k in {i, j}, so the blocks a cell contracts are fixed by its
+pair.  `product` keeps, per pair i < j, the base e_i e_j = v(i,j) + sum over
+the other blocks k of D(k,i,j) v^k, and the sums S of the pair's u blocks;
+the cell (i,l)(j,s) is the base times (-1)^n z_l z_s, negated again when
+i > j, with each u factor's block set to its contraction.  In degree
+(1, 2), e_i y is kept per (i, y) and the u^i_l cells are its -z_l shifts.
 """
 
 import dataclasses
+from itertools import combinations
 
 from . import polyring as _ring_mod
 from .errors import ArgumentError, FieldMismatch
@@ -192,100 +202,84 @@ def d_constants(td, flavor, indices):
     for n in (a, b, *vars_):
         if not 1 <= n <= 3:
             raise ArgumentError(f"variable index {n} out of range 1..3")
-    if a == b:
+    if a == b or i == j:
         return td.ring.zero
     if a > b:
         return -d_constants(td, flavor, (k, i, j, *vars_, b, a))
+    # C is the v^k_ab coordinate of (i,l)(j,s) times (-1)^n
     l, s = (*vars_, None, None)[:2]
-    values, key = _correction(td, k, (i, l), (j, s))
-    return _shifted(values[_PAIRS.index((a, b))], key, 1)
+    value = _degree_one_product(td, i, l, j, s).get(BasisElement.V(k, a, b),
+                                                    td.ring.zero)
+    return -value if len(vars_) == 1 else value
 
 
 def _memo(fn):
-    # cache fn(td, i, j, *rest) on td, keyed by its arguments.  fn returns a
-    # tuple of polynomials and is antisymmetric in (i, j), so only i <= j is
-    # computed.  The cache sits on the (frozen) dataclass through the
-    # __dict__ escape so the public field set stays as documented
-    def cached(td, i, j, *rest):
-        cache = td.__dict__.setdefault("_product_cache", {})
-        key = (fn.__name__, i, j, *rest)
+    # cache fn(td, *args) on td, keyed by its arguments; a helper of an
+    # index pair is kept for i < j only, its callers applying the sign of
+    # i > j.  The cache sits on the (frozen) dataclass through the __dict__
+    # escape so the public field set stays as documented
+    name = fn.__name__
+
+    def cached(td, *args):
+        cache = td.__dict__.get("_product_cache")
+        if cache is None:
+            cache = td.__dict__["_product_cache"] = {}
+        key = (name, *args)
         hit = cache.get(key)
         if hit is None:
-            hit = fn(td, i, j, *rest) if i <= j else \
-                tuple(-value for value in cached(td, j, i, *rest))
-            cache[key] = hit
+            hit = cache[key] = fn(td, *args)
         return hit
     return cached
 
 
-def _polynomial(ring, acc):
-    # a Polynomial from an accumulator summed with p = 0 (see _poly_core)
-    p = ring._p
-    return Polynomial(ring, check_exponents(
-        _ring_mod._core.reduce_terms(acc, p) if p else acc))
+def _reduced(acc, p):
+    # the term dict of an accumulator summed with p = 0 (see _poly_core)
+    return check_exponents(_ring_mod._core.reduce_terms(acc, p) if p else acc)
 
 
 @_memo
-def _selfdual(td, i, j):
-    return _selfdual_part(td.T, i, j)
-
-
-def _inner_sums(td, i, j, r, k):
-    # (sum over h of sigma5(i,j,r,h,k) pf(i,j,r,h,k) c_{h,k,a} for a = 1, 2)
-    # as term dicts; both factors depend on the set {i, j, r} only, so the
-    # sums are cached on it
-    cache = td.__dict__.setdefault("_product_cache", {})
-    key = ("inner", 1 << i | 1 << j | 1 << r, k)
-    hit = cache.get(key)
-    if hit is None:
-        core, ring = _ring_mod._core, td.ring
-        accs = ({}, {})
-        for h in range(1, td.m + 1):
-            s5 = sigma5(i, j, r, h, k)
-            if s5 == 0:
-                continue
-            pf = pfaffian_drop(td.T, (i, j, r, h, k)).terms
-            if not pf:
-                continue
-            for acc, weight in zip(accs, td.c[(h, k)][:2]):
-                if weight.terms:
-                    core.addmul_into(acc, pf, weight.terms, 0, s5)
-        hit = cache[key] = tuple(_polynomial(ring, acc).terms for acc in accs)
-    return hit
+def _splitting(td, k):
+    # the rows h with a nonzero splitting constant c_{h,k}, as (h, (c_{h,k,1},
+    # c_{h,k,2}, c_{h,k,3}) term dicts) pairs: no other row enters a sum
+    return tuple((h, tuple(c.terms for c in td.c[(h, k)]))
+                 for h in range(1, td.m + 1) if any(td.c[(h, k)]))
 
 
 @_memo
-def _d_two(td, i, j, k):
-    # (D(k,i,j,a,b) for (a, b) in _PAIRS), the sum over r of sigma3(i,j,r)
-    # c_{r,k,b} times the inner sum over h of a; antisymmetric in (i, j):
-    # sigma3 changes sign, sigma5 does not
-    core = _ring_mod._core
-    accs = ({}, {}, {})
-    for r in range(1, td.m + 1):
-        s3 = sigma3(i, j, r)
-        if s3 == 0 or r == k:
+def _block_constants(td, k):
+    # {(i, j): (D(k,i,j,a,b) for (a, b) in _PAIRS)} for i < j, as term
+    # dicts: the sum over r of sigma3(i,j,r) c_{r,k,b} times the inner sum
+    # over h of sigma5(i,j,r,h,k) pf(i,j,r,h,k) c_{h,k,a}.  The inner sum
+    # depends on the set {i, j, r} only, so each set is summed once and
+    # added to its three pairs.  A pair holding k is left out: sigma5
+    # vanishes on repeated indices, so its D is zero
+    core, p = _ring_mod._core, td.ring._p
+    rows = _splitting(td, k)
+    weights = {r: w for r, w in rows if w[1] or w[2]}
+    out = {}
+    for i, j, r in combinations([n for n in range(1, td.m + 1) if n != k], 3):
+        pairs = [((x, y), z) for (x, y), z in (((j, r), i), ((i, r), j),
+                                                ((i, j), r)) if z in weights]
+        if not pairs:
             continue
-        cr = td.c[(r, k)]
-        for acc, (a, b) in zip(accs, _PAIRS):
-            if cr[b - 1].terms:
-                inner = _inner_sums(td, i, j, r, k)[a - 1]
-                if inner:
-                    core.addmul_into(acc, inner, cr[b - 1].terms, 0, s3)
-    return tuple(_polynomial(td.ring, acc) for acc in accs)
-
-
-@_memo
-def _skew_weighted_sum(td, i, j, k):
-    # (S(i,j; k,p) for p = 1, 2, 3): the sum over r of the f_r coordinate
-    # of e_i e_j times the splitting constant c_{r,k,p}
-    core = _ring_mod._core
-    accs = ({}, {}, {})
-    for r, value in enumerate(_selfdual(td, i, j), 1):
-        if value.terms:
-            for acc, weight in zip(accs, td.c[(r, k)]):
-                if weight.terms:
-                    core.addmul_into(acc, value.terms, weight.terms, 0, 1)
-    return tuple(_polynomial(td.ring, acc) for acc in accs)
+        inner = ({}, {})
+        for h, w in rows:
+            if h != k and h not in (i, j, r) and (w[0] or w[1]):
+                pf = pfaffian_drop(td.T, (i, j, r, h, k)).terms
+                if pf:
+                    s5 = sigma5(i, j, r, h, k)
+                    for acc, weight in zip(inner, w):
+                        if weight:
+                            core.addmul_into(acc, pf, weight, 0, s5)
+        inner = [_reduced(acc, p) for acc in inner]
+        for (x, y), z in pairs:
+            accs = out.setdefault((x, y), ({}, {}, {}))
+            for acc, (a, b) in zip(accs, _PAIRS):
+                if weights[z][b - 1] and inner[a - 1]:
+                    core.addmul_into(acc, inner[a - 1], weights[z][b - 1], 0,
+                                     sigma3(x, y, z))
+    return {pair: tuple(_reduced(acc, p) for acc in accs)
+            for pair, accs in out.items()}
 
 
 #: Packed exponent keys of z1, z2, z3.
@@ -296,36 +290,27 @@ _VAR_KEYS = tuple(pack_exponents(*(int(n == v) for n in range(3)))
 def _z_key(l, s):
     # the packed exponents of z_l z_s over the u factors; 0 when both
     # factors are e's
-    return sum(_VAR_KEYS[v - 1] for v in (l, s) if v is not None)
+    return (_VAR_KEYS[l - 1] if l else 0) + (_VAR_KEYS[s - 1] if s else 0)
 
 
-def _shifted(value, key, sign):
-    # sign * z^key * value for a packed monomial key, as a key shift
-    if sign > 0 and not key:
-        return value
-    terms = value.terms
-    if sign < 0:
-        terms = _ring_mod._core.neg_terms(terms, value.ring._p)
-    if key:
-        terms = check_exponents({k + key: c for k, c in terms.items()})
-    return Polynomial(value.ring, terms)
-
-
-def _correction(td, k, x, y):
-    # (C(k; i,l; j,s; a,b) for (a, b) in _PAIRS) for factors x = (i, l),
-    # y = (j, s), as (values, key): each C is z^key times its value
-    (i, l), (j, s) = x, y
-    if k == i and l is not None:
-        var, other = l, s
-    elif k == j and s is not None:
-        var, other = s, l
-    else:
-        return _d_two(td, i, j, k), _z_key(l, s)
-    # k is the block of the u factor with variable var: contract it
-    sums = _skew_weighted_sum(td, i, j, k)
-    zero = td.ring.zero
-    return tuple(sums[b - 1] if var == a else -sums[a - 1] if var == b
-                 else zero for a, b in _PAIRS), _z_key(other, None)
+def _shifted(ring, pairs, key, negate):
+    # {element: (-1)^negate z^key terms} as Polynomials, for (element, term
+    # dict) pairs: the shift adds the packed key to every exponent key, in
+    # the same pass as the sign
+    p = ring._p
+    if not key:
+        neg = _ring_mod._core.neg_terms
+        return {elem: Polynomial(ring, neg(terms, p) if negate else terms)
+                for elem, terms in pairs}
+    if not negate:
+        return {elem: Polynomial(ring, check_exponents(
+            {k + key: c for k, c in terms.items()})) for elem, terms in pairs}
+    if p:
+        return {elem: Polynomial(ring, check_exponents(
+            {k + key: p - c for k, c in terms.items()}))
+            for elem, terms in pairs}
+    return {elem: Polynomial(ring, check_exponents(
+        {k + key: -c for k, c in terms.items()})) for elem, terms in pairs}
 
 
 def _element(ring, degree, coords):
@@ -344,10 +329,22 @@ def gorenstein_product(T, x, y):
     return product(T._untrimmed, x, y)
 
 
+def _factor(elem):
+    # a degree-1 basis element as a factor (i, l): e_i is (i, None) and
+    # u^k_l is (k, l)
+    return (*elem.data, None)[:2]
+
+
 def product(td, x, y):
     """Product of two basis elements of the trimmed complex, by the rule of
     the module docstring: u^k_l multiplies as -z_l e_k away from its own
-    Koszul block k, with the correction constants C of `d_constants`."""
+    Koszul block k, with the correction constants C of `d_constants`.
+
+    The sums behind a product are kept on td.  A degree-(1, 1) cell of two
+    blocks is the base of its index pair under one packed-key shift and
+    one sign, with the blocks of its u factors overridden by their
+    contractions; a degree-(1, 2) cell of u^i_l is the -z_l shift of e_i y
+    plus its own-block w^i term."""
     C = td.complex
     for elem in (x, y):
         if not isinstance(elem, BasisElement):
@@ -366,75 +363,131 @@ def product(td, x, y):
     if dx > dy:
         # degrees (2,1); the commutativity sign (-1)^(2*1) is +1
         return product(td, y, x)
-    # factors (i, l): e_i is (i, None) and u^k_l is (k, l)
-    i, l = (*x.data, None)[:2]
+    i, l = _factor(x)
     if dy == 2:
         return _product_with_degree_two(td, i, l, y)
-    j, s = (*y.data, None)[:2]
+    return _element(ring, 2, _degree_one_product(td, i, l, *_factor(y)))
+
+
+@_memo
+def _pair_base(td, i, j):
+    # e_i e_j for i < j, as the degree-(1, 1) cells of the pair read it:
+    # (element, term dict) pairs for the f part and the v^k = D(k,i,j) of
+    # the blocks k other than i and j; per u block k of the pair the sums
+    # S(i,j; k,p), p = 1, 2, 3, of the f_r coordinates times c_{r,k,p}, and
+    # per u factor (k, var) its contraction, S(i,j; k,b) at v^k_ab if var
+    # is a and -S(i,j; k,a) if it is b; and the base times (-1)^negate z^key
+    # by (key, negate), which the u-u cells (l, s) and (s, l) share
+    core, p = _ring_mod._core, td.ring._p
+    basis2 = td.complex.basis(2)
+    selfdual = [value.terms for value in _selfdual_part(td.T, i, j)]
+    base = [(f, terms) for f, terms in zip(basis2, selfdual) if terms]
+    sums, contractions = {}, {}
+    for k in range(1, td.t + 1):
+        blocks = basis2[td.m + 3 * (k - 1):td.m + 3 * k]
+        if k != i and k != j:
+            base.extend((v, terms) for v, terms in zip(
+                blocks, _block_constants(td, k).get((i, j), ())) if terms)
+            continue
+        accs = ({}, {}, {})
+        for r, weights in _splitting(td, k):
+            for acc, weight in zip(accs, weights):
+                if weight and selfdual[r - 1]:
+                    core.addmul_into(acc, selfdual[r - 1], weight, 0, 1)
+        sk = sums[k] = tuple(_reduced(acc, p) for acc in accs)
+        for var in (1, 2, 3):
+            # copied per variable: the two rows of a block that one sum
+            # lands on hold distinct term dicts
+            contractions[(k, var)] = tuple(
+                (v, dict(sk[b - 1]) if var == a
+                 else core.neg_terms(sk[a - 1], p))
+                for v, (a, b) in zip(blocks, _PAIRS)
+                if var in (a, b) and sk[(b if var == a else a) - 1])
+    return base, sums, contractions, {}
+
+
+def _degree_one_product(td, i, l, j, s):
+    # the coordinates of (i,l)(j,s) for distinct factors.  For i != j: the
+    # base of the pair times (-1)^n z_l z_s (n u factors), negated once
+    # more when i > j, and each u factor's block contracted, times the
+    # other z
+    ring = td.ring
     if i == j:
         # two u factors of one block: u^i_l u^i_s = -y_i v^i_ls
         sign, elem = signed_v(i, l, s)
-        return ChainElement(ring, 2, {elem: td.y[i - 1].scaled(-sign)})
-    sign = -1 if (l is None) != (s is None) else 1  # (-1)^n, n u factors
-    zz = _z_key(l, s)
-    basis2 = C.basis(2)
-    coords = {f: _shifted(value, zz, sign)
-              for f, value in zip(basis2, _selfdual(td, i, j)) if value.terms}
-    for k in range(1, td.t + 1):
-        values, key = _correction(td, k, (i, l), (j, s))
-        for n, value in enumerate(values):
-            if value.terms:
-                v = basis2[td.m + 3 * (k - 1) + n]  # v^k for _PAIRS[n]
-                coords[v] = _shifted(value, key, sign)
-    return _element(ring, 2, coords)
+        y_i = td.y[i - 1]
+        return {elem: y_i.scaled(-sign)} if y_i else {}
+    negate = ((l is None) != (s is None)) != (i > j)
+    base, _, contractions, shifted = _pair_base(td, *sorted((i, j)))
+    key = _z_key(l, s)
+    coords = shifted.get((key, negate))
+    if coords is None:
+        coords = shifted[(key, negate)] = _shifted(ring, base, key, negate)
+    coords = dict(coords)
+    if l or s:
+        for k, var, other in ((i, l, s), (j, s, l)):
+            if var:
+                coords.update(_shifted(ring, contractions.get((k, var), ()),
+                                       _z_key(other, None), negate))
+    return coords
 
 
-def _ef_pairing(td, i, j):
-    # the degree-3 pairing of the i-th selfdual generator with the j-th
-    # degree-2 generator, valid for any i: g when i == j, plus a w^j part
-    # (read off c, which holds rows j <= t only) when f_j belongs to a
-    # trimmed generator; equals the (e, f) product when i is untrimmed
-    coords = {}
+@_memo
+def _times_degree_two(td, i, y):
+    # e_i y for y of degree 2 as a coordinate dict, for any index i (e_i
+    # need not be a basis element of this trimming)
+    ring = td.ring
+    if y.kind == "v":
+        # e_i v^k_ab = (-1)^p S(k,i; k,p) w^k with {a, b, p} = {1, 2, 3}
+        k, a, b = y.data
+        p = 6 - a - b
+        if i == k:
+            return {}
+        value = _pair_base(td, min(i, k), max(i, k))[1][k][p - 1]
+        return _shifted(ring, ((BasisElement.W(k), value),) if value else (),
+                        0, (p % 2 == 1) != (k > i))
+    # the degree-3 pairing of the i-th selfdual generator with f_j: g when
+    # i == j, else, when f_j belongs to a trimmed generator (c holds rows
+    # j <= t only), w^j times the sum over r of c_{r,j,3} D(j,i,r,1,2)
+    j = y.data[0]
     if i == j:
-        coords[BasisElement.G()] = td.ring.one
+        return {BasisElement.G(): ring.one}
+    coords = {}
     if j <= td.t:
-        core = _ring_mod._core
+        core, block = _ring_mod._core, _block_constants(td, j)
         acc = {}
-        for r in range(1, td.m + 1):
-            cr = td.c[(r, j)][2]
-            if cr.terms:
-                core.addmul_into(acc, cr.terms, _d_two(td, i, r, j)[0].terms,
-                                 0, 1)
-        coords[BasisElement.W(j)] = _polynomial(td.ring, acc)
-    return ChainElement(td.ring, 3, coords)
+        for r, weights in _splitting(td, j):
+            d = block.get((min(i, r), max(i, r)))
+            if weights[2] and d and d[0]:
+                core.addmul_into(acc, weights[2], d[0], 0, 1 if i < r else -1)
+        w = _reduced(acc, ring._p)
+        if w:
+            coords[BasisElement.W(j)] = Polynomial(ring, w)
+    return coords
 
 
 def _product_with_degree_two(td, i, l, y):
     # x y for the factor x = (i, l) and y of degree 2
     ring = td.ring
-    if y.kind == "f":
-        result = _ef_pairing(td, i, y.data[0])
-    else:
-        # e_i v^k_ab, zero when i == k
-        k, a, b = y.data
-        p = 6 - a - b
-        acc = _skew_weighted_sum(td, k, i, k)[p - 1]
-        result = ChainElement(ring, 3, {
-            BasisElement.W(k): -acc if p % 2 == 1 else acc})
+    base = _times_degree_two(td, i, y)
     if l is None:
-        return result
-    key = _VAR_KEYS[l - 1]
-    result = _element(ring, 3, {elem: _shifted(value, key, -1)
-                                for elem, value in result.coords.items()})
-    if y.data[0] != i:
-        return result
-    # u^i_l against its own block
-    if y.kind == "f":
-        phi, psi = sorted({1, 2, 3} - {l})
-        own = td.dk[(i, phi, psi)].scaled(1 if l % 2 == 1 else -1)
-    else:
-        own = td.y[i - 1].scaled(-rearrange_sign((l, a, b), (1, 2, 3)))
-    return result + ChainElement(ring, 3, {BasisElement.W(i): own})
+        return _element(ring, 3, dict(base))
+    coords = _shifted(ring, ((elem, value.terms) for elem, value
+                             in base.items()), _VAR_KEYS[l - 1], True)
+    if y.data[0] == i:
+        # u^i_l against its own block
+        if y.kind == "f":
+            phi, psi = sorted({1, 2, 3} - {l})
+            own = td.dk[(i, phi, psi)].scaled(1 if l % 2 == 1 else -1)
+        else:
+            own = td.y[i - 1].scaled(
+                -rearrange_sign((l, *y.data[1:]), (1, 2, 3)))
+        if own.terms:
+            w = BasisElement.W(i)
+            own = coords.pop(w, ring.zero) + own
+            if own.terms:
+                coords[w] = own
+    return _element(ring, 3, coords)
 
 
 class ProductTable:
@@ -480,30 +533,33 @@ class ProductTable:
 
 #: Largest matrix size ``pftrim products`` accepts; it exits 2 above it
 #: before any pfaffian is computed.  On dense linear forms over F3,
-#: ``products --trim m`` took 0.9 s at size 9, 2.1 s at 11, 3.7 s at 13 and
-#: 7.0 s at 15 (CPU time, Python 3.11 on a 2-core Xeon), with a peak RSS of
-#: 34, 65, 135 and 270 MiB: the memory doubles with each step of 2.
+#: ``products --trim m`` took 0.4-0.5 s at size 9, 1.1-1.4 s at 11, 3.1-3.6 s
+#: at 13 and 6.1-7.6 s at 15 (CPU time, Python 3.11 on a 2-core Xeon), most
+#: of it printing, with a peak RSS of 29, 53, 108 and 209 MiB: the memory
+#: doubles with each step of 2.
 MAX_PRODUCT_SIZE = 15
 
 
 def full_table(td):
     """Multiplication table for every ordered basis pair of degree sum <= 3.
 
-    Each unordered pair is multiplied once: by graded commutativity
-    y x = (-1)^(|x| |y|) x y, so a degree-(1, 1) cell y x after x y is its
-    negative and a (2, 1) cell is the (1, 2) cell before it."""
-    table = ProductTable(td.complex, {})
+    Each unordered pair is multiplied once, by `product`.  By graded
+    commutativity y x = (-1)^(|x| |y|) x y, so a (2, 1) cell is the (1, 2)
+    cell before it, and a degree-(1, 1) cell y x after x y is its negative:
+    the base of the index pair under the opposite sign, whose coefficients
+    the cells of that sign and shift share."""
+    C = td.complex
+    table = ProductTable(C, {})
     entries = table.entries
-    for x, y in table.pairs():
-        other = entries.get((y, x))
-        if other is None:
+    basis1, basis2 = C.basis(1), C.basis(2)
+    for ix, x in enumerate(basis1):
+        for iy, y in enumerate(basis1):
+            entries[(x, y)] = product(td, x, y) if iy >= ix else _element(
+                td.ring, 2, _degree_one_product(td, *_factor(x), *_factor(y)))
+    for x in basis1:
+        for y in basis2:
             entries[(x, y)] = product(td, x, y)
-        elif x.degree == y.degree:
-            entries[(x, y)] = _element(other.ring, other.degree,
-                                       {elem: -value for elem, value
-                                        in other.coords.items()})
-        else:
-            entries[(x, y)] = other
+    entries.update(((y, x), entries[(x, y)]) for y in basis2 for x in basis1)
     return table
 
 

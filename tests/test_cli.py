@@ -29,7 +29,7 @@ from pftrim.errors import ArgumentError, EntryNotInMaximalIdeal, ParseError
 from pftrim.families import MAX_FAMILY_BAND, _random_skew
 from pftrim.pfaffian import MAX_IDENTITY_SIZE, SkewMatrix
 from pftrim.polyring import PolyRing, PrimeField
-from pftrim.resolution import trimmed_resolution
+from pftrim.resolution import MAX_RESOLUTION_SIZE, trimmed_resolution
 
 from test_resolution import change_d2_entry
 
@@ -420,6 +420,23 @@ class TestCommands:
             assert captured.out == ""
             assert captured.err == ("error: product tables need size at most "
                                     f"{MAX_PRODUCT_SIZE}, got {size}\n")
+
+    def test_resolve_size_limit_exit(self, tmp_path, capsys, monkeypatch):
+        # the limit is checked before any pfaffian is computed
+        def no_pfaffians(matrix, mask):
+            raise AssertionError("a pfaffian was computed")
+        monkeypatch.setattr(SkewMatrix, "_pf", no_pfaffians)
+        size = MAX_RESOLUTION_SIZE + 2
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"field": {"kind": "prime", "p": 3},
+                                    "size": size, "upper": []}))
+        for extra in ([], ["--trim", "1"], ["--trim-set", "1,2"],
+                      ["--minimize"], ["--trim", "3", "--minimize"]):
+            assert main(["resolve", str(path), *extra]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == ("error: resolutions need size at most "
+                                    f"{MAX_RESOLUTION_SIZE}, got {size}\n")
 
     def test_family_band_limit_exit(self, capsys, monkeypatch):
         # every mode exits 2 above the limit before any pfaffian is computed

@@ -397,24 +397,55 @@ class TestTableAndMultiply:
             product(td, B.E(2), B.E(4)).scaled(y * y)
         assert multiply(table, left, right) == expected
 
-    @pytest.mark.parametrize("ring", [R5, RQ])
+    @pytest.mark.parametrize("ring", [R5, RQ, R2])
     def test_each_unordered_pair_multiplied_once(self, ring, monkeypatch):
         # y*x of degree (1, 1) is the negative of x*y and a (2, 1) cell is
-        # its (1, 2) cell; every cell equals the product computed directly
-        td = trimmed_resolution(random_skew(ring, 7, random.Random(65),
-                                            degree=1), 3)
-        pairs = ProductTable(td.complex, {}).pairs()
-        direct = {(x, y): product(td, x, y) for x, y in pairs}
+        # its (1, 2) cell; every cell equals the product computed directly,
+        # on its own trimming with the reversed pairs first.  Inputs: linear
+        # at t = 3, degree <= 2 and not homogeneous at t = 1 and t = m, and
+        # a matrix whose y1 vanishes, so that u1_l u1_s is zero
         calls = []
         monkeypatch.setattr(dgproducts, "product",
                             lambda td, x, y: calls.append((x, y))
                             or product(td, x, y))
-        table = full_table(td)
-        r1, r2 = td.complex.rank(1), td.complex.rank(2)
-        assert len(calls) == len(set(calls)) == r1 * (r1 + 1) // 2 + r1 * r2
-        assert table.entries == direct
-        assert [str(table.entries[pair]) for pair in pairs] == \
-            [str(direct[pair]) for pair in pairs]
+        vanishing = vanishing_generator_matrix(ring)
+        assert vanishing.generators()[0].is_zero
+        square = random_skew(ring, 5, random.Random(66), degree=2, terms=3,
+                             homogeneous=False)
+        for T, t in ((random_skew(ring, 7, random.Random(65), degree=1), 3),
+                     (square, 1), (square, 5), (vanishing, 2)):
+            td = trimmed_resolution(T, t)
+            pairs = ProductTable(td.complex, {}).pairs()
+            fresh = trimmed_resolution(T, t)
+            direct = {(x, y): product(fresh, x, y) for x, y in pairs[::-1]}
+            calls.clear()
+            table = full_table(td)
+            r1, r2 = td.complex.rank(1), td.complex.rank(2)
+            assert len(calls) == len(set(calls)) == \
+                r1 * (r1 + 1) // 2 + r1 * r2
+            assert table.entries == direct
+            assert [str(table.entries[pair]) for pair in pairs] == \
+                [str(direct[pair]) for pair in pairs]
+            assert all(coeff.terms for value in table.entries.values()
+                       for coeff in value.coords.values())
+            assert verify_leibniz(td, table).all_passed
+            # the cache keeps each index pair once: no negated copy under
+            # the reversed pair
+            cache = td.__dict__["_product_cache"]
+            for name, i, *rest in cache:
+                if rest and rest[0] != i:
+                    assert (name, rest[0], i, *rest[1:]) not in cache, \
+                        (name, i, *rest)
+        assert str(table.entries[(B.U(1, 1), B.U(1, 2))]) == "0"
+
+
+def vanishing_generator_matrix(ring):
+    """A seeded linear size-7 matrix with row 2 cleared except for the
+    entry at (1, 2): dropping index 1 leaves a zero row, so y1 = 0."""
+    T = random_skew(ring, 7, random.Random(67), degree=1)
+    return SkewMatrix.from_upper(ring, 7, {
+        (i, j): T.entry(i, j) for i in range(1, 8) for j in range(i + 1, 8)
+        if i != 2})
 
 
 def leibniz_reference(td, table):

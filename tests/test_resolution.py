@@ -1,10 +1,15 @@
 """Resolution construction against the printed 5x5 golden data, diagram
 verification, and minimization."""
 
+import copy
 import dataclasses
 import hashlib
 import json
+import os
+import pickle
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -14,7 +19,7 @@ from pftrim.families import _random_skew
 from pftrim import linalg
 from pftrim.linalg import rref
 from pftrim.pfaffian import SkewMatrix, pfaffian_drop, sigma3
-from pftrim.polyring import PolyRing, PrimeField, QQ
+from pftrim.polyring import Polynomial, PolyRing, PrimeField, QQ
 from pftrim.resolution import BasisElement, ChainComplex, gorenstein_resolution, \
     minimize, signed_v, trimmed_resolution, verify_diagrams
 
@@ -58,6 +63,32 @@ class TestBasisElement:
             BasisElement.U(1, 4)
         with pytest.raises(ArgumentError):
             BasisElement.E(0)
+
+    def test_rebuilt_element_finds_its_entry(self):
+        # the hash is computed once per element; a copy or an unpickled
+        # element hashes as a freshly built equal one
+        elem = BasisElement.V(2, 1, 3)
+        table = {elem: "v"}
+        for rebuilt in (pickle.loads(pickle.dumps(elem)), copy.copy(elem),
+                        copy.deepcopy(elem), dataclasses.replace(elem),
+                        BasisElement("v", (2, 1, 3))):
+            assert rebuilt == elem and hash(rebuilt) == hash(elem)
+            assert table[rebuilt] == "v"
+
+    def test_hash_not_carried_to_another_process(self):
+        # string hashes differ between processes, so an element unpickled
+        # elsewhere must hash there as an element built there
+        payload = pickle.dumps([BasisElement.U(1, 2), BasisElement.G()])
+        script = ("import pickle, sys\n"
+                  "from pftrim.resolution import BasisElement as B\n"
+                  "u, g = pickle.loads(sys.stdin.buffer.read())\n"
+                  "table = {B.U(1, 2): 'u', B.G(): 'g'}\n"
+                  "print(table[u] + table[g], hash(u) == hash(B.U(1, 2)))\n")
+        env = dict(os.environ, PYTHONHASHSEED="12345",
+                   PYTHONPATH=os.pathsep.join(sys.path))
+        done = subprocess.run([sys.executable, "-c", script], input=payload,
+                              env=env, capture_output=True, timeout=60)
+        assert done.stdout.decode().split() == ["ug", "True"], done.stderr
 
     def test_signed_v(self):
         sign, elem = signed_v(1, 3, 1)
@@ -339,6 +370,26 @@ class TestMinimize:
             assert hashlib.sha256(json.dumps(outcomes).encode()).hexdigest() \
                 == digest, (name, lo, hi, m)
         assert unit_pivots >= 20 and raised >= 10
+
+    def test_no_product_with_a_zero_pivot_row_entry(self, monkeypatch):
+        # an entry whose pivot-row entry is zero is left as it is (times
+        # the pivot for a non-constant one): no product by zero is formed
+        products = []
+        mul = Polynomial.__mul__
+
+        def counting(a, b):
+            products.append(b.is_zero)
+            return mul(a, b)
+
+        unit_pivots = 0
+        for _, _, C in mixed_degree_complexes("F3", 1, 2, 5, range(2)):
+            expected = minimized_outcome(C)
+            unit_pivots += needs_unit_pivot(C)
+            monkeypatch.setattr(Polynomial, "__mul__", counting)
+            assert minimized_outcome(C) == expected
+            monkeypatch.undo()
+        assert unit_pivots and products
+        assert products.count(True) == 0
 
     @pytest.mark.parametrize("name", sorted(MIXED_FIELDS))
     def test_local_unit_pivots(self, name):
