@@ -29,7 +29,7 @@ from .errors import ParseError, PftrimError, UnsupportedSize
 from .families import (MAX_FAMILY_BAND, MAX_SCAN_SIZE, FamilySpec,
                        build_family, family_checks, realizability_scan,
                        write_scan_csv)
-from .pfaffian import SkewMatrix, check_identities
+from .pfaffian import MAX_IDENTITY_SIZE, SkewMatrix, check_identities
 from .polyring import PolyRing, PrimeField, QQ
 from .resolution import (MAX_RESOLUTION_SIZE, gorenstein_resolution,
                          minimize, trimmed_resolution, verify_diagrams)
@@ -176,13 +176,19 @@ def document_of_matrix(T: SkewMatrix) -> MatrixDocument:
     return MatrixDocument(kind, char, T.ring.var_names, T.m, upper)
 
 
-def _load_matrix(path: str) -> SkewMatrix:
+def _load_matrix(path: str, limit=None, what="") -> SkewMatrix:
+    """The document's matrix; a size above ``limit`` raises UnsupportedSize
+    naming ``what`` before the matrix is built."""
     try:
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text (byte {exc.start})")
-    return parse_matrix_document(text).to_matrix()
+    doc = parse_matrix_document(text)
+    if limit is not None and doc.size > limit:
+        raise UnsupportedSize(f"{what} need size at most {limit}, "
+                              f"got {doc.size}")
+    return doc.to_matrix()
 
 
 def _emit(lines, out_path):
@@ -226,17 +232,14 @@ def _trim_target(args, T):
 
 
 def cmd_pfaffians(args) -> int:
-    T = _load_matrix(args.file)
+    T = _load_matrix(args.file, MAX_RESOLUTION_SIZE, "pfaffians")
     lines = [f"y{i} = {g}" for i, g in enumerate(T.generators(), start=1)]
     _emit(lines, args.out)
     return 0
 
 
 def cmd_resolve(args) -> int:
-    T = _load_matrix(args.file)
-    if T.m > MAX_RESOLUTION_SIZE:
-        raise UnsupportedSize(f"resolutions need size at most "
-                              f"{MAX_RESOLUTION_SIZE}, got {T.m}")
+    T = _load_matrix(args.file, MAX_RESOLUTION_SIZE, "resolutions")
     M, t, lines = _trim_target(args, T)
     if t is None:
         complex_ = gorenstein_resolution(M)
@@ -256,10 +259,7 @@ def cmd_resolve(args) -> int:
 
 
 def cmd_products(args) -> int:
-    T = _load_matrix(args.file)
-    if T.m > MAX_PRODUCT_SIZE:
-        raise UnsupportedSize(f"product tables need size at most "
-                              f"{MAX_PRODUCT_SIZE}, got {T.m}")
+    T = _load_matrix(args.file, MAX_PRODUCT_SIZE, "product tables")
     M, t, lines = _trim_target(args, T)
     td = trimmed_resolution(M, t)
     table = full_table(td)
@@ -291,7 +291,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    T = _load_matrix(args.file)
+    T = _load_matrix(args.file, MAX_IDENTITY_SIZE, "identity checks")
     M, t, lines = _trim_target(args, T)
     ok = True
 
@@ -416,10 +416,11 @@ def _build_parser() -> argparse.ArgumentParser:
                    help=f"band size parameter (at most {MAX_FAMILY_BAND})")
     p.add_argument("--char", type=int, default=0, metavar="P",
                    help="field characteristic, 0 for rationals (default)")
-    p.add_argument("--classify", action="store_true",
-                   help="print the classification instead of the matrix")
-    p.add_argument("--checks", action="store_true",
-                   help="run the family sanity checks")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--classify", action="store_true",
+                      help="print the classification instead of the matrix")
+    mode.add_argument("--checks", action="store_true",
+                      help="run the family sanity checks")
     _add_out(p)
     p.set_defaults(handler=cmd_family)
 

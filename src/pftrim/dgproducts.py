@@ -26,11 +26,13 @@ when x = u^i_l meets f_i or v^i_ab.  Degree-(2, 1) products equal the
 So every degree-(1, 1) cell of an index pair is a monomial shift of one
 vector.  A factor index is a u block up to t and an e above it, and D(k,i,j)
 vanishes for k in {i, j}, so the blocks a cell contracts are fixed by its
-pair.  `product` keeps, per pair i < j, the base e_i e_j = v(i,j) + sum over
-the other blocks k of D(k,i,j) v^k, and the sums S of the pair's u blocks;
-the cell (i,l)(j,s) is the base times (-1)^n z_l z_s, negated again when
-i > j, with each u factor's block set to its contraction.  In degree
+pair.  `full_table` keeps, per pair i < j, the base e_i e_j = v(i,j) + sum
+over the other blocks k of D(k,i,j) v^k, and the sums S of the pair's u
+blocks; the cell (i,l)(j,s) is the base times (-1)^n z_l z_s, negated again
+when i > j, with each u factor's block set to its contraction.  In degree
 (1, 2), e_i y is kept per (i, y) and the u^i_l cells are its -z_l shifts.
+That table is the one route to a cell: `product` reads it, and the
+trimming keeps it from the first call on.
 """
 
 import dataclasses
@@ -295,22 +297,12 @@ def _z_key(l, s):
 
 def _shifted(ring, pairs, key, negate):
     # {element: (-1)^negate z^key terms} as Polynomials, for (element, term
-    # dict) pairs: the shift adds the packed key to every exponent key, in
-    # the same pass as the sign
-    p = ring._p
-    if not key:
-        neg = _ring_mod._core.neg_terms
-        return {elem: Polynomial(ring, neg(terms, p) if negate else terms)
-                for elem, terms in pairs}
-    if not negate:
-        return {elem: Polynomial(ring, check_exponents(
-            {k + key: c for k, c in terms.items()})) for elem, terms in pairs}
-    if p:
-        return {elem: Polynomial(ring, check_exponents(
-            {k + key: p - c for k, c in terms.items()}))
-            for elem, terms in pairs}
+    # dict) pairs: the sign first, then the shift adds the packed key to
+    # every exponent key
+    neg, p = _ring_mod._core.neg_terms, ring._p
     return {elem: Polynomial(ring, check_exponents(
-        {k + key: -c for k, c in terms.items()})) for elem, terms in pairs}
+        {k + key: c for k, c in (neg(terms, p) if negate else terms).items()}))
+        for elem, terms in pairs}
 
 
 def _element(ring, degree, coords):
@@ -336,37 +328,15 @@ def _factor(elem):
 
 
 def product(td, x, y):
-    """Product of two basis elements of the trimmed complex, by the rule of
-    the module docstring: u^k_l multiplies as -z_l e_k away from its own
-    Koszul block k, with the correction constants C of `d_constants`.
-
-    The sums behind a product are kept on td.  A degree-(1, 1) cell of two
-    blocks is the base of its index pair under one packed-key shift and
-    one sign, with the blocks of its u factors overridden by their
-    contractions; a degree-(1, 2) cell of u^i_l is the -z_l shift of e_i y
-    plus its own-block w^i term."""
+    """Product of two basis elements of the trimmed complex: the cell of
+    td's multiplication table (`full_table`), built on the first call and
+    kept on td."""
     C = td.complex
     for elem in (x, y):
         if not isinstance(elem, BasisElement):
             raise ArgumentError(f"not a basis element: {elem!r}")
         C.index_of(elem.degree, elem)
-    ring = td.ring
-    if x.kind == "one":
-        return ChainElement.of(ring, y)
-    if y.kind == "one":
-        return ChainElement.of(ring, x)
-    dx, dy = x.degree, y.degree
-    if dx + dy > 3:
-        return zero_element(ring, dx + dy)
-    if x == y:
-        return zero_element(ring, 2)
-    if dx > dy:
-        # degrees (2,1); the commutativity sign (-1)^(2*1) is +1
-        return product(td, y, x)
-    i, l = _factor(x)
-    if dy == 2:
-        return _product_with_degree_two(td, i, l, y)
-    return _element(ring, 2, _degree_one_product(td, i, l, *_factor(y)))
+    return _kept_table(td).lookup(x, y)
 
 
 @_memo
@@ -396,11 +366,8 @@ def _pair_base(td, i, j):
                     core.addmul_into(acc, selfdual[r - 1], weight, 0, 1)
         sk = sums[k] = tuple(_reduced(acc, p) for acc in accs)
         for var in (1, 2, 3):
-            # copied per variable: the two rows of a block that one sum
-            # lands on hold distinct term dicts
             contractions[(k, var)] = tuple(
-                (v, dict(sk[b - 1]) if var == a
-                 else core.neg_terms(sk[a - 1], p))
+                (v, sk[b - 1] if var == a else core.neg_terms(sk[a - 1], p))
                 for v, (a, b) in zip(blocks, _PAIRS)
                 if var in (a, b) and sk[(b if var == a else a) - 1])
     return base, sums, contractions, {}
@@ -532,7 +499,7 @@ class ProductTable:
 
 
 #: Largest matrix size ``pftrim products`` accepts; it exits 2 above it
-#: before any pfaffian is computed.  On dense linear forms over F3,
+#: before the matrix is built.  On dense linear forms over F3,
 #: ``products --trim m`` took 0.4-0.5 s at size 9, 1.1-1.4 s at 11, 3.1-3.6 s
 #: at 13 and 6.1-7.6 s at 15 (CPU time, Python 3.11 on a 2-core Xeon), most
 #: of it printing, with a peak RSS of 29, 53, 108 and 209 MiB: the memory
@@ -543,24 +510,31 @@ MAX_PRODUCT_SIZE = 15
 def full_table(td):
     """Multiplication table for every ordered basis pair of degree sum <= 3.
 
-    Each unordered pair is multiplied once, by `product`.  By graded
-    commutativity y x = (-1)^(|x| |y|) x y, so a (2, 1) cell is the (1, 2)
-    cell before it, and a degree-(1, 1) cell y x after x y is its negative:
-    the base of the index pair under the opposite sign, whose coefficients
-    the cells of that sign and shift share."""
-    C = td.complex
+    A degree-(1, 1) cell x y is the base of its index pair under one
+    packed-key shift and one sign, with the blocks of its u factors
+    overridden by their contractions (x x is zero); a degree-(1, 2) cell of
+    u^i_l is the -z_l shift of e_i y plus its own-block w^i term.  By graded
+    commutativity a (2, 1) cell is the (1, 2) cell of the swapped pair."""
+    C, ring = td.complex, td.ring
     table = ProductTable(C, {})
     entries = table.entries
     basis1, basis2 = C.basis(1), C.basis(2)
-    for ix, x in enumerate(basis1):
-        for iy, y in enumerate(basis1):
-            entries[(x, y)] = product(td, x, y) if iy >= ix else _element(
-                td.ring, 2, _degree_one_product(td, *_factor(x), *_factor(y)))
+    for x in basis1:
+        i, l = _factor(x)
+        for y in basis1:
+            entries[(x, y)] = zero_element(ring, 2) if x == y else _element(
+                ring, 2, _degree_one_product(td, i, l, *_factor(y)))
     for x in basis1:
         for y in basis2:
-            entries[(x, y)] = product(td, x, y)
+            entries[(x, y)] = _product_with_degree_two(td, *_factor(x), y)
     entries.update(((y, x), entries[(x, y)]) for y in basis2 for x in basis1)
     return table
+
+
+@_memo
+def _kept_table(td):
+    # the table `product` reads, built once per trimming
+    return full_table(td)
 
 
 def multiply(table, left, right):

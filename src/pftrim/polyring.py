@@ -470,7 +470,6 @@ def _parse(ring: PolyRing, text: str) -> Polynomial:
             raise ParseError(f"expected a term at column {col}")
         coeff = sign
         exps = [0, 0, 0]
-        saw_factor = False
         while True:
             kind, value, col = peek()
             if kind == 1:
@@ -492,14 +491,11 @@ def _parse(ring: PolyRing, text: str) -> Polynomial:
                 exps[var_index[value]] += power
             else:
                 raise ParseError(f"expected a coefficient or variable at column {col}")
-            saw_factor = True
             kind, value, col = peek()
             if kind == 4:
                 pos += 1
                 continue
             break
-        if not saw_factor:
-            raise ParseError(f"empty term at column {col}")
         if any(a > EXPONENT_LIMIT for a in exps):
             raise ParseError(f"exponent above {EXPONENT_LIMIT} at column {col}")
         key = pack_exponents(*exps)

@@ -291,8 +291,8 @@ def gorenstein_resolution(T: SkewMatrix) -> ChainComplex:
 
 
 #: Largest matrix size ``pftrim resolve`` accepts, with ``--minimize`` or
-#: without; it exits 2 above it before any pfaffian is computed.  The cost
-#: is the m drop-one pfaffians of the generators, some three to four times
+#: without, and ``pftrim pfaffians``; both exit 2 above it before the matrix
+#: is built.  The cost is the m drop-one pfaffians, some three to four times
 #: more per step of 2 in size.  On dense linear forms over F3, ``resolve
 #: --trim m`` took 0.03 s at size 9, 0.44 s at 15, 1.2 s at 17, 2.8 s at 19
 #: and 11 s at 21 (CPU time, Python 3.11 on a 2-core Xeon), with a peak RSS

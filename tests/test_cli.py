@@ -29,7 +29,8 @@ from pftrim.errors import ArgumentError, EntryNotInMaximalIdeal, ParseError
 from pftrim.families import MAX_FAMILY_BAND, _random_skew
 from pftrim.pfaffian import MAX_IDENTITY_SIZE, SkewMatrix
 from pftrim.polyring import PolyRing, PrimeField
-from pftrim.resolution import MAX_RESOLUTION_SIZE, trimmed_resolution
+from pftrim.resolution import MAX_RESOLUTION_SIZE, DiagramCheck, \
+    DiagramReport, trimmed_resolution
 
 from test_resolution import change_d2_entry
 
@@ -220,6 +221,17 @@ class TestCommands:
         assert main(["verify", example_file, "--trim", "1"]) == 1
         out = capsys.readouterr().out.splitlines()
         assert "boundary composition: FAIL" in out
+        assert out[-1] == "verify: FAIL"
+
+    def test_verify_diagrams_fail(self, example_file, capsys, monkeypatch):
+        def failing(td):
+            return DiagramReport((DiagramCheck("beta", 1, True),
+                                  DiagramCheck("alpha", 2, False)))
+
+        monkeypatch.setattr(cli, "verify_diagrams", failing)
+        assert main(["verify", example_file, "--trim", "1"]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert "diagrams: FAIL (1 of 2, first: alpha copy 2)" in out
         assert out[-1] == "verify: FAIL"
 
     def test_products_table(self, example_file, capsys):
@@ -438,6 +450,29 @@ class TestCommands:
             assert captured.err == ("error: resolutions need size at most "
                                     f"{MAX_RESOLUTION_SIZE}, got {size}\n")
 
+    @pytest.mark.parametrize("command, limit, what", [
+        (["pfaffians"], MAX_RESOLUTION_SIZE, "pfaffians"),
+        (["resolve"], MAX_RESOLUTION_SIZE, "resolutions"),
+        (["products", "--trim", "1"], MAX_PRODUCT_SIZE, "product tables"),
+        (["verify", "--trim", "1"], MAX_IDENTITY_SIZE, "identity checks")])
+    def test_size_limit_before_matrix(self, tmp_path, capsys, monkeypatch,
+                                      command, limit, what):
+        # each bound is checked on the parsed document, before the m x m
+        # matrix is built
+        def no_matrix(*args):
+            raise AssertionError("a matrix was built")
+        monkeypatch.setattr(SkewMatrix, "from_upper", no_matrix)
+        size = limit + 2
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"field": {"kind": "prime", "p": 3},
+                                    "size": size, "upper": []}))
+        name, *extra = command
+        assert main([name, str(path), *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {what} need size at most {limit}, "
+                                f"got {size}\n")
+
     def test_family_band_limit_exit(self, capsys, monkeypatch):
         # every mode exits 2 above the limit before any pfaffian is computed
         def no_pfaffians(*args):
@@ -452,6 +487,14 @@ class TestCommands:
                 assert captured.out == ""
                 assert captured.err == ("error: band size must be at most "
                                         f"{MAX_FAMILY_BAND}, got {s}\n")
+
+    def test_family_checks_and_classify_exclusive(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["family", "odd", "--s", "1", "--checks", "--classify"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "not allowed with argument" in captured.err
 
     def test_largest_family_document_parses(self, capsys):
         assert main(["family", "odd", "--s", str(MAX_FAMILY_BAND)]) == 0
@@ -506,6 +549,14 @@ class TestCommands:
         with pytest.raises(SystemExit) as err:
             main([])
         assert err.value.code == 2
+
+    def test_trim_set_not_integers_exit(self, example_file, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["classify", example_file, "--trim-set", "1,a"])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "expected comma-separated integers, got '1,a'" in captured.err
 
     def test_scan_validation_exit(self, capsys):
         assert main(["scan", "--size", "6", "--trials", "1"]) == 2

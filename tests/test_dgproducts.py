@@ -7,6 +7,8 @@ import hashlib
 import itertools
 import json
 import random
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -15,7 +17,7 @@ from pftrim.dgproducts import ChainElement, LeibnizReport, ProductTable, \
     boundary, d_constants, full_table, gorenstein_product, multiply, \
     product, verify_leibniz, zero_element
 from pftrim.errors import ArgumentError, FieldMismatch
-from pftrim.linalg import det_bareiss
+from pftrim.linalg import QQ_MODULUS, det_bareiss
 from pftrim.pfaffian import SkewMatrix, pfaffian_drop, sigma3
 from pftrim.polyring import PolyRing, PrimeField, QQ
 from pftrim.resolution import BasisElement as B
@@ -400,14 +402,16 @@ class TestTableAndMultiply:
     @pytest.mark.parametrize("ring", [R5, RQ, R2])
     def test_each_unordered_pair_multiplied_once(self, ring, monkeypatch):
         # y*x of degree (1, 1) is the negative of x*y and a (2, 1) cell is
-        # its (1, 2) cell; every cell equals the product computed directly,
-        # on its own trimming with the reversed pairs first.  Inputs: linear
-        # at t = 3, degree <= 2 and not homogeneous at t = 1 and t = m, and
-        # a matrix whose y1 vanishes, so that u1_l u1_s is zero
-        calls = []
-        monkeypatch.setattr(dgproducts, "product",
-                            lambda td, x, y: calls.append((x, y))
-                            or product(td, x, y))
+        # its (1, 2) cell; every cell equals the formula evaluated directly,
+        # on its own trimming with the reversed pairs first.  `full_table`
+        # makes each (1, 2) cell once and never calls `product`, which
+        # reads the one table its trimming keeps.  Inputs: linear at t = 3,
+        # degree <= 2 and not homogeneous at t = 1 and t = m, and a matrix
+        # whose y1 vanishes, so that u1_l u1_s is zero
+        calls = Counter()
+        for name in ("product", "_product_with_degree_two", "full_table"):
+            monkeypatch.setattr(dgproducts, name, counted(
+                calls, name, getattr(dgproducts, name)))
         vanishing = vanishing_generator_matrix(ring)
         assert vanishing.generators()[0].is_zero
         square = random_skew(ring, 5, random.Random(66), degree=2, terms=3,
@@ -417,12 +421,12 @@ class TestTableAndMultiply:
             td = trimmed_resolution(T, t)
             pairs = ProductTable(td.complex, {}).pairs()
             fresh = trimmed_resolution(T, t)
-            direct = {(x, y): product(fresh, x, y) for x, y in pairs[::-1]}
+            direct = {(x, y): formula_cell(fresh, x, y)
+                      for x, y in pairs[::-1]}
             calls.clear()
             table = full_table(td)
             r1, r2 = td.complex.rank(1), td.complex.rank(2)
-            assert len(calls) == len(set(calls)) == \
-                r1 * (r1 + 1) // 2 + r1 * r2
+            assert calls == {"_product_with_degree_two": r1 * r2}
             assert table.entries == direct
             assert [str(table.entries[pair]) for pair in pairs] == \
                 [str(direct[pair]) for pair in pairs]
@@ -436,7 +440,35 @@ class TestTableAndMultiply:
                 if rest and rest[0] != i:
                     assert (name, rest[0], i, *rest[1:]) not in cache, \
                         (name, i, *rest)
+            # product reads one table built on its first call
+            calls.clear()
+            basis = [b for d in range(4) for b in td.complex.basis(d)]
+            assert all(product(td, x, y) == table.lookup(x, y)
+                       for x in basis for y in basis)
+            assert calls["full_table"] == 1 and calls["product"] == 0
         assert str(table.entries[(B.U(1, 1), B.U(1, 2))]) == "0"
+
+
+def counted(calls, name, fn):
+    """fn, counting its calls in calls[name]."""
+    def wrapper(*args):
+        calls[name] += 1
+        return fn(*args)
+    return wrapper
+
+
+def formula_cell(td, x, y):
+    """The cell x*y of degree sum <= 3 from the product formula, without a
+    table: zero for x*x, and a (2, 1) cell as its (1, 2) cell."""
+    if x.degree > y.degree:
+        x, y = y, x
+    i, l = dgproducts._factor(x)
+    if y.degree == 2:
+        return dgproducts._product_with_degree_two(td, i, l, y)
+    if x == y:
+        return zero_element(td.ring, 2)
+    return ChainElement(td.ring, 2, dgproducts._degree_one_product(
+        td, i, l, *dgproducts._factor(y)))
 
 
 def vanishing_generator_matrix(ring):
@@ -629,6 +661,30 @@ class TestCertifiedRows:
         tables = [table, drop_w(td, table, ("u", "v"))[0]] + [
             tamper_degree_one(td, table, mode)[0]
             for mode in ("one", "negatives", "different")]
+        reports = [verify_leibniz(td, tab) for tab in tables]
+        assert reports[0].all_passed
+        assert not any(report.all_passed for report in reports[1:])
+        monkeypatch.setattr(dgproducts, "_certified_rows", lambda C: None)
+        assert [verify_leibniz(td, tab) for tab in tables] == reports
+
+    def test_no_certificate_past_modulus_denominator(self, monkeypatch):
+        # a coefficient whose denominator QQ_MODULUS divides has no residue
+        # mod QQ_MODULUS, so no point is tried; with 1/7 there it certifies
+        T = random_skew(RQ, 5, random.Random(95), degree=1)
+        upper = {(i, j): T.entry(i, j) for i in range(1, 6)
+                 for j in range(i + 1, 6)}
+
+        def trimming(coeff):
+            upper[(1, 2)] = RQ.from_terms({(1, 0, 0): coeff, (0, 1, 0): 1})
+            return trimmed_resolution(SkewMatrix.from_upper(RQ, 5, upper), 2)
+
+        assert dgproducts._certified_rows(
+            trimming(Fraction(1, 7)).complex) is not None
+        td = trimming(Fraction(1, QQ_MODULUS))
+        assert dgproducts._certified_rows(td.complex) is None
+        table = full_table(td)
+        tables = [table] + [tamper_degree_one(td, table, mode)[0]
+                            for mode in ("one", "different")]
         reports = [verify_leibniz(td, tab) for tab in tables]
         assert reports[0].all_passed
         assert not any(report.all_passed for report in reports[1:])

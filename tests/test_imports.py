@@ -1,5 +1,6 @@
-"""Import hygiene: every name a pftrim module imports is used there, so
-deleting code cannot leave a stranded import behind."""
+"""Import hygiene: every name a pftrim module imports is used there, and
+every name a module defines at its top level is read somewhere, so
+deleting code cannot leave a stranded import or helper behind."""
 
 import ast
 import pathlib
@@ -44,3 +45,64 @@ def test_unused_import_detected():
     tree = ast.parse("import os\nfrom .a import b as c, d\nprint(d)\n")
     names = [bound for bound, _ in imported_names(tree)]
     assert names == ["os", "c", "d"]
+
+
+# perfbench/tracing.py patches these by name to time and count them; they
+# go once the benchmark stops naming them (ROADMAP item 4)
+KEPT_FOR_TRACING = {("_poly_core", "scale_into"), ("linalg", "rref")}
+
+
+def defined_names(tree):
+    """(name, top-level statement) for every function, class and constant a
+    module defines, dunder names aside."""
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            yield stmt.name, stmt
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) \
+                else [stmt.target]
+            for node in (n for t in targets for n in ast.walk(t)):
+                if isinstance(node, ast.Name) and \
+                        not node.id.startswith("__"):
+                    yield node.id, stmt
+
+
+def loaded_names(node):
+    """The names read under node: loaded names, attribute names and names
+    imported from a module."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            out.update(alias.name for alias in sub.names)
+    return out
+
+
+def dead_names(trees, exported):
+    """(module, name) for every top-level name of the trees, keyed by
+    module, that no statement other than its own definition reads."""
+    reads = [(module, stmt, loaded_names(stmt))
+             for module, tree in trees.items() for stmt in tree.body]
+    return sorted(
+        (module, name) for module, tree in trees.items()
+        for name, definition in defined_names(tree)
+        if name not in exported and not any(
+            name in names for other, stmt, names in reads
+            if (other, stmt) != (module, definition)))
+
+
+def test_every_top_level_name_is_read():
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in PACKAGE.glob("*.py")}
+    assert dead_names(trees, set(pftrim.__all__)) == sorted(KEPT_FOR_TRACING)
+
+
+def test_dead_name_detected():
+    trees = {"a": ast.parse("def f():\n    return f()\n"
+                            "def g():\n    return 1\nK = g()\n"
+                            "L = 2\n__all__ = []\n"),
+             "b": ast.parse("from .a import L\n")}
+    assert dead_names(trees, {"g"}) == [("a", "K"), ("a", "f")]

@@ -29,6 +29,13 @@ class TestFields:
                 PrimeField(bad)
         assert PrimeField(2 ** 31 - 1).p == 2 ** 31 - 1
 
+    def test_miller_rabin_witnesses(self):
+        # past trial division by the primes up to 37: 1373653 = 829 * 1657
+        # is a strong pseudoprime to bases 2 and 3, refused by base 5
+        assert PrimeField(41).p == 41
+        with pytest.raises(ArgumentError):
+            PrimeField(1373653)
+
     def test_canonical_representatives(self):
         f = PrimeField(5)
         assert f.of(-1) == 4
@@ -150,6 +157,12 @@ class TestParsing:
             RQ.from_string("9" * 5000 + "*x")
         with pytest.raises(ParseError, match=r"too long \(4400 digits\) at column 7"):
             RQ.from_string("y + x^" + "9" * 4400)
+
+    def test_exponent_past_limit(self):
+        for text, col in (("x^524288", 9), ("x^300000*x^300000", 18)):
+            with pytest.raises(ParseError, match=rf"^exponent above "
+                               rf"{EXPONENT_LIMIT} at column {col}$"):
+                RQ.from_string(text)
 
     def test_non_ascii_digits(self):
         # Arabic-Indic three and a fullwidth two are decimal digits to \d
