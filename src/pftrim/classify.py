@@ -278,8 +278,9 @@ def tor_products(td, table=None):
             cells.append((label, beta))
             for elem, coeff in rep.items():
                 residual[elem] = residual.get(elem, zero) - beta * coeff
-        assert all(v == zero for v in residual.values()), \
-            "degree-1 product with a component on a split column"
+        if any(v != zero for v in residual.values()):
+            raise ArgumentError(
+                "degree-1 product with a component on a split column")
         return tuple(cells)
 
     def degree3_cells(acc):

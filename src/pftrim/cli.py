@@ -293,6 +293,7 @@ def cmd_classify(args) -> int:
 def cmd_verify(args) -> int:
     T = _load_matrix(args.file, MAX_IDENTITY_SIZE, "identity checks")
     M, t, lines = _trim_target(args, T)
+    td = trimmed_resolution(M, t)  # refuses a bad t before any other work
     ok = True
 
     identities = check_identities(M)
@@ -300,7 +301,6 @@ def cmd_verify(args) -> int:
     ok = ok and identities.all_passed
 
     ambient = gorenstein_resolution(M)
-    td = trimmed_resolution(M, t)
     squares = ambient.composes_to_zero() and td.complex.composes_to_zero()
     lines.append(f"boundary composition: {'ok' if squares else 'FAIL'}")
     ok = ok and squares

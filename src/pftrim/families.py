@@ -111,24 +111,18 @@ def build_family(spec: FamilySpec, ring: PolyRing = None):
                 if f:
                     upper[(r0 + i, c0 + j)] = f
 
+    def layout(n):
+        # (n, 1, n): x at (n, n+1), B_n in the next n columns, y^2 at (n+1, n+2)
+        upper[(n, n + 1)] = x
+        place(0, n + 1, _band(ring, n))
+        upper[(n + 1, n + 2)] = y2
+
     if spec.kind == "odd":
-        # inner layout (s, 1, s): x column, band block, y^2 row
-        upper[(s, s + 1)] = x
-        place(0, s + 1, _band(ring, s))
-        upper[(s + 1, s + 2)] = y2
-        # outer layout (2s+1, 1, 2s+1) wrapping the inner matrix
-        half = 2 * s + 1
-        upper[(half, half + 1)] = x
-        place(0, half + 1, _band(ring, half))
-        upper[(half + 1, half + 2)] = y2
+        layout(s)  # inner (s, 1, s)
+        layout(2 * s + 1)  # outer (2s+1, 1, 2s+1) wrapping it
     else:
-        # inner layout (s, s): one band block off the diagonal
-        place(0, s, _band(ring, s))
-        # outer layout (2s, 1, 2s)
-        half = 2 * s
-        upper[(half, half + 1)] = x
-        place(0, half + 1, _band(ring, half))
-        upper[(half + 1, half + 2)] = y2
+        place(0, s, _band(ring, s))  # inner (s, s): one band block
+        layout(2 * s)  # outer (2s, 1, 2s)
     return SkewMatrix.from_upper(ring, spec.size, upper), spec.trim
 
 

@@ -27,6 +27,7 @@ import decimal
 import re
 from fractions import Fraction
 from functools import reduce
+from math import isqrt
 from operator import or_
 
 from .errors import ArgumentError, EntryNotInMaximalIdeal, FieldMismatch, ParseError
@@ -80,28 +81,13 @@ def monomial_degree(key: int) -> int:
 
 
 def _is_prime(n: int) -> bool:
-    # Deterministic Miller-Rabin; this witness set is exact far beyond 2^31.
+    # Trial division up to isqrt(n): PrimeField refuses p > 2^31 before
+    # asking, so this is at most 23,170 divisions.
     if n < 2:
         return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % q == 0:
-            return n == q
-    d = n - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        v = pow(a, d, n)
-        if v in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            v = v * v % n
-            if v == n - 1:
-                break
-        else:
-            return False
-    return True
+    if n % 2 == 0:
+        return n == 2
+    return all(n % q for q in range(3, isqrt(n) + 1, 2))
 
 
 class PrimeField:
@@ -209,12 +195,7 @@ class PolyRing:
         return Polynomial(self, {0: c} if c else {})
 
     def monomial(self, coeff, exponents) -> "Polynomial":
-        a1, a2, a3 = exponents
-        for a in (a1, a2, a3):
-            if not 0 <= a <= EXPONENT_LIMIT:
-                raise ArgumentError(f"exponent {a} outside 0..{EXPONENT_LIMIT}")
-        c = self.field.of(coeff)
-        return Polynomial(self, {pack_exponents(a1, a2, a3): c} if c else {})
+        return self.from_terms({tuple(exponents): coeff})
 
     def from_terms(self, mapping) -> "Polynomial":
         """Build a polynomial from {(a1, a2, a3): coefficient}, normalizing."""
@@ -456,7 +437,7 @@ def _parse(ring: PolyRing, text: str) -> Polynomial:
         return tokens[pos] if pos < len(tokens) else (None, None, len(text) + 1)
 
     var_index = {name: i for i, name in enumerate(ring.var_names)}
-    terms = {}
+    terms = {}  # exponent tuple -> integer coefficient, for ring.from_terms
     first = True
     while pos < len(tokens) or first:
         sign = 1
@@ -498,18 +479,12 @@ def _parse(ring: PolyRing, text: str) -> Polynomial:
             break
         if any(a > EXPONENT_LIMIT for a in exps):
             raise ParseError(f"exponent above {EXPONENT_LIMIT} at column {col}")
-        key = pack_exponents(*exps)
-        s = terms.get(key, 0) + ring.field.of(coeff)
-        if ring._p:
-            s %= ring._p
-        if s:
-            terms[key] = s
-        else:
-            terms.pop(key, None)
+        key = tuple(exps)
+        terms[key] = terms.get(key, 0) + coeff
         first = False
         kind, value, col = peek()
         if kind is None:
             break
         if kind not in (5, 6):
             raise ParseError(f"expected + or - at column {col}")
-    return Polynomial(ring, terms)
+    return ring.from_terms(terms)

@@ -10,12 +10,14 @@ import pytest
 
 from pftrim import polyring, resolution
 from pftrim.classify import ConjectureReport, TorReport, check_conjectures, \
-    classify, conjugate_trim_set, tor_products, _trim_reports
+    classify, conjugate_trim_set, tor_products, _residue_q1, _trim_reports
+from pftrim.dgproducts import ChainElement, full_table
 from pftrim.errors import ArgumentError, NotApplicable, UnsupportedSize
+from pftrim.families import _random_skew
 from pftrim.pfaffian import SkewMatrix, pfaffian_drop
-from pftrim.linalg import rref
+from pftrim.linalg import insert_row, rref
 from pftrim.polyring import PolyRing, PrimeField, QQ
-from pftrim.resolution import minimize, trimmed_resolution
+from pftrim.resolution import BasisElement, minimize, trimmed_resolution
 
 from oracles import oracle_pivots, random_skew
 
@@ -265,6 +267,23 @@ class TestTorProducts:
                     tab = tor_products(trimmed_resolution(T, t))
                     assert (rep.r is not None) == \
                         (not tab.has_degree_one_products()), (p, t)
+
+    def test_split_column_component_raises(self):
+        # a degree-1 product is a cycle, so a table with a unit on a pivot
+        # column of one is refused, also when asserts are off
+        T = _random_skew(R3, 7, random.Random(0), 1, 1)
+        td = trimmed_resolution(T, 2)
+        table = full_table(td)
+        pivots = {}
+        for row in _residue_q1(T, 2):
+            insert_row(pivots, row, 3)
+        pair = table.pairs()[0]
+        assert pair[0].degree == pair[1].degree == 1
+        table.entries[pair] = table.entries[pair] + ChainElement.of(
+            R3, BasisElement.F(min(pivots) + 1))
+        with pytest.raises(ArgumentError, match="^degree-1 product with a "
+                           "component on a split column$"):
+            tor_products(td, table)
 
     def test_document(self):
         tab = tor_products(trimmed_resolution(example_matrix(), 1))

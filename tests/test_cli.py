@@ -234,6 +234,19 @@ class TestCommands:
         assert "diagrams: FAIL (1 of 2, first: alpha copy 2)" in out
         assert out[-1] == "verify: FAIL"
 
+    @pytest.mark.parametrize("trim", ["0", "6"])
+    def test_verify_trim_checked_first(self, example_file, capsys,
+                                       monkeypatch, trim):
+        # a trim count outside 1..m exits before the identity checks run
+        def no_identities(M):
+            raise AssertionError("identities were checked")
+
+        monkeypatch.setattr(cli, "check_identities", no_identities)
+        assert main(["verify", example_file, "--trim", trim]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "trim count must satisfy" in captured.err
+
     def test_products_table(self, example_file, capsys):
         assert main(["products", example_file, "--trim", "1"]) == 0
         lines = capsys.readouterr().out.splitlines()

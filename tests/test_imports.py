@@ -48,7 +48,8 @@ def test_unused_import_detected():
 
 
 # perfbench/tracing.py patches these by name to time and count them; they
-# go once the benchmark stops naming them (ROADMAP item 4)
+# go once the benchmark stops naming them (ROADMAP item 4), which
+# test_kept_names_still_traced reports
 KEPT_FOR_TRACING = {("_poly_core", "scale_into"), ("linalg", "rref")}
 
 
@@ -98,6 +99,24 @@ def test_every_top_level_name_is_read():
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
              for path in PACKAGE.glob("*.py")}
     assert dead_names(trees, set(pftrim.__all__)) == sorted(KEPT_FOR_TRACING)
+
+
+def traced_names(tree):
+    """(module, name) for every kernel of KERNELS and every function of
+    FUNCTION_SPANS that perfbench/tracing.py names."""
+    tables = {target.id: stmt.value for stmt in tree.body
+              if isinstance(stmt, ast.Assign) for target in stmt.targets
+              if isinstance(target, ast.Name)}
+    return {("_poly_core", key.value) for key in tables["KERNELS"].keys} | \
+        {(span.elts[0].value, span.elts[1].value)
+         for span in tables["FUNCTION_SPANS"].elts}
+
+
+def test_kept_names_still_traced():
+    tracing = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / \
+        "tracing.py"
+    traced = traced_names(ast.parse(tracing.read_text(encoding="utf-8")))
+    assert KEPT_FOR_TRACING <= traced, KEPT_FOR_TRACING - traced
 
 
 def test_dead_name_detected():

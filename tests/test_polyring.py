@@ -24,17 +24,33 @@ RQ = PolyRing(QQ)
 
 class TestFields:
     def test_prime_validation(self):
-        for bad in (0, 1, 4, 9, 2 ** 31, 2 ** 31 + 5, -3, "7"):
+        # 2147117569 = 46337^2 needs the divisor isqrt(n) itself
+        for bad in (0, 1, 4, 9, 2 ** 31, 2 ** 31 + 5, -3, "7", 2147117569):
             with pytest.raises(ArgumentError):
                 PrimeField(bad)
-        assert PrimeField(2 ** 31 - 1).p == 2 ** 31 - 1
+        for p in (2 ** 31 - 1, 2147483629):
+            assert PrimeField(p).p == p
 
     def test_miller_rabin_witnesses(self):
-        # past trial division by the primes up to 37: 1373653 = 829 * 1657
-        # is a strong pseudoprime to bases 2 and 3, refused by base 5
+        # 1373653 = 829 * 1657 is a strong pseudoprime to bases 2 and 3;
+        # trial division finds its factor 829
         assert PrimeField(41).p == 41
         with pytest.raises(ArgumentError):
             PrimeField(1373653)
+
+    def test_primes_match_sieve(self):
+        limit = 20000
+        sieve = [True] * limit
+        sieve[0] = sieve[1] = False
+        for q in range(2, 142):
+            if sieve[q]:
+                sieve[q * q::q] = [False] * len(range(q * q, limit, q))
+        for n in range(2, limit):
+            if sieve[n]:
+                assert PrimeField(n).p == n
+            else:
+                with pytest.raises(ArgumentError):
+                    PrimeField(n)
 
     def test_canonical_representatives(self):
         f = PrimeField(5)
@@ -112,6 +128,17 @@ class TestRingConstruction:
         with pytest.raises(ArgumentError):
             RQ.monomial(1, (0, 0, EXPONENT_LIMIT + 1))
         assert RQ.monomial(0, (1, 2, 3)).is_zero
+        for exps, bad in (((0, EXPONENT_LIMIT + 1, 0), EXPONENT_LIMIT + 1),
+                          ((-1, 0, 0), -1)):
+            with pytest.raises(ArgumentError, match=rf"^exponent {bad} "
+                               rf"outside 0\.\.{EXPONENT_LIMIT}$"):
+                R5.monomial(1, exps)
+        with pytest.raises(ValueError):
+            R5.monomial(1, (1, 2))
+        with pytest.raises(ArgumentError, match="vanishes mod 5"):
+            R5.monomial(Fraction(1, 5), (1, 0, 0))
+        assert R5.monomial(7, [2, 0, 1]) == 2 * R5.gens[0] ** 2 * R5.gens[2]
+        assert R5.monomial(10, (1, 1, 1)).is_zero
 
     def test_product_past_exponent_limit_raises(self):
         # unchecked, x^524287 cubed would carry between lanes into y
@@ -141,6 +168,13 @@ class TestParsing:
     def test_char_two_cancellation(self):
         assert R2.from_string("x + x").is_zero
         assert R2.from_string("3*x") == R2.gens[0]
+
+    @pytest.mark.parametrize("ring", [R2, R5, RQ], ids=["F2", "F5", "QQ"])
+    def test_cancelled_term_added_back(self, ring):
+        x, y, _ = ring.gens
+        f = ring.from_string("x + y - x + x")
+        assert f == x + y
+        assert str(f) == "x + y"
 
     def test_parse_errors(self):
         for bad in ("", "x +", "x y", "x^-1", "x^", "w", "x**2", "x@y", "+"):
