@@ -32,7 +32,9 @@ blocks; the cell (i,l)(j,s) is the base times (-1)^n z_l z_s, negated again
 when i > j, with each u factor's block set to its contraction.  In degree
 (1, 2), e_i y is kept per (i, y) and the u^i_l cells are its -z_l shifts.
 That table is the one route to a cell: `product` reads it, and the
-trimming keeps it from the first call on.
+trimming keeps it from the first call on.  `verify_leibniz` reads the pair
+bases too: d2 of each base and each contraction is taken once per call,
+and a checked cell's C1 residual is the sum of their shifts.
 """
 
 import dataclasses
@@ -43,7 +45,8 @@ from .errors import ArgumentError, FieldMismatch
 from .linalg import POINTS, insert_row, residue_modulus, residue_terms, \
     residues_at
 from .pfaffian import pfaffian_drop, rearrange_sign, sigma3, sigma5
-from .polyring import Polynomial, check_exponents, pack_exponents
+from .polyring import Polynomial, check_exponents, check_shift, lane_peak, \
+    pack_exponents
 from .resolution import _PAIRS, BasisElement, _selfdual_part, _trimmed_data, \
     signed_v
 
@@ -297,12 +300,18 @@ def _z_key(l, s):
 
 def _shifted(ring, pairs, key, negate):
     # {element: (-1)^negate z^key terms} as Polynomials, for (element, term
-    # dict) pairs: the sign first, then the shift adds the packed key to
-    # every exponent key
-    neg, p = _ring_mod._core.neg_terms, ring._p
-    return {elem: Polynomial(ring, check_exponents(
-        {k + key: c for k, c in (neg(terms, p) if negate else terms).items()}))
-        for elem, terms in pairs}
+    # dict) pairs of canonical terms whose shift the caller has checked
+    # (check_shift; a zero key needs none): the packed key added to every exponent key and the
+    # sign applied in one pass, p - c being the negative of c both over F_p
+    # and, with p = 0, over the rationals.  Each term dict is a new one, so
+    # the table shares none with the _memo cache
+    p = ring._p
+    if negate:
+        return {elem: Polynomial(ring, {k + key: p - c
+                                        for k, c in terms.items()})
+                for elem, terms in pairs}
+    return {elem: Polynomial(ring, {k + key: c for k, c in terms.items()})
+            for elem, terms in pairs}
 
 
 def _element(ring, degree, coords):
@@ -347,7 +356,8 @@ def _pair_base(td, i, j):
     # S(i,j; k,p), p = 1, 2, 3, of the f_r coordinates times c_{r,k,p}, and
     # per u factor (k, var) its contraction, S(i,j; k,b) at v^k_ab if var
     # is a and -S(i,j; k,a) if it is b; and the base times (-1)^negate z^key
-    # by (key, negate), which the u-u cells (l, s) and (s, l) share
+    # by (key, negate), which the u-u cells (l, s) and (s, l) share.  The
+    # base and each contraction come with their lane_peak
     core, p = _ring_mod._core, td.ring._p
     basis2 = td.complex.basis(2)
     selfdual = [value.terms for value in _selfdual_part(td.T, i, j)]
@@ -366,11 +376,31 @@ def _pair_base(td, i, j):
                     core.addmul_into(acc, selfdual[r - 1], weight, 0, 1)
         sk = sums[k] = tuple(_reduced(acc, p) for acc in accs)
         for var in (1, 2, 3):
-            contractions[(k, var)] = tuple(
+            contraction = tuple(
                 (v, sk[b - 1] if var == a else core.neg_terms(sk[a - 1], p))
                 for v, (a, b) in zip(blocks, _PAIRS)
                 if var in (a, b) and sk[(b if var == a else a) - 1])
-    return base, sums, contractions, {}
+            contractions[(k, var)] = (contraction, lane_peak(
+                terms for _, terms in contraction))
+    return (base, lane_peak(terms for _, terms in base)), sums, \
+        contractions, {}
+
+
+def _cell_parts(td, i, l, j, s):
+    # (i,l)(j,s) for i != j as (negate, parts): the cell is (-1)^negate
+    # times the sum over the parts (name, (element, term dict) pairs, their
+    # lane_peak, key) of z^key times the pairs.  The first part is the base
+    # of the pair under z_l z_s, named by the pair; then each u factor's
+    # contraction under the other factor's z, named (pair, block, var).
+    # The parts hold disjoint elements
+    pair = (i, j) if i < j else (j, i)
+    base, _, contractions, _ = _pair_base(td, *pair)
+    parts = [(pair, *base, _z_key(l, s))]
+    for k, var, other in ((i, l, s), (j, s, l)):
+        if var:
+            parts.append(((*pair, k, var), *contractions.get((k, var), ((), 0)),
+                          _z_key(other, None)))
+    return ((l is None) != (s is None)) != (i > j), parts
 
 
 def _degree_one_product(td, i, l, j, s):
@@ -384,25 +414,31 @@ def _degree_one_product(td, i, l, j, s):
         sign, elem = signed_v(i, l, s)
         y_i = td.y[i - 1]
         return {elem: y_i.scaled(-sign)} if y_i else {}
-    negate = ((l is None) != (s is None)) != (i > j)
-    base, _, contractions, shifted = _pair_base(td, *sorted((i, j)))
-    key = _z_key(l, s)
+    negate, ((pair, base, peak, key), *contractions) = _cell_parts(
+        td, i, l, j, s)
+    shifted = _pair_base(td, *pair)[3]
     coords = shifted.get((key, negate))
     if coords is None:
+        check_shift(peak, key)
         coords = shifted[(key, negate)] = _shifted(ring, base, key, negate)
     coords = dict(coords)
-    if l or s:
-        for k, var, other in ((i, l, s), (j, s, l)):
-            if var:
-                coords.update(_shifted(ring, contractions.get((k, var), ()),
-                                       _z_key(other, None), negate))
+    for _, terms, peak, key in contractions:
+        check_shift(peak, key)
+        coords.update(_shifted(ring, terms, key, negate))
     return coords
 
 
 @_memo
 def _times_degree_two(td, i, y):
     # e_i y for y of degree 2 as a coordinate dict, for any index i (e_i
-    # need not be a basis element of this trimming)
+    # need not be a basis element of this trimming), with the lane_peak of
+    # its term dicts
+    coords = _degree_two_coords(td, i, y)
+    return coords, lane_peak(value.terms for value in coords.values())
+
+
+def _degree_two_coords(td, i, y):
+    # the coordinate dict of _times_degree_two
     ring = td.ring
     if y.kind == "v":
         # e_i v^k_ab = (-1)^p S(k,i; k,p) w^k with {a, b, p} = {1, 2, 3}
@@ -436,9 +472,10 @@ def _times_degree_two(td, i, y):
 def _product_with_degree_two(td, i, l, y):
     # x y for the factor x = (i, l) and y of degree 2
     ring = td.ring
-    base = _times_degree_two(td, i, y)
+    base, peak = _times_degree_two(td, i, y)
     if l is None:
         return _element(ring, 3, dict(base))
+    check_shift(peak, _VAR_KEYS[l - 1])
     coords = _shifted(ring, ((elem, value.terms) for elem, value
                              in base.items()), _VAR_KEYS[l - 1], True)
     if y.data[0] == i:
@@ -598,9 +635,42 @@ def _accumulate(acc, combination, columns, addmul):
 
 
 def _negates(column, other, p):
-    # whether two columns of (basis index, term dict) pairs are negatives
-    neg = _ring_mod._core.neg_terms
-    return dict(column) == {index: neg(terms, p) for index, terms in other}
+    # whether two columns of (basis index, term dict) pairs are negatives,
+    # term by term: the coefficient p - c of column against each c of other
+    # (neg_terms)
+    if len(column) != len(other):
+        return False
+    mine = dict(column)
+    for index, terms in other:
+        cell = mine.get(index)
+        if cell is None or len(cell) != len(terms):
+            return False
+        for k, c in terms.items():
+            if cell.get(k) != p - c:
+                return False
+    return True
+
+
+def _is_shift(coords, pairs, key):
+    # whether the coordinates hold z^key times each term dict of the
+    # (element, term dict) pairs, term by term
+    for elem, terms in pairs:
+        coeff = coords.get(elem)
+        if coeff is None or len(coeff.terms) != len(terms):
+            return False
+        cell = coeff.terms
+        for k, c in terms.items():
+            if cell.get(k + key) != c:
+                return False
+    return True
+
+
+def _reduced_rows(acc, p):
+    # the nonzero rows of a column summed with p = 0, each reduced once
+    if p:
+        acc = {row: _ring_mod._core.reduce_terms(terms, p)
+               for row, terms in acc.items()}
+    return {row: terms for row, terms in acc.items() if terms}
 
 
 def _certified_rows(C):
@@ -631,6 +701,15 @@ def _certified_rows(C):
         if len(basis) + len(rows) == C.rank(2):
             return rows if C.composes_to_zero() else None
     return None
+
+
+def _d2_image(C, d2, pairs, p):
+    # d2 of the degree-2 combination of (element, term dict) pairs, as the
+    # reduced nonzero rows of its C1 column
+    acc = {}
+    _accumulate(acc, [(C.index_of(2, elem), terms) for elem, terms in pairs],
+                d2, _ring_mod._core.addmul_into)
+    return _reduced_rows(acc, p)
 
 
 def _on_rows(columns, rows):
@@ -665,6 +744,25 @@ def verify_leibniz(td, table):
     column computed from its own cell.  Each cell is summed over the
     integers and reduced once (the deferred reduction of _poly_core).
 
+    Most of the other C1 columns are read off images computed once per
+    call.  The basis lists the e's, then the u blocks in order, so for x =
+    (i,l) before y = (j,s) with i != j and a u among them the cell carries
+    no sign: it is z_l z_s v + z_s c(i,l) + z_l c(j,s), with v the base of
+    the index pair and c the contraction of a u factor (``_cell_parts``).
+    d2 is R-linear, so d2(z^K v) = z^K d2(v): d2 of each base and each
+    contraction is summed and reduced once per call (``_d2_image``), and
+    d2 of the cell is the sum of the images' shifts.  It is taken only
+    when the table's cell is that sum, term by term, with every lane of
+    it at most EXPONENT_LIMIT (``check_shift``).  Then each key of
+    z^K d2(v) is the key of a product of two valid terms, a cell term and
+    a d2 entry, so no lane carries, and the column equals the per-cell
+    one term by term: over F_p both are the canonical residues of one
+    sum.  Every other cell, e e (one per base, so nothing is shared), u u
+    of one block, or a cell that is not the expected sum (tampered, or
+    from another table), is summed from its own terms as above.  Every
+    report (violations, their order and diffs, ``pairs_checked``) is
+    therefore the one the per-cell check gives.
+
     On C2 most columns are checked on t + 1 rows only.  Let R be the C2
     residual of x.  When the C1 identity holds for x, and d1 d2 = 0 and
     d2 d3 = 0, then d2 R = d2 d3 L_x - d1(x) d2 + (d1(x) d2 - e_x d1 d2)
@@ -694,16 +792,52 @@ def verify_leibniz(td, table):
         d3_rows = _on_rows(d3, rows)
     violations = []
     shared = {}  # (x, y) position -> nonzero C1 residual column, for (y, x)
+    factors = [_factor(x) for x in basis1]
+    images = {}  # part name of _cell_parts -> _d2_image of its pairs
 
     def residual(acc, ix, iy, diagonal=True):
         # subtract d1(x) from the diagonal unless told not to, then reduce
         # each cell once; the nonzero cells of the column
         if d1[ix] and diagonal:
             acc[iy] = core.sub_terms(acc.get(iy, {}), d1[ix], 0)
-        if p:
-            acc = {row: core.reduce_terms(terms, p)
-                   for row, terms in acc.items()}
-        return {row: terms for row, terms in acc.items() if terms}
+        return _reduced_rows(acc, p)
+
+    def shifted_image(ix, iy):
+        # d2 of the cell x*y, summed with p = 0, from the images of its
+        # parts; None unless the cell is their expected sum
+        (i, l), (j, s) = factors[ix], factors[iy]
+        if i == j or not (l or s):
+            return None
+        negate, parts = _cell_parts(td, i, l, j, s)
+        coords = table.lookup(basis1[ix], basis1[iy]).coords
+        if negate or len(coords) != sum(len(pairs)
+                                        for _, pairs, _, _ in parts):
+            return None
+        for _, pairs, peak, key in parts:
+            try:
+                check_shift(peak, key)
+            except ArgumentError:
+                return None
+            if not _is_shift(coords, pairs, key):
+                return None
+        acc = {}
+        for name, pairs, _, key in parts:
+            image = images.get(name)
+            if image is None:
+                image = images[name] = _d2_image(C, d2, pairs, p)
+            for row, terms in image.items():
+                cell = acc.get(row)
+                if cell is None:
+                    acc[row] = {k + key: c for k, c in terms.items()}
+                    continue
+                for k, c in terms.items():
+                    k += key
+                    c += cell.get(k, 0)
+                    if c:
+                        cell[k] = c
+                    else:
+                        del cell[k]
+        return acc
 
     def record(ix, y, column, basis):
         if column:
@@ -719,8 +853,10 @@ def verify_leibniz(td, table):
                 column = {row: core.neg_terms(terms, p) for row, terms
                           in shared.get((iy, ix), {}).items()}
             else:
-                acc = {}
-                _accumulate(acc, left1[ix][iy], d2, addmul)
+                acc = shifted_image(ix, iy) if iy > ix else None
+                if acc is None:
+                    acc = {}
+                    _accumulate(acc, left1[ix][iy], d2, addmul)
                 if d1[iy]:
                     acc[ix] = core.add_terms(acc.get(ix, {}), d1[iy], 0)
                 column = residual(acc, ix, iy)

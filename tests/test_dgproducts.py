@@ -19,7 +19,8 @@ from pftrim.dgproducts import ChainElement, LeibnizReport, ProductTable, \
 from pftrim.errors import ArgumentError, FieldMismatch
 from pftrim.linalg import QQ_MODULUS, det_bareiss
 from pftrim.pfaffian import SkewMatrix, pfaffian_drop, sigma3
-from pftrim.polyring import PolyRing, PrimeField, QQ
+from pftrim.polyring import EXPONENT_LIMIT, PolyRing, PrimeField, QQ, \
+    unpack_exponents
 from pftrim.resolution import BasisElement as B
 from pftrim.resolution import ChainComplex, gorenstein_resolution, \
     trimmed_resolution
@@ -29,6 +30,7 @@ from oracles import random_skew
 from test_pfaffian import R2, example_matrix
 
 
+R3 = PolyRing(PrimeField(3))
 R5 = PolyRing(PrimeField(5))
 RQ = PolyRing(QQ)
 
@@ -622,6 +624,109 @@ class TestLeibnizSharedResiduals:
             assert diffs[(y, x)] == -diffs[(x, y)]
         r1, r2 = td.complex.rank(1), td.complex.rank(2)
         assert report.pairs_checked == r1 * (r1 + r2)
+
+
+def tamper_gated_cell(td, table, x, y, mode):
+    """Copy of the table with the degree-(1, 1) cell x*y changed, for x = u^i_1
+    and y from another index (in either order).  "coefficient" adds 1 to one
+    coefficient of one base term, "contraction" drops one term of a
+    contraction block, "extra" adds a coordinate the cell lacks, and "key"
+    puts the base under z_2 in place of the z_1 of u^i_1 (z_1 z_2 in place
+    of z_1^2 on a u*u cell), the contractions kept.  The changed
+    coordinates have a nonzero d2, so x*y's own C1 residual is nonzero."""
+    ring, C = td.ring, td.complex
+    cell = table.entries[(x, y)]
+    negate, ((_, base, _, key), *contractions) = dgproducts._cell_parts(
+        td, *dgproducts._factor(x), *dgproducts._factor(y))
+    bounded = {elem for col, elem in enumerate(C.basis(2))
+               if any(row[col] for row in C.differential(2))}
+    coords = dict(cell.coords)
+    if mode == "coefficient":
+        elem, terms = next(pair for pair in base if pair[0] in bounded)
+        coords[elem] = coords[elem] + ring.monomial(
+            1, unpack_exponents(next(iter(terms)) + key))
+    elif mode == "contraction":
+        elem = next(elem for _, pairs, _, _ in contractions
+                    for elem, _ in pairs if elem in bounded)
+        first = next(iter(coords[elem].terms))
+        coords[elem] = coords[elem] - ring.monomial(
+            coords[elem].terms[first], unpack_exponents(first))
+    elif mode == "extra":
+        elem = next(e for e in C.basis(2) if e not in coords and e in bounded)
+        coords[elem] = ring.gens[0]
+    else:
+        z1, z2 = dgproducts._VAR_KEYS[:2]
+        coords.update(dgproducts._shifted(ring, base, key - z1 + z2, negate))
+    entries = dict(table.entries)
+    entries[(x, y)] = ChainElement(ring, 2, coords)
+    return ProductTable(td.complex, entries)
+
+
+class TestLeibnizGate:
+    """A degree-(1, 1) cell of two indices with a u factor has its C1
+    residual read off the d2 images of its pair base and contractions when
+    the table's cell is their expected shift; any other cell is computed
+    from its own terms.  Either way the report is the reference's."""
+
+    @pytest.mark.parametrize("mode", ["coefficient", "contraction", "extra",
+                                      "key"])
+    @pytest.mark.parametrize("kinds", ["uu", "eu", "ue"])
+    @pytest.mark.parametrize("ring,size", [(R2, 7), (R5, 5), (RQ, 5)],
+                             ids=["F2-7", "F5-5", "QQ-5"])
+    def test_tampered_gated_cell(self, ring, size, kinds, mode):
+        T = random_skew(ring, size, random.Random(110), degree=1)
+        td = trimmed_resolution(T, 2)
+        x, y = {"uu": (B.U(1, 1), B.U(2, 1)), "eu": (B.E(3), B.U(1, 1)),
+                "ue": (B.U(1, 1), B.E(3))}[kinds]
+        table = full_table(td)
+        assert verify_leibniz(td, table).all_passed
+        tampered = tamper_gated_cell(td, table, x, y, mode)
+        assert tampered.entries[(x, y)] != table.entries[(x, y)]
+        report = verify_leibniz(td, tampered)
+        expected = leibniz_reference(td, tampered)
+        assert (x, y) in [(a, b) for a, b, _ in expected]
+        assert list(report.violations) == expected
+        r1, r2 = td.complex.rank(1), td.complex.rank(2)
+        assert report.pairs_checked == r1 * (r1 + r2)
+
+    @pytest.mark.parametrize("ring,size", [(R2, 7), (R5, 5), (RQ, 5)],
+                             ids=["F2-7", "F5-5", "QQ-5"])
+    def test_each_pair_base_imaged_once(self, ring, size, monkeypatch):
+        # at t = m every factor is a u, so every index pair has gated
+        # cells; a gate that refused them all would image no base
+        T = random_skew(ring, size, random.Random(111 + size), degree=1)
+        td = trimmed_resolution(T, size)
+        table = full_table(td)
+        imaged = Counter()
+        image = dgproducts._d2_image
+
+        def counting(C, d2, pairs, p):
+            imaged[id(pairs)] += 1
+            return image(C, d2, pairs, p)
+
+        monkeypatch.setattr(dgproducts, "_d2_image", counting)
+        for _ in range(2):
+            imaged.clear()
+            assert verify_leibniz(td, table).all_passed
+            bases = [id(dgproducts._pair_base(td, i, j)[0][0])
+                     for i, j in itertools.combinations(range(1, size + 1),
+                                                        2)]
+            assert [imaged[base] for base in bases] == [1] * len(bases)
+
+    def test_shift_past_exponent_limit(self):
+        # every entry y or z but (4, 5) = x^e: the shift of a cell by z_1^2
+        # passes EXPONENT_LIMIT exactly when e > EXPONENT_LIMIT - 2
+        x, y, z = R3.gens
+        upper = {pair: (y, z)[n % 2] for n, pair in enumerate(
+            itertools.combinations(range(1, 6), 2))}
+        upper[(4, 5)] = R3.monomial(1, (EXPONENT_LIMIT - 1, 0, 0))
+        td = trimmed_resolution(SkewMatrix.from_upper(R3, 5, upper), 2)
+        with pytest.raises(ArgumentError, match=f"exponent above "
+                           f"{EXPONENT_LIMIT}"):
+            full_table(td)
+        upper[(4, 5)] = R3.monomial(1, (EXPONENT_LIMIT - 2, 0, 0))
+        td = trimmed_resolution(SkewMatrix.from_upper(R3, 5, upper), 2)
+        assert verify_leibniz(td, full_table(td)).all_passed
 
 
 class TestCertifiedRows:
