@@ -45,8 +45,7 @@ from .errors import ArgumentError, FieldMismatch
 from .linalg import POINTS, insert_row, residue_modulus, residue_terms, \
     residues_at
 from .pfaffian import pfaffian_drop, rearrange_sign, sigma3, sigma5
-from .polyring import Polynomial, check_exponents, check_shift, lane_peak, \
-    pack_exponents
+from .polyring import Polynomial, check_exponents, pack_exponents
 from .resolution import _PAIRS, BasisElement, _selfdual_part, _trimmed_data, \
     signed_v
 
@@ -300,18 +299,22 @@ def _z_key(l, s):
 
 def _shifted(ring, pairs, key, negate):
     # {element: (-1)^negate z^key terms} as Polynomials, for (element, term
-    # dict) pairs of canonical terms whose shift the caller has checked
-    # (check_shift; a zero key needs none): the packed key added to every exponent key and the
-    # sign applied in one pass, p - c being the negative of c both over F_p
-    # and, with p = 0, over the rationals.  Each term dict is a new one, so
-    # the table shares none with the _memo cache
-    p = ring._p
-    if negate:
-        return {elem: Polynomial(ring, {k + key: p - c
-                                        for k, c in terms.items()})
-                for elem, terms in pairs}
-    return {elem: Polynomial(ring, {k + key: c for k, c in terms.items()})
-            for elem, terms in pairs}
+    # dict) pairs of canonical terms within EXPONENT_LIMIT: the packed key
+    # added to every exponent key and the sign applied in one pass, p - c
+    # being the negative of c both over F_p and, with p = 0, over the
+    # rationals.  Each term dict shifted by a nonzero key is checked against
+    # the limit here (check_exponents; a zero key cannot pass it).
+    # Polynomials are immutable, so cells may share them with the _memo
+    # cache; the fresh entries dict of each full_table call is what keeps a
+    # caller's edits away from `product`
+    p, out = ring._p, {}
+    for elem, terms in pairs:
+        if negate:
+            terms = {k + key: p - c for k, c in terms.items()}
+        else:
+            terms = {k + key: c for k, c in terms.items()}
+        out[elem] = Polynomial(ring, check_exponents(terms) if key else terms)
+    return out
 
 
 def _element(ring, degree, coords):
@@ -356,8 +359,7 @@ def _pair_base(td, i, j):
     # S(i,j; k,p), p = 1, 2, 3, of the f_r coordinates times c_{r,k,p}, and
     # per u factor (k, var) its contraction, S(i,j; k,b) at v^k_ab if var
     # is a and -S(i,j; k,a) if it is b; and the base times (-1)^negate z^key
-    # by (key, negate), which the u-u cells (l, s) and (s, l) share.  The
-    # base and each contraction come with their lane_peak
+    # by (key, negate), which the u-u cells (l, s) and (s, l) share
     core, p = _ring_mod._core, td.ring._p
     basis2 = td.complex.basis(2)
     selfdual = [value.terms for value in _selfdual_part(td.T, i, j)]
@@ -380,25 +382,23 @@ def _pair_base(td, i, j):
                 (v, sk[b - 1] if var == a else core.neg_terms(sk[a - 1], p))
                 for v, (a, b) in zip(blocks, _PAIRS)
                 if var in (a, b) and sk[(b if var == a else a) - 1])
-            contractions[(k, var)] = (contraction, lane_peak(
-                terms for _, terms in contraction))
-    return (base, lane_peak(terms for _, terms in base)), sums, \
-        contractions, {}
+            contractions[(k, var)] = contraction
+    return base, sums, contractions, {}
 
 
 def _cell_parts(td, i, l, j, s):
     # (i,l)(j,s) for i != j as (negate, parts): the cell is (-1)^negate
-    # times the sum over the parts (name, (element, term dict) pairs, their
-    # lane_peak, key) of z^key times the pairs.  The first part is the base
-    # of the pair under z_l z_s, named by the pair; then each u factor's
-    # contraction under the other factor's z, named (pair, block, var).
-    # The parts hold disjoint elements
+    # times the sum over the parts (name, (element, term dict) pairs, key)
+    # of z^key times the pairs.  The first part is the base of the pair
+    # under z_l z_s, named by the pair; then each u factor's contraction
+    # under the other factor's z, named (pair, block, var).  The parts hold
+    # disjoint elements
     pair = (i, j) if i < j else (j, i)
     base, _, contractions, _ = _pair_base(td, *pair)
-    parts = [(pair, *base, _z_key(l, s))]
+    parts = [(pair, base, _z_key(l, s))]
     for k, var, other in ((i, l, s), (j, s, l)):
         if var:
-            parts.append(((*pair, k, var), *contractions.get((k, var), ((), 0)),
+            parts.append(((*pair, k, var), contractions.get((k, var), ()),
                           _z_key(other, None)))
     return ((l is None) != (s is None)) != (i > j), parts
 
@@ -414,16 +414,13 @@ def _degree_one_product(td, i, l, j, s):
         sign, elem = signed_v(i, l, s)
         y_i = td.y[i - 1]
         return {elem: y_i.scaled(-sign)} if y_i else {}
-    negate, ((pair, base, peak, key), *contractions) = _cell_parts(
-        td, i, l, j, s)
+    negate, ((pair, base, key), *contractions) = _cell_parts(td, i, l, j, s)
     shifted = _pair_base(td, *pair)[3]
     coords = shifted.get((key, negate))
     if coords is None:
-        check_shift(peak, key)
         coords = shifted[(key, negate)] = _shifted(ring, base, key, negate)
     coords = dict(coords)
-    for _, terms, peak, key in contractions:
-        check_shift(peak, key)
+    for _, terms, key in contractions:
         coords.update(_shifted(ring, terms, key, negate))
     return coords
 
@@ -431,14 +428,7 @@ def _degree_one_product(td, i, l, j, s):
 @_memo
 def _times_degree_two(td, i, y):
     # e_i y for y of degree 2 as a coordinate dict, for any index i (e_i
-    # need not be a basis element of this trimming), with the lane_peak of
-    # its term dicts
-    coords = _degree_two_coords(td, i, y)
-    return coords, lane_peak(value.terms for value in coords.values())
-
-
-def _degree_two_coords(td, i, y):
-    # the coordinate dict of _times_degree_two
+    # need not be a basis element of this trimming)
     ring = td.ring
     if y.kind == "v":
         # e_i v^k_ab = (-1)^p S(k,i; k,p) w^k with {a, b, p} = {1, 2, 3}
@@ -472,10 +462,9 @@ def _degree_two_coords(td, i, y):
 def _product_with_degree_two(td, i, l, y):
     # x y for the factor x = (i, l) and y of degree 2
     ring = td.ring
-    base, peak = _times_degree_two(td, i, y)
+    base = _times_degree_two(td, i, y)
     if l is None:
         return _element(ring, 3, dict(base))
-    check_shift(peak, _VAR_KEYS[l - 1])
     coords = _shifted(ring, ((elem, value.terms) for elem, value
                              in base.items()), _VAR_KEYS[l - 1], True)
     if y.data[0] == i:
@@ -752,13 +741,15 @@ def verify_leibniz(td, table):
     d2 is R-linear, so d2(z^K v) = z^K d2(v): d2 of each base and each
     contraction is summed and reduced once per call (``_d2_image``), and
     d2 of the cell is the sum of the images' shifts.  It is taken only
-    when the table's cell is that sum, term by term, with every lane of
-    it at most EXPONENT_LIMIT (``check_shift``).  Then each key of
-    z^K d2(v) is the key of a product of two valid terms, a cell term and
-    a d2 entry, so no lane carries, and the column equals the per-cell
-    one term by term: over F_p both are the canonical residues of one
-    sum.  Every other cell, e e (one per base, so nothing is shared), u u
-    of one block, or a cell that is not the expected sum (tampered, or
+    when the table's cell is that sum, term by term (``_is_shift``).  Then
+    a cell term is a term of v or c, key b, moved to key b + K with its
+    coefficient, and a d2 entry term has some key e: the per-cell sum puts
+    their product at (b + K) + e and the shifted image at (b + e) + K, the
+    same int.  So both add the same coefficients at the same keys whatever
+    a lane holds, past EXPONENT_LIMIT too, and the column equals the
+    per-cell one term by term: over F_p both are the canonical residues of
+    one sum.  Every other cell, e e (one per base, so nothing is shared),
+    u u of one block, or a cell that is not the expected sum (tampered, or
     from another table), is summed from its own terms as above.  Every
     report (violations, their order and diffs, ``pairs_checked``) is
     therefore the one the per-cell check gives.
@@ -810,18 +801,13 @@ def verify_leibniz(td, table):
             return None
         negate, parts = _cell_parts(td, i, l, j, s)
         coords = table.lookup(basis1[ix], basis1[iy]).coords
-        if negate or len(coords) != sum(len(pairs)
-                                        for _, pairs, _, _ in parts):
+        if negate or len(coords) != sum(len(pairs) for _, pairs, _ in parts):
             return None
-        for _, pairs, peak, key in parts:
-            try:
-                check_shift(peak, key)
-            except ArgumentError:
-                return None
+        for _, pairs, key in parts:
             if not _is_shift(coords, pairs, key):
                 return None
         acc = {}
-        for name, pairs, _, key in parts:
+        for name, pairs, key in parts:
             image = images.get(name)
             if image is None:
                 image = images[name] = _d2_image(C, d2, pairs, p)

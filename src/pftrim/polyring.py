@@ -49,9 +49,6 @@ EXPONENT_LIMIT = (1 << (_LANE_BITS - 1)) - 1
 # exactly when it meets this mask
 _LANE_TOPS = sum(1 << (n * _LANE_BITS + _LANE_BITS - 1) for n in range(3))
 
-# the bits of each lane
-_LANE_1, _LANE_2, _LANE_3 = (_LANE_MASK << (n * _LANE_BITS) for n in range(3))
-
 
 def pack_exponents(a1: int, a2: int, a3: int) -> int:
     return a1 | (a2 << _LANE_BITS) | (a3 << (2 * _LANE_BITS))
@@ -76,34 +73,6 @@ def check_exponents(terms: dict) -> dict:
     if reduce(or_, terms, 0) & _LANE_TOPS:
         raise ArgumentError(f"product has an exponent above {EXPONENT_LIMIT}")
     return terms
-
-
-def lane_peak(term_dicts) -> int:
-    """The packed key whose every exponent is the largest that variable
-    takes over the keys of the term dicts (0 when they hold no key).
-
-    z^key times each of those term dicts stays within EXPONENT_LIMIT
-    exactly when ``check_shift(peak, key)`` passes: the lanes of a valid
-    peak and a valid key add without carrying."""
-    peak_1 = peak_2 = peak_3 = 0
-    for terms in term_dicts:
-        if terms:
-            peak_1 = max(peak_1, max(map(_LANE_1.__and__, terms)))
-            peak_2 = max(peak_2, max(map(_LANE_2.__and__, terms)))
-            peak_3 = max(peak_3, max(map(_LANE_3.__and__, terms)))
-    return peak_1 + peak_2 + peak_3
-
-
-def check_shift(peak: int, key: int) -> None:
-    """Check, in O(1), what check_exponents checks on the terms times z^key,
-    for terms whose ``lane_peak`` is peak.
-
-    Raises:
-        ArgumentError: some exponent of the shifted terms is above
-            EXPONENT_LIMIT.
-    """
-    if (peak + key) & _LANE_TOPS:
-        raise ArgumentError(f"product has an exponent above {EXPONENT_LIMIT}")
 
 
 def monomial_degree(key: int) -> int:

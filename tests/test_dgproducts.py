@@ -19,8 +19,8 @@ from pftrim.dgproducts import ChainElement, LeibnizReport, ProductTable, \
 from pftrim.errors import ArgumentError, FieldMismatch
 from pftrim.linalg import QQ_MODULUS, det_bareiss
 from pftrim.pfaffian import SkewMatrix, pfaffian_drop, sigma3
-from pftrim.polyring import EXPONENT_LIMIT, PolyRing, PrimeField, QQ, \
-    unpack_exponents
+from pftrim.polyring import EXPONENT_LIMIT, PolyRing, Polynomial, \
+    PrimeField, QQ, unpack_exponents
 from pftrim.resolution import BasisElement as B
 from pftrim.resolution import ChainComplex, gorenstein_resolution, \
     trimmed_resolution
@@ -636,7 +636,7 @@ def tamper_gated_cell(td, table, x, y, mode):
     coordinates have a nonzero d2, so x*y's own C1 residual is nonzero."""
     ring, C = td.ring, td.complex
     cell = table.entries[(x, y)]
-    negate, ((_, base, _, key), *contractions) = dgproducts._cell_parts(
+    negate, ((_, base, key), *contractions) = dgproducts._cell_parts(
         td, *dgproducts._factor(x), *dgproducts._factor(y))
     bounded = {elem for col, elem in enumerate(C.basis(2))
                if any(row[col] for row in C.differential(2))}
@@ -646,7 +646,7 @@ def tamper_gated_cell(td, table, x, y, mode):
         coords[elem] = coords[elem] + ring.monomial(
             1, unpack_exponents(next(iter(terms)) + key))
     elif mode == "contraction":
-        elem = next(elem for _, pairs, _, _ in contractions
+        elem = next(elem for _, pairs, _ in contractions
                     for elem, _ in pairs if elem in bounded)
         first = next(iter(coords[elem].terms))
         coords[elem] = coords[elem] - ring.monomial(
@@ -660,6 +660,16 @@ def tamper_gated_cell(td, table, x, y, mode):
     entries = dict(table.entries)
     entries[(x, y)] = ChainElement(ring, 2, coords)
     return ProductTable(td.complex, entries)
+
+
+def limit_trim(e):
+    """The t = 2 trimming of the size-5 F3 matrix with every entry y or z
+    but (4, 5) = x^e."""
+    y, z = R3.gens[1:]
+    upper = {pair: (y, z)[n % 2] for n, pair in enumerate(
+        itertools.combinations(range(1, 6), 2))}
+    upper[(4, 5)] = R3.monomial(1, (e, 0, 0))
+    return trimmed_resolution(SkewMatrix.from_upper(R3, 5, upper), 2)
 
 
 class TestLeibnizGate:
@@ -708,7 +718,7 @@ class TestLeibnizGate:
         for _ in range(2):
             imaged.clear()
             assert verify_leibniz(td, table).all_passed
-            bases = [id(dgproducts._pair_base(td, i, j)[0][0])
+            bases = [id(dgproducts._pair_base(td, i, j)[0])
                      for i, j in itertools.combinations(range(1, size + 1),
                                                         2)]
             assert [imaged[base] for base in bases] == [1] * len(bases)
@@ -716,17 +726,61 @@ class TestLeibnizGate:
     def test_shift_past_exponent_limit(self):
         # every entry y or z but (4, 5) = x^e: the shift of a cell by z_1^2
         # passes EXPONENT_LIMIT exactly when e > EXPONENT_LIMIT - 2
-        x, y, z = R3.gens
-        upper = {pair: (y, z)[n % 2] for n, pair in enumerate(
-            itertools.combinations(range(1, 6), 2))}
-        upper[(4, 5)] = R3.monomial(1, (EXPONENT_LIMIT - 1, 0, 0))
-        td = trimmed_resolution(SkewMatrix.from_upper(R3, 5, upper), 2)
+        td = limit_trim(EXPONENT_LIMIT - 1)
         with pytest.raises(ArgumentError, match=f"exponent above "
                            f"{EXPONENT_LIMIT}"):
             full_table(td)
-        upper[(4, 5)] = R3.monomial(1, (EXPONENT_LIMIT - 2, 0, 0))
-        td = trimmed_resolution(SkewMatrix.from_upper(R3, 5, upper), 2)
+        td = limit_trim(EXPONENT_LIMIT - 2)
         assert verify_leibniz(td, full_table(td)).all_passed
+        # t = 1 and a sparser pattern: the first cell past the limit is
+        # e2*u1_1, the base of (1, 2) under z_1 alone
+        y, z = R3.gens[1:]
+        upper = {pair: y for pair in ((1, 2), (1, 4), (2, 5), (3, 5))}
+        upper.update({pair: z for pair in ((1, 3), (1, 5), (2, 4), (3, 4))})
+        upper[(4, 5)] = R3.monomial(1, (EXPONENT_LIMIT, 0, 0))
+        td = trimmed_resolution(SkewMatrix.from_upper(R3, 5, upper), 1)
+        for build in (full_table, lambda td: dgproducts._degree_one_product(
+                td, 2, None, 1, 1)):
+            with pytest.raises(ArgumentError, match=f"exponent above "
+                               f"{EXPONENT_LIMIT}"):
+                build(td)
+        upper[(4, 5)] = R3.monomial(1, (EXPONENT_LIMIT - 1, 0, 0))
+        td = trimmed_resolution(SkewMatrix.from_upper(R3, 5, upper), 1)
+        assert verify_leibniz(td, full_table(td)).all_passed
+
+    def test_gated_cell_past_exponent_limit(self, monkeypatch):
+        # full_table refuses u1_1*u2_1 of the t = 2 input at e =
+        # EXPONENT_LIMIT - 1, so the table is built with the limit check
+        # off and that cell set to the shifted sum of its parts, whose x
+        # lane is past the limit.  The gate takes it (every part passes
+        # _is_shift) and must report what the per-cell path does
+        td = limit_trim(EXPONENT_LIMIT - 1)
+        with monkeypatch.context() as patch:
+            patch.setattr(dgproducts, "check_exponents", lambda terms: terms)
+            entries = dict(full_table(td).entries)
+        x, y = B.U(1, 1), B.U(2, 1)
+        negate, parts = dgproducts._cell_parts(td, 1, 1, 2, 1)
+        assert not negate
+        cell = ChainElement(R3, 2, {
+            elem: Polynomial(R3, {k + key: c for k, c in terms.items()})
+            for _, pairs, key in parts for elem, terms in pairs})
+        assert max(unpack_exponents(k)[0] for coeff in cell.coords.values()
+                   for k in coeff.terms) > EXPONENT_LIMIT
+        entries[(x, y)] = cell
+        table = ProductTable(td.complex, entries)
+        is_shift, taken = dgproducts._is_shift, []
+
+        def recording(coords, pairs, key):
+            shift = is_shift(coords, pairs, key)
+            if coords is cell.coords:
+                taken.append(shift)
+            return shift
+
+        monkeypatch.setattr(dgproducts, "_is_shift", recording)
+        report = verify_leibniz(td, table)
+        assert taken == [True] * len(parts)
+        monkeypatch.setattr(dgproducts, "_is_shift", lambda *args: False)
+        assert verify_leibniz(td, table) == report
 
 
 class TestCertifiedRows:

@@ -48,7 +48,7 @@ def test_unused_import_detected():
 
 
 # perfbench/tracing.py patches these by name to time and count them; they
-# go once the benchmark stops naming them (ROADMAP item 4), which
+# go once the benchmark stops naming them (ROADMAP item 2), which
 # test_kept_names_still_traced reports
 KEPT_FOR_TRACING = {("_poly_core", "scale_into"), ("linalg", "rref")}
 

@@ -11,8 +11,7 @@ from hypothesis import given, settings, strategies as st
 from pftrim.errors import ArgumentError, EntryNotInMaximalIdeal, \
     FieldMismatch, ParseError
 from pftrim.polyring import EXPONENT_LIMIT, PolyRing, Polynomial, \
-    PrimeField, QQ, check_exponents, check_shift, decompose_c, lane_peak, \
-    pack_exponents
+    PrimeField, QQ, decompose_c, pack_exponents
 
 from oracles import oracle_poly_add, oracle_poly_mul, poly_from_tuples, \
     random_poly, tuple_terms
@@ -152,27 +151,6 @@ class TestRingConstruction:
             R2.monomial(1, (0, 0, EXPONENT_LIMIT)) ** 2
         half = R2.monomial(1, (0, EXPONENT_LIMIT // 2, 0))
         assert (half * half * R2.gens[1]).monomials() == [(0, EXPONENT_LIMIT, 0)]
-
-    def test_shift_check_matches_product_check(self):
-        # check_shift on the lane_peak of term dicts raises exactly when
-        # check_exponents does on one of the dicts shifted by the key
-        rng = random.Random(12)
-        near = (0, 1, 2, EXPONENT_LIMIT - 2, EXPONENT_LIMIT - 1,
-                EXPONENT_LIMIT)
-        for _ in range(300):
-            dicts = [{pack_exponents(*(rng.choice(near) for _ in range(3))): 1
-                      for _ in range(rng.randrange(3))}
-                     for _ in range(rng.randrange(3))]
-            key = pack_exponents(*(rng.randrange(3) for _ in range(3)))
-            try:
-                for terms in dicts:
-                    check_exponents({k + key: c for k, c in terms.items()})
-            except ArgumentError:
-                with pytest.raises(ArgumentError, match="exponent above"):
-                    check_shift(lane_peak(dicts), key)
-            else:
-                check_shift(lane_peak(dicts), key)
-        assert lane_peak([]) == lane_peak([{}]) == 0
 
 
 class TestParsing:
