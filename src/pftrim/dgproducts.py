@@ -34,7 +34,9 @@ when i > j, with each u factor's block set to its contraction.  In degree
 That table is the one route to a cell: `product` reads it, and the
 trimming keeps it from the first call on.  `verify_leibniz` reads the pair
 bases too: d2 of each base and each contraction is taken once per call,
-and a checked cell's C1 residual is the sum of their shifts.
+and a checked cell's C1 residual is the sum of their shifts.  On C2 the
+first certified u of a block settles, for the other two, the rows outside
+the block (the C2 block lemma of `verify_leibniz`).
 """
 
 import dataclasses
@@ -303,15 +305,16 @@ def _shifted(ring, pairs, key, negate):
     # added to every exponent key and the sign applied in one pass, p - c
     # being the negative of c both over F_p and, with p = 0, over the
     # rationals.  Each term dict shifted by a nonzero key is checked against
-    # the limit here (check_exponents; a zero key cannot pass it).
-    # Polynomials are immutable, so cells may share them with the _memo
-    # cache; the fresh entries dict of each full_table call is what keeps a
-    # caller's edits away from `product`
+    # the limit here (check_exponents; a zero key cannot pass it), and with
+    # neither a key nor a sign the term dict itself is wrapped.  Polynomials
+    # are immutable, so cells may share them and their term dicts with the
+    # _memo cache; the fresh entries dict of each full_table call is what
+    # keeps a caller's edits away from `product`
     p, out = ring._p, {}
     for elem, terms in pairs:
         if negate:
             terms = {k + key: p - c for k, c in terms.items()}
-        else:
+        elif key:
             terms = {k + key: c for k, c in terms.items()}
         out[elem] = Polynomial(ring, check_exponents(terms) if key else terms)
     return out
@@ -707,6 +710,55 @@ def _on_rows(columns, rows):
             for column in columns]
 
 
+def _scaled(terms, key, other, other_key):
+    # whether z^key terms = z^other_key other as term dicts, term by term.
+    # On the ints, k + key = k' + other_key exactly when k' = k + (key -
+    # other_key), whatever a lane holds, and k -> k + key is injective; so
+    # with as many terms on each side the lookups pair them all
+    if len(terms) != len(other):
+        return False
+    shift = key - other_key
+    for k, c in terms.items():
+        if other.get(k + shift) != c:
+            return False
+    return True
+
+
+def _scaled_columns(columns, key, others, other_key):
+    # _scaled on every coordinate of columns of (index, term dict) pairs
+    # against the column of others at the same position
+    for column, other in zip(columns, others):
+        if len(column) != len(other):
+            return False
+        other = dict(other)
+        for index, terms in column:
+            theirs = other.get(index)
+            if theirs is None or not _scaled(terms, key, theirs, other_key):
+                return False
+    return True
+
+
+def _own_block(C, i):
+    # the positions in C2 of the block of u^i: f_i and v^i_12, v^i_13, v^i_23
+    return frozenset(C.index_of(2, elem) for elem in (
+        BasisElement.F(i), *(BasisElement.V(i, a, b) for a, b in _PAIRS)))
+
+
+def _block_gate(mine, anchor, own):
+    # the C2 block gate of verify_leibniz for x = u^i_l against its block's
+    # anchor a = u^i_a, each side given as (z key, L on C1 cut to S', L on
+    # C2, d1): z_a times x's side equals z_l times a's on every C1 column,
+    # on every C2 column outside the block's own positions, and on d1
+    key, outer, left2, d1 = mine
+    anchor_key, anchor_outer, anchor_left2, anchor_d1 = anchor
+    return (_scaled(d1, anchor_key, anchor_d1, key)
+            and _scaled_columns(outer, anchor_key, anchor_outer, key)
+            and _scaled_columns(
+                [column for iy, column in enumerate(left2) if iy not in own],
+                anchor_key, [column for iy, column in enumerate(anchor_left2)
+                             if iy not in own], key))
+
+
 def verify_leibniz(td, table):
     """Check the Leibniz rule d(xy) = d(x)y - x d(y) on every ordered pair
     with the first factor of degree 1 and degree sum at most 3.
@@ -768,7 +820,25 @@ def verify_leibniz(td, table):
     diff or in place of the restricted one, when no point certifies, a
     composition is nonzero, x has a C1 violation, or the column is
     nonzero on S; every report is therefore the one the full check
-    gives."""
+    gives.
+
+    The three u's of a block share most of that work.  As d(u^i_l) =
+    -z_l d(e_i), u^i_l multiplies as -z_l e_i away from the own positions
+    O_i = {f_i, v^i_12, v^i_13, v^i_23} of its block.  Split S into S_i,
+    its rows in O_i, and S' = S - S_i.  The first certified u of block i,
+    the anchor a, is checked on S as above and keeps the columns y outside
+    O_i that vanish there.  A later certified x = u^i_l passes the gate
+    (``_block_gate``) when z_a L_x = z_l L_a on C1 cut to S' and on every
+    C2 column outside O_i, and z_a d1(x) = z_l d1(a), each term by term.
+    The residual of x at y on S', d3|S' L_x(y) + (L_x|S') d2(y) - d1(x)
+    [y in S'] e_y, is linear in (L_x|S', L_x(y), d1(x)), so at each y
+    outside O_i, z_a R_x = z_l R_a on S'.  Both sums only add keys, so as
+    for the C1 images above the two sides hold the same coefficients at
+    the same int keys whatever a lane holds, and a shift is injective: R_x
+    vanishes on S' with R_a, and each column the anchor kept is checked on
+    S_i only.  A column in O_i, one the anchor did not keep, and every
+    column of an x whose gate fails are checked on S as above, so again
+    every report is the one the full check gives."""
     C = td.complex
     ring = td.ring
     core = _ring_mod._core
@@ -785,6 +855,9 @@ def verify_leibniz(td, table):
     shared = {}  # (x, y) position -> nonzero C1 residual column, for (y, x)
     factors = [_factor(x) for x in basis1]
     images = {}  # part name of _cell_parts -> _d2_image of its pairs
+    # u block -> its anchor's _block_gate data, the C2 positions it settled
+    # outside the block, and d3 cut to the block's rows of S
+    anchors = {}
 
     def residual(acc, ix, iy, diagonal=True):
         # subtract d1(x) from the diagonal unless told not to, then reduce
@@ -850,15 +923,33 @@ def verify_leibniz(td, table):
                     shared[(ix, iy)] = column
             record(ix, y, column, basis1)
         certified = rows is not None and len(violations) == clean
+        left2 = [_left_column(C, table, x, y) for y in basis2]
+        settled, anchoring = (), None
         if certified:
             left1_rows = _on_rows(left1[ix], rows)
-        left2 = [_left_column(C, table, x, y) for y in basis2]
+            i, l = factors[ix]
+            if l:
+                own = _own_block(C, i)
+                mine = (_VAR_KEYS[l - 1], _on_rows(left1_rows, rows - own),
+                        left2, d1[ix])
+                if i not in anchors:
+                    anchoring = set()
+                    anchors[i] = (mine, anchoring, _on_rows(d3, rows & own))
+                elif _block_gate(mine, anchors[i][0], own):
+                    _, settled, d3_own = anchors[i]
+                    left1_own = _on_rows(left1_rows, own)
         for iy, y in enumerate(basis2):
             if certified:
+                # a column the anchor settled is zero on S' with the
+                # anchor's, so it is checked on S_i only
+                d3_part, left1_part, diagonal = (d3_own, left1_own, False) \
+                    if iy in settled else (d3_rows, left1_rows, iy in rows)
                 acc = {}
-                _accumulate(acc, left2[iy], d3_rows, addmul)
-                _accumulate(acc, d2[iy], left1_rows, addmul)
-                if not residual(acc, ix, iy, iy in rows):
+                _accumulate(acc, left2[iy], d3_part, addmul)
+                _accumulate(acc, d2[iy], left1_part, addmul)
+                if not residual(acc, ix, iy, diagonal):
+                    if anchoring is not None and iy not in own:
+                        anchoring.add(iy)
                     continue
             acc = {}
             _accumulate(acc, left2[iy], d3, addmul)

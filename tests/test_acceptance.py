@@ -210,8 +210,10 @@ def corpus():
                     td, rep = held[t]
                     t0 = time.perf_counter()
                     table = full_table(td)
+                    t1 = time.perf_counter()
                     leib = verify_leibniz(td, table)
-                    times["leibniz"] += time.perf_counter() - t0
+                    times["table"] += t1 - t0
+                    times["leibniz"] += time.perf_counter() - t1
                     stats["leibniz_trims"] += 1
                     stats["leibniz_pairs"] += leib.pairs_checked
                     if not leib.all_passed:
@@ -323,6 +325,9 @@ def test_criterion_03_complex_property_corpus(corpus, verdict):
 
 
 def test_criterion_04_leibniz_corpus(corpus, verdict):
+    # the phase breakdown of the corpus pass, shown by pytest -rP
+    print("corpus phases (s):", {key: round(value, 2) for key, value
+                                 in sorted(corpus["times"].items())})
     ok = not corpus["leibniz_failures"]
     verdict(4, ok, f"{corpus['leibniz_pairs']} pairs over "
             f"{corpus['leibniz_trims']} trimmed complexes")

@@ -401,6 +401,17 @@ class TestTableAndMultiply:
             product(td, B.E(2), B.E(4)).scaled(y * y)
         assert multiply(table, left, right) == expected
 
+    def test_unshifted_cells_share_the_base_terms(self):
+        # an e*e cell of an upper pair is its pair base with no shift and no
+        # sign: its coordinates wrap the base's term dicts, not copies
+        T = random_skew(R5, 7, random.Random(65), degree=1)
+        td = trimmed_resolution(T, 2)
+        table = full_table(td)
+        base = dgproducts._pair_base(td, 3, 5)[0]
+        coords = table.entries[(B.E(3), B.E(5))].coords
+        assert base and len(coords) == len(base)
+        assert all(coords[elem].terms is terms for elem, terms in base)
+
     @pytest.mark.parametrize("ring", [R5, RQ, R2])
     def test_each_unordered_pair_multiplied_once(self, ring, monkeypatch):
         # y*x of degree (1, 1) is the negative of x*y and a (2, 1) cell is
@@ -781,6 +792,144 @@ class TestLeibnizGate:
         assert taken == [True] * len(parts)
         monkeypatch.setattr(dgproducts, "_is_shift", lambda *args: False)
         assert verify_leibniz(td, table) == report
+
+
+def tamper_off_block(td, table, mode):
+    """Copy of the table with one cell of the non-anchor u1_2 changed where
+    only rows of S outside block 1 see it (w2 has d3 nonzero on the v2 row
+    of S alone), and the changed pair.  "boundary" adds d3(w2) to the C1
+    cell u1_2*e_or_u of the last degree-1 basis element, which keeps every
+    C1 residual; "w" drops the w2 coordinate of u1_2 times the first v2_ab
+    that has one."""
+    ring, C = td.ring, td.complex
+    x, entries = B.U(1, 2), dict(table.entries)
+    if mode == "boundary":
+        y = C.basis(1)[-1]
+        col = C.index_of(3, B.W(2))
+        d3_w = ChainElement(ring, 2, {
+            elem: row[col] for elem, row in zip(C.basis(2),
+                                                C.differential(3))})
+        entries[(x, y)] = entries[(x, y)] + d3_w
+    else:
+        y = next(y for y in C.basis(2) if y.kind == "v" and y.data[0] == 2
+                 and B.W(2) in entries[(x, y)].coords)
+        entries[(x, y)] = ChainElement(ring, 3, {
+            e: c for e, c in entries[(x, y)].coords.items() if e != B.W(2)})
+    return ProductTable(C, entries), (x, y)
+
+
+class TestLeibnizBlockGate:
+    """On C2 a certified u^i_l after the first certified u of its block
+    (the anchor) reads the anchor's columns outside the block's own
+    positions: when z_a L_x = z_l L_a on the rows of S outside the block,
+    on every such C2 column, and on d1, a column the anchor settled on S is
+    checked on the block's rows of S only.  Any tamper must still give the
+    reference's report."""
+
+    @pytest.mark.parametrize("mode", ["boundary", "w"])
+    @pytest.mark.parametrize("ring,size,t", [
+        (R2, 7, 2), (R5, 5, 5), (R5, 7, 3), (RQ, 5, 2)],
+        ids=["F2-7", "F5-5", "F5-7", "QQ-5"])
+    def test_tamper_seen_outside_the_block(self, ring, size, t, mode):
+        T = random_skew(ring, size, random.Random(120 + size), degree=1)
+        td = trimmed_resolution(T, t)
+        C = td.complex
+        rows = dgproducts._certified_rows(C)
+        assert rows is not None
+        d3 = C.differential(3)
+        col = C.index_of(3, B.W(2))
+        seen = {r for r in rows if d3[r][col]}
+        assert seen and not seen & dgproducts._own_block(C, 1)
+        tampered, key = tamper_off_block(td, full_table(td), mode)
+        report = verify_leibniz(td, tampered)
+        expected = leibniz_reference(td, tampered)
+        assert list(report.violations) == expected
+        bad = [(x, y) for x, y, _ in expected]
+        if mode == "w":
+            assert key in bad
+        else:
+            # C1 stays clean and C2 breaks on the columns d2 sends to y
+            assert all(y.degree == 2 for _, y in bad)
+            assert bad and all(x == key[0] for x, _ in bad)
+        r1, r2 = C.rank(1), C.rank(2)
+        assert report.pairs_checked == r1 * (r1 + r2)
+
+    @pytest.mark.parametrize("ring,size", [(R2, 7), (R5, 5), (RQ, 5)],
+                             ids=["F2-7", "F5-5", "QQ-5"])
+    def test_anchor_checks_the_block_on_all_rows(self, ring, size,
+                                                 monkeypatch):
+        # at t = m every degree-1 element is a u.  Count the C2 columns
+        # checked on all of S (d3 cut to S): each block's anchor checks its
+        # r2 columns, the other two only their 4 own-block columns, so r2 +
+        # 8 per block against 3 r2 when every u is checked on its own
+        T = random_skew(ring, size, random.Random(121 + size), degree=1)
+        td = trimmed_resolution(T, size)
+        C = td.complex
+        rows = dgproducts._certified_rows(C)
+        table = full_table(td)
+        accumulate, on_all = dgproducts._accumulate, Counter()
+
+        def counting(acc, combination, columns, addmul):
+            if len(columns) == C.rank(3) and \
+                    {r for column in columns for r, _ in column} == rows:
+                on_all["S"] += 1
+            return accumulate(acc, combination, columns, addmul)
+
+        monkeypatch.setattr(dgproducts, "_accumulate", counting)
+        assert verify_leibniz(td, table).all_passed
+        assert on_all["S"] == size * (C.rank(2) + 8)
+        # with every gate refused each u checks every column on S
+        on_all.clear()
+        monkeypatch.setattr(dgproducts, "_block_gate", lambda *args: False)
+        assert verify_leibniz(td, table).all_passed
+        assert on_all["S"] == 3 * size * C.rank(2)
+
+    @pytest.mark.parametrize("ring,size,t", [(R2, 7, 3), (R5, 5, 5),
+                                             (RQ, 5, 2)],
+                             ids=["F2-7", "F5-5", "QQ-5"])
+    def test_gate_checks_each_clause(self, ring, size, t, monkeypatch):
+        # the gate of the first non-anchor, u1_2 against u1_1, passes on the
+        # clean table; it fails once any one of its three clauses or the
+        # z keys are changed, and not when a column of the block's own
+        # positions (f1 included) is
+        T = random_skew(ring, size, random.Random(122 + size), degree=1)
+        td = trimmed_resolution(T, t)
+        gate, calls = dgproducts._block_gate, []
+
+        def recording(mine, anchor, own):
+            calls.append((mine, anchor, own))
+            return gate(mine, anchor, own)
+
+        monkeypatch.setattr(dgproducts, "_block_gate", recording)
+        assert verify_leibniz(td, full_table(td)).all_passed
+        assert len(calls) == 2 * t
+        mine, anchor, own = calls[0]
+        assert gate(mine, anchor, own)
+        key, outer, left2, d1 = mine
+        C = td.complex
+        assert own == {C.index_of(2, elem) for elem in (
+            B.F(1), B.V(1, 1, 2), B.V(1, 1, 3), B.V(1, 2, 3))}
+
+        def bumped(terms):
+            return {**terms, dgproducts._VAR_KEYS[0] * 7: 1}
+
+        def bump_column(columns, index):
+            columns = list(columns)
+            columns[index] = [(e, bumped(terms)) if n == 0 else (e, terms)
+                              for n, (e, terms) in enumerate(columns[index])]
+            return columns
+
+        assert not gate((key, outer, left2, bumped(d1)), anchor, own)
+        n = next(n for n, column in enumerate(outer) if column)
+        assert not gate((key, bump_column(outer, n), left2, d1), anchor, own)
+        n = next(n for n, column in enumerate(left2)
+                 if column and n not in own)
+        assert not gate((key, outer, bump_column(left2, n), d1), anchor, own)
+        assert not gate((anchor[0], outer, left2, d1), anchor, own)
+        for n in own:
+            if left2[n]:
+                assert gate((key, outer, bump_column(left2, n), d1), anchor,
+                            own)
 
 
 class TestCertifiedRows:
