@@ -32,15 +32,18 @@ blocks; the cell (i,l)(j,s) is the base times (-1)^n z_l z_s, negated again
 when i > j, with each u factor's block set to its contraction.  In degree
 (1, 2), e_i y is kept per (i, y) and the u^i_l cells are its -z_l shifts.
 That table is the one route to a cell: `product` reads it, and the
-trimming keeps it from the first call on.  `verify_leibniz` reads the pair
-bases too: d2 of each base and each contraction is taken once per call,
-and a checked cell's C1 residual is the sum of their shifts.  On C2 the
-first certified u of a block settles, for the other two, the rows outside
-the block (the C2 block lemma of `verify_leibniz`).
+trimming keeps it from the first call on.  A degree-(1, 1) cell of two
+indices is kept there as that recipe, its coordinates built on first read.
+`verify_leibniz` reads the recipes of the trimming's own cells: d2 of each
+base and each contraction is taken once per call, and a cell's C1 residual
+is the sum of their shifts.  On C2 the first certified u of a block
+settles, for the other two, the rows outside the block (the C2 block lemma
+of `verify_leibniz`).
 """
 
 import dataclasses
 from itertools import combinations
+from types import MappingProxyType
 
 from . import polyring as _ring_mod
 from .errors import ArgumentError, FieldMismatch
@@ -299,23 +302,26 @@ def _z_key(l, s):
     return (_VAR_KEYS[l - 1] if l else 0) + (_VAR_KEYS[s - 1] if s else 0)
 
 
+def _shift(terms, key, negate, p):
+    # (-1)^negate z^key terms for canonical terms in one pass, p - c being
+    # the negative of c both over F_p and, with p = 0, over the rationals;
+    # with neither a key nor a sign, the term dict itself
+    if negate:
+        return {k + key: p - c for k, c in terms.items()}
+    return {k + key: c for k, c in terms.items()} if key else terms
+
+
 def _shifted(ring, pairs, key, negate):
-    # {element: (-1)^negate z^key terms} as Polynomials, for (element, term
-    # dict) pairs of canonical terms within EXPONENT_LIMIT: the packed key
-    # added to every exponent key and the sign applied in one pass, p - c
-    # being the negative of c both over F_p and, with p = 0, over the
-    # rationals.  Each term dict shifted by a nonzero key is checked against
-    # the limit here (check_exponents; a zero key cannot pass it), and with
-    # neither a key nor a sign the term dict itself is wrapped.  Polynomials
-    # are immutable, so cells may share them and their term dicts with the
-    # _memo cache; the fresh entries dict of each full_table call is what
-    # keeps a caller's edits away from `product`
-    p, out = ring._p, {}
+    # {element: _shift of its terms} as Polynomials, for (element, term
+    # dict) pairs within EXPONENT_LIMIT.  Each term dict shifted by a
+    # nonzero key is checked against the limit here (check_exponents; a
+    # zero key cannot pass it).  Polynomials are immutable, so cells may
+    # share them and their term dicts with the _memo cache; the fresh
+    # entries dict of each full_table call is what keeps a caller's edits
+    # away from `product`
+    out = {}
     for elem, terms in pairs:
-        if negate:
-            terms = {k + key: p - c for k, c in terms.items()}
-        elif key:
-            terms = {k + key: c for k, c in terms.items()}
+        terms = _shift(terms, key, negate, ring._p)
         out[elem] = Polynomial(ring, check_exponents(terms) if key else terms)
     return out
 
@@ -428,6 +434,25 @@ def _degree_one_product(td, i, l, j, s):
     return coords
 
 
+class _Recipe(ChainElement):
+    # a degree-(1, 1) cell (i,l)(j,s), i != j, of td's full_table kept as
+    # its factors and _cell_parts (negate, parts).  Its coords are built on
+    # first read by _degree_one_product (the empty slot sends that read to
+    # __getattr__) and kept read-only, so they are the cell the recipe names
+    __slots__ = ("td", "factors", "negate", "parts")
+
+    def __init__(self, td, factors, negate, parts):
+        self.ring, self.degree, self.td = td.ring, 2, td
+        self.factors, self.negate, self.parts = factors, negate, parts
+
+    def __getattr__(self, name):
+        if name != "coords":
+            raise AttributeError(name)
+        self.coords = MappingProxyType(
+            _degree_one_product(self.td, *self.factors))
+        return self.coords
+
+
 @_memo
 def _times_degree_two(td, i, y):
     # e_i y for y of degree 2 as a coordinate dict, for any index i (e_i
@@ -529,9 +554,9 @@ class ProductTable:
 
 #: Largest matrix size ``pftrim products`` accepts; it exits 2 above it
 #: before the matrix is built.  On dense linear forms over F3,
-#: ``products --trim m`` took 0.4-0.5 s at size 9, 1.1-1.4 s at 11, 3.1-3.6 s
-#: at 13 and 6.1-7.6 s at 15 (CPU time, Python 3.11 on a 2-core Xeon), most
-#: of it printing, with a peak RSS of 29, 53, 108 and 209 MiB: the memory
+#: ``products --trim m`` took 0.5-0.8 s at size 9, 1.7-1.8 s at 11, 3.2-4.1 s
+#: at 13 and 7.3-7.6 s at 15 (CPU time, Python 3.11 on a 2-core Xeon), most
+#: of it printing, with a peak RSS of 32, 56, 111 and 212 MiB: the memory
 #: doubles with each step of 2.
 MAX_PRODUCT_SIZE = 15
 
@@ -543,16 +568,30 @@ def full_table(td):
     packed-key shift and one sign, with the blocks of its u factors
     overridden by their contractions (x x is zero); a degree-(1, 2) cell of
     u^i_l is the -z_l shift of e_i y plus its own-block w^i term.  By graded
-    commutativity a (2, 1) cell is the (1, 2) cell of the swapped pair."""
+    commutativity a (2, 1) cell is the (1, 2) cell of the swapped pair.
+    A degree-(1, 1) cell of two indices is kept as that recipe, built on
+    first read; each (part, key) shift is checked against EXPONENT_LIMIT
+    here, so no cell read later can raise."""
     C, ring = td.complex, td.ring
     table = ProductTable(C, {})
     entries = table.entries
     basis1, basis2 = C.basis(1), C.basis(2)
+    checked = set()  # (part name, key) shifts within EXPONENT_LIMIT
     for x in basis1:
         i, l = _factor(x)
         for y in basis1:
-            entries[(x, y)] = zero_element(ring, 2) if x == y else _element(
-                ring, 2, _degree_one_product(td, i, l, *_factor(y)))
+            j, s = _factor(y)
+            if i == j:
+                entries[(x, y)] = zero_element(ring, 2) if x == y else \
+                    _element(ring, 2, _degree_one_product(td, i, l, j, s))
+                continue
+            negate, parts = _cell_parts(td, i, l, j, s)
+            for name, pairs, key in parts:
+                if key and (name, key) not in checked:
+                    checked.add((name, key))  # on the shifted keys alone
+                    check_exponents(k + key for _, terms in pairs
+                                    for k in terms)
+            entries[(x, y)] = _Recipe(td, (i, l, j, s), negate, parts)
     for x in basis1:
         for y in basis2:
             entries[(x, y)] = _product_with_degree_two(td, *_factor(x), y)
@@ -608,11 +647,11 @@ def _columns(mat):
     return cols
 
 
-def _left_column(complex_, table, x, y):
-    # the column of L_x at y: the table's x*y as (basis index, term dict)
-    degree = 1 + y.degree
+def _left_column(complex_, cell, degree):
+    # a column of L_x: the table's cell x*y of that degree as (basis index,
+    # term dict) pairs
     return [(complex_.index_of(degree, elem), coeff.terms)
-            for elem, coeff in table.lookup(x, y).coords.items()]
+            for elem, coeff in cell.coords.items()]
 
 
 def _accumulate(acc, combination, columns, addmul):
@@ -624,37 +663,6 @@ def _accumulate(acc, combination, columns, addmul):
             if cell is None:
                 cell = acc[row] = {}
             addmul(cell, entry, coeff, 0, 1)
-
-
-def _negates(column, other, p):
-    # whether two columns of (basis index, term dict) pairs are negatives,
-    # term by term: the coefficient p - c of column against each c of other
-    # (neg_terms)
-    if len(column) != len(other):
-        return False
-    mine = dict(column)
-    for index, terms in other:
-        cell = mine.get(index)
-        if cell is None or len(cell) != len(terms):
-            return False
-        for k, c in terms.items():
-            if cell.get(k) != p - c:
-                return False
-    return True
-
-
-def _is_shift(coords, pairs, key):
-    # whether the coordinates hold z^key times each term dict of the
-    # (element, term dict) pairs, term by term
-    for elem, terms in pairs:
-        coeff = coords.get(elem)
-        if coeff is None or len(coeff.terms) != len(terms):
-            return False
-        cell = coeff.terms
-        for k, c in terms.items():
-            if cell.get(k + key) != c:
-                return False
-    return True
 
 
 def _reduced_rows(acc, p):
@@ -726,11 +734,10 @@ def _scaled(terms, key, other, other_key):
 
 def _scaled_columns(columns, key, others, other_key):
     # _scaled on every coordinate of columns of (index, term dict) pairs
-    # against the column of others at the same position
+    # against the {index: term dict} of others at the same position
     for column, other in zip(columns, others):
         if len(column) != len(other):
             return False
-        other = dict(other)
         for index, terms in column:
             theirs = other.get(index)
             if theirs is None or not _scaled(terms, key, theirs, other_key):
@@ -744,19 +751,27 @@ def _own_block(C, i):
         BasisElement.F(i), *(BasisElement.V(i, a, b) for a, b in _PAIRS)))
 
 
+def _anchor_side(mine, own):
+    # an anchor's _block_gate side, built once per block: its columns on S'
+    # and outside the block's own positions, each as {index: term dict}
+    key, outer, left2, d1 = mine
+    return key, [dict(column) for column in outer], [
+        dict(column) for iy, column in enumerate(left2) if iy not in own], d1
+
+
 def _block_gate(mine, anchor, own):
     # the C2 block gate of verify_leibniz for x = u^i_l against its block's
-    # anchor a = u^i_a, each side given as (z key, L on C1 cut to S', L on
-    # C2, d1): z_a times x's side equals z_l times a's on every C1 column,
-    # on every C2 column outside the block's own positions, and on d1
+    # anchor a = u^i_a, x's side given as (z key, L on C1 cut to S', L on
+    # C2, d1) and a's as _anchor_side: z_a times x's side equals z_l times
+    # a's on every C1 column, on every C2 column outside the block's own
+    # positions, and on d1
     key, outer, left2, d1 = mine
     anchor_key, anchor_outer, anchor_left2, anchor_d1 = anchor
     return (_scaled(d1, anchor_key, anchor_d1, key)
             and _scaled_columns(outer, anchor_key, anchor_outer, key)
             and _scaled_columns(
                 [column for iy, column in enumerate(left2) if iy not in own],
-                anchor_key, [column for iy, column in enumerate(anchor_left2)
-                             if iy not in own], key))
+                anchor_key, anchor_left2, key))
 
 
 def verify_leibniz(td, table):
@@ -778,12 +793,15 @@ def verify_leibniz(td, table):
     violations come in (x, degree of y, basis position of y) order.
 
     On C1 the residual column of (x, y) is d2(xy) + d1(y) e_x - d1(x) e_y,
-    so when the table's x*y is the negative of its y*x, as graded
-    commutativity makes it, the column is the negative of the one for
-    (y, x) and is read off that one.  A pair whose two cells are not
-    negatives of each other (a table tampered in one order, say) has its
-    column computed from its own cell.  Each cell is summed over the
-    integers and reduced once (the deferred reduction of _poly_core).
+    so when x*y is the negative of y*x, as graded commutativity makes it,
+    the column is the negative of the one for (y, x).  It is read off that
+    one when both cells are trusted: td's own recipes (``full_table``) at
+    their own positions, the cell's td being td and its factors those of
+    (x, y).  The recipes of (i,l)(j,s) and (j,s)(i,l) hold the same parts
+    under opposite signs, c against p - c term by term.  Any other cell,
+    tampered, moved, from another table or not a recipe, has its column
+    computed from its own terms, each summed over the integers and reduced
+    once (the deferred reduction of _poly_core).
 
     Most of the other C1 columns are read off images computed once per
     call.  The basis lists the e's, then the u blocks in order, so for x =
@@ -793,18 +811,17 @@ def verify_leibniz(td, table):
     d2 is R-linear, so d2(z^K v) = z^K d2(v): d2 of each base and each
     contraction is summed and reduced once per call (``_d2_image``), and
     d2 of the cell is the sum of the images' shifts.  It is taken only
-    when the table's cell is that sum, term by term (``_is_shift``).  Then
-    a cell term is a term of v or c, key b, moved to key b + K with its
-    coefficient, and a d2 entry term has some key e: the per-cell sum puts
-    their product at (b + K) + e and the shifted image at (b + e) + K, the
-    same int.  So both add the same coefficients at the same keys whatever
-    a lane holds, past EXPONENT_LIMIT too, and the column equals the
-    per-cell one term by term: over F_p both are the canonical residues of
-    one sum.  Every other cell, e e (one per base, so nothing is shared),
-    u u of one block, or a cell that is not the expected sum (tampered, or
-    from another table), is summed from its own terms as above.  Every
-    report (violations, their order and diffs, ``pairs_checked``) is
-    therefore the one the per-cell check gives.
+    for a trusted cell, whose coordinates the recipe builds as that sum.
+    Then a cell term is a term of v or c, key b, moved to key b + K with
+    its coefficient, and a d2 entry term has some key e: the per-cell sum
+    puts their product at (b + K) + e and the shifted image at (b + e) +
+    K, the same int.  So both add the same coefficients at the same keys
+    whatever a lane holds, past EXPONENT_LIMIT too, and the column equals
+    the per-cell one term by term: over F_p both are the canonical
+    residues of one sum.  Every other cell, e e (one per base, so nothing
+    is shared), u u of one block, or an untrusted cell, is summed from its
+    own terms as above.  Every report (violations, their order and diffs,
+    ``pairs_checked``) is therefore the one the per-cell check gives.
 
     On C2 most columns are checked on t + 1 rows only.  Let R be the C2
     residual of x.  When the C1 identity holds for x, and d1 d2 = 0 and
@@ -820,7 +837,8 @@ def verify_leibniz(td, table):
     diff or in place of the restricted one, when no point certifies, a
     composition is nonzero, x has a C1 violation, or the column is
     nonzero on S; every report is therefore the one the full check
-    gives.
+    gives.  A trusted cell is cut to S part by part, each part once per
+    call, and only the coordinates on S are shifted.
 
     The three u's of a block share most of that work.  As d(u^i_l) =
     -z_l d(e_i), u^i_l multiplies as -z_l e_i away from the own positions
@@ -847,15 +865,21 @@ def verify_leibniz(td, table):
     d1 = [entry.terms for entry in C.differential(1)[0]]
     d2 = _columns(C.differential(2))
     d3 = _columns(C.differential(3))
-    left1 = [[_left_column(C, table, x, y) for y in basis1] for x in basis1]
+    factors = [_factor(x) for x in basis1]
+    cells = [[table.lookup(x, y) for y in basis1] for x in basis1]
+    # whether the cell at (x, y) is td's own recipe of x*y
+    trusted = [[isinstance(cell, _Recipe) and cell.td is td
+                and cell.factors == (*factors[ix], *factors[iy])
+                for iy, cell in enumerate(row)]
+               for ix, row in enumerate(cells)]
     rows = _certified_rows(C)
     if rows is not None:
         d3_rows = _on_rows(d3, rows)
     violations = []
     shared = {}  # (x, y) position -> nonzero C1 residual column, for (y, x)
-    factors = [_factor(x) for x in basis1]
     images = {}  # part name of _cell_parts -> _d2_image of its pairs
-    # u block -> its anchor's _block_gate data, the C2 positions it settled
+    cuts = {}  # part name -> its (C2 index, term dict) pairs on the rows S
+    # u block -> its anchor's _anchor_side, the C2 positions it settled
     # outside the block, and d3 cut to the block's rows of S
     anchors = {}
 
@@ -866,21 +890,11 @@ def verify_leibniz(td, table):
             acc[iy] = core.sub_terms(acc.get(iy, {}), d1[ix], 0)
         return _reduced_rows(acc, p)
 
-    def shifted_image(ix, iy):
-        # d2 of the cell x*y, summed with p = 0, from the images of its
-        # parts; None unless the cell is their expected sum
-        (i, l), (j, s) = factors[ix], factors[iy]
-        if i == j or not (l or s):
-            return None
-        negate, parts = _cell_parts(td, i, l, j, s)
-        coords = table.lookup(basis1[ix], basis1[iy]).coords
-        if negate or len(coords) != sum(len(pairs) for _, pairs, _ in parts):
-            return None
-        for _, pairs, key in parts:
-            if not _is_shift(coords, pairs, key):
-                return None
+    def shifted_image(recipe):
+        # d2 of td's own recipe cell, summed with p = 0, from the images of
+        # its parts
         acc = {}
-        for name, pairs, key in parts:
+        for name, pairs, key in recipe.parts:
             image = images.get(name)
             if image is None:
                 image = images[name] = _d2_image(C, d2, pairs, p)
@@ -898,6 +912,22 @@ def verify_leibniz(td, table):
                         del cell[k]
         return acc
 
+    def on_rows(cell, column):
+        # L_x at y cut to S: the column read from the table, or for td's
+        # own recipe cell (column None) its parts cut once per call, with
+        # only the coordinates kept shifted
+        if column is not None:
+            return [(r, terms) for r, terms in column if r in rows]
+        out = []
+        for name, pairs, key in cell.parts:
+            cut = cuts.get(name)
+            if cut is None:
+                cut = cuts[name] = [(r, terms) for elem, terms in pairs
+                                    if (r := C.index_of(2, elem)) in rows]
+            out.extend((r, _shift(terms, key, cell.negate, p))
+                       for r, terms in cut)
+        return out
+
     def record(ix, y, column, basis):
         if column:
             coords = {basis[row]: Polynomial(ring, terms)
@@ -907,15 +937,20 @@ def verify_leibniz(td, table):
 
     for ix, x in enumerate(basis1):
         clean = len(violations)
+        read = [None] * len(basis1)  # L_x at y read from the table's cell
         for iy, y in enumerate(basis1):
-            if iy < ix and _negates(left1[ix][iy], left1[iy][ix], p):
+            cell = cells[ix][iy]
+            if iy < ix and trusted[ix][iy] and trusted[iy][ix]:
                 column = {row: core.neg_terms(terms, p) for row, terms
                           in shared.get((iy, ix), {}).items()}
             else:
-                acc = shifted_image(ix, iy) if iy > ix else None
-                if acc is None:
+                if iy > ix and trusted[ix][iy] and not cell.negate and (
+                        factors[ix][1] or factors[iy][1]):
+                    acc = shifted_image(cell)
+                else:
                     acc = {}
-                    _accumulate(acc, left1[ix][iy], d2, addmul)
+                    read[iy] = _left_column(C, cell, 2)
+                    _accumulate(acc, read[iy], d2, addmul)
                 if d1[iy]:
                     acc[ix] = core.add_terms(acc.get(ix, {}), d1[iy], 0)
                 column = residual(acc, ix, iy)
@@ -923,10 +958,11 @@ def verify_leibniz(td, table):
                     shared[(ix, iy)] = column
             record(ix, y, column, basis1)
         certified = rows is not None and len(violations) == clean
-        left2 = [_left_column(C, table, x, y) for y in basis2]
-        settled, anchoring = (), None
+        left2 = [_left_column(C, table.lookup(x, y), 3) for y in basis2]
+        settled, anchoring, left1 = (), None, None
         if certified:
-            left1_rows = _on_rows(left1[ix], rows)
+            left1_rows = [on_rows(cell, column)
+                          for cell, column in zip(cells[ix], read)]
             i, l = factors[ix]
             if l:
                 own = _own_block(C, i)
@@ -934,7 +970,8 @@ def verify_leibniz(td, table):
                         left2, d1[ix])
                 if i not in anchors:
                     anchoring = set()
-                    anchors[i] = (mine, anchoring, _on_rows(d3, rows & own))
+                    anchors[i] = (_anchor_side(mine, own), anchoring,
+                                  _on_rows(d3, rows & own))
                 elif _block_gate(mine, anchors[i][0], own):
                     _, settled, d3_own = anchors[i]
                     left1_own = _on_rows(left1_rows, own)
@@ -951,9 +988,12 @@ def verify_leibniz(td, table):
                     if anchoring is not None and iy not in own:
                         anchoring.add(iy)
                     continue
+            if left1 is None:
+                left1 = [_left_column(C, cell, 2) if column is None
+                         else column for cell, column in zip(cells[ix], read)]
             acc = {}
             _accumulate(acc, left2[iy], d3, addmul)
-            _accumulate(acc, d2[iy], left1[ix], addmul)
+            _accumulate(acc, d2[iy], left1, addmul)
             record(ix, y, residual(acc, ix, iy), basis2)
     return LeibnizReport(len(basis1) * (len(basis1) + len(basis2)),
                          tuple(violations))

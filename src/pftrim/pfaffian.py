@@ -285,8 +285,8 @@ class IdentityReport:
 #: visits every even index subset, 2^(m-1) of them.  On dense linear forms
 #: over F3 (CPU time, Python 3.11 on a 2-core Xeon) the identities took
 #: 2.4 s at size 13, 9.4 s at 15 and 69 s at 17.  ``pftrim verify --trim m``
-#: took 0.3-0.4 s at size 9, 0.8-1 s at 11, 3-4 s at 13 and 12-15 s at 15,
-#: with a peak RSS of 30, 49, 91 and 170 MiB; past 15 the identities
+#: took 0.4-0.5 s at size 9, 0.9-1.2 s at 11, 2.6-3.7 s at 13 and 13-14 s at
+#: 15, with a peak RSS of 22, 27, 40 and 75 MiB; past 15 the identities
 #: dominate.
 MAX_IDENTITY_SIZE = 15
 

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from pftrim import _poly_core, dgproducts
+from pftrim import _poly_core, dgproducts, polyring
 from pftrim.dgproducts import ChainElement, LeibnizReport, ProductTable, \
     boundary, d_constants, full_table, gorenstein_product, multiply, \
     product, verify_leibniz, zero_element
@@ -614,8 +614,8 @@ def tamper_degree_one(td, table, mode):
 
 class TestLeibnizSharedResiduals:
     """The degree-(1, 1) residual of (x, y) is read off that of (y, x) when
-    the table's two cells are negatives of each other; tampered cells must
-    give the same violations as the reference either way."""
+    both cells are the trimming's own recipes, negatives of each other;
+    tampered cells must give the same violations as the reference."""
 
     @pytest.mark.parametrize("mode", ["one", "negatives", "different"])
     @pytest.mark.parametrize("ring,size", [
@@ -686,8 +686,9 @@ def limit_trim(e):
 class TestLeibnizGate:
     """A degree-(1, 1) cell of two indices with a u factor has its C1
     residual read off the d2 images of its pair base and contractions when
-    the table's cell is their expected shift; any other cell is computed
-    from its own terms.  Either way the report is the reference's."""
+    it is the trimming's own recipe at its own position; any other cell is
+    computed from its own terms.  Either way the report is the
+    reference's."""
 
     @pytest.mark.parametrize("mode", ["coefficient", "contraction", "extra",
                                       "key"])
@@ -761,14 +762,13 @@ class TestLeibnizGate:
 
     def test_gated_cell_past_exponent_limit(self, monkeypatch):
         # full_table refuses u1_1*u2_1 of the t = 2 input at e =
-        # EXPONENT_LIMIT - 1, so the table is built with the limit check
-        # off and that cell set to the shifted sum of its parts, whose x
-        # lane is past the limit.  The gate takes it (every part passes
-        # _is_shift) and must report what the per-cell path does
+        # EXPONENT_LIMIT - 1, whose x lane the z_1^2 shift takes past the
+        # limit, so the table is built and every cell read with the limit
+        # checks off (a recipe cell builds its coordinates on first read).
+        # As a recipe the cell is read off shifted images and its lower
+        # partner off it; as a plain cell, the shifted sum of its parts, it
+        # is summed from its own terms.  Both reports are the reference's
         td = limit_trim(EXPONENT_LIMIT - 1)
-        with monkeypatch.context() as patch:
-            patch.setattr(dgproducts, "check_exponents", lambda terms: terms)
-            entries = dict(full_table(td).entries)
         x, y = B.U(1, 1), B.U(2, 1)
         negate, parts = dgproducts._cell_parts(td, 1, 1, 2, 1)
         assert not negate
@@ -777,21 +777,81 @@ class TestLeibnizGate:
             for _, pairs, key in parts for elem, terms in pairs})
         assert max(unpack_exponents(k)[0] for coeff in cell.coords.values()
                    for k in coeff.terms) > EXPONENT_LIMIT
-        entries[(x, y)] = cell
-        table = ProductTable(td.complex, entries)
-        is_shift, taken = dgproducts._is_shift, []
+        with monkeypatch.context() as patch:
+            for module in (dgproducts, polyring):
+                patch.setattr(module, "check_exponents", lambda terms: terms)
+            table = full_table(td)
+            assert table.entries[(x, y)] == cell
+            plain = ProductTable(td.complex, {**table.entries, (x, y): cell})
+            for tab in (table, plain):
+                report = verify_leibniz(td, tab)
+                assert list(report.violations) == leibniz_reference(td, tab)
 
-        def recording(coords, pairs, key):
-            shift = is_shift(coords, pairs, key)
-            if coords is cell.coords:
-                taken.append(shift)
-            return shift
 
-        monkeypatch.setattr(dgproducts, "_is_shift", recording)
-        report = verify_leibniz(td, table)
-        assert taken == [True] * len(parts)
-        monkeypatch.setattr(dgproducts, "_is_shift", lambda *args: False)
-        assert verify_leibniz(td, table) == report
+class TestRecipeCells:
+    """full_table keeps each degree-(1, 1) cell of two indices as its
+    recipe, read-only coordinates built on first read; verify_leibniz reads
+    the recipe only for the trimming's own cell at its own position."""
+
+    def test_coords_built_once_and_read_only(self):
+        T = random_skew(R5, 7, random.Random(65), degree=1)
+        td = trimmed_resolution(T, 3)
+        table = full_table(td)
+        for x, y in ((B.U(1, 1), B.U(2, 2)), (B.U(2, 2), B.U(1, 1)),
+                     (B.E(4), B.U(3, 1)), (B.E(5), B.E(6))):
+            cell = table.entries[(x, y)]
+            coords = cell.coords
+            assert cell.coords is coords
+            assert cell == formula_cell(td, x, y)
+            with pytest.raises(TypeError):
+                coords[next(iter(coords))] = R5.one
+
+    @pytest.mark.parametrize("ring", [R2, R5, RQ], ids=["F2", "F5", "QQ"])
+    def test_moved_and_foreign_cells_checked(self, ring):
+        # cells swapped within the table, and the degree-(1, 1) cells of the
+        # t - 1 table (all of them, or those of one order only, so that
+        # each pair mixes the two trimmings) are recipes of the wrong
+        # position or trimming: each is summed from its own terms, and the
+        # report is the reference's
+        T = random_skew(ring, 7, random.Random(65), degree=1)
+        td = trimmed_resolution(T, 3)
+        table = full_table(td)
+        a, b = (B.U(1, 1), B.U(2, 1)), (B.U(1, 1), B.U(2, 2))
+        swapped = dict(table.entries)
+        swapped[a], swapped[b] = swapped[b], swapped[a]
+        previous = full_table(trimmed_resolution(T, 2)).entries
+        position = {x: n for n, x in enumerate(td.complex.basis(1))}
+        foreign = [pair for pair, cell in previous.items()
+                   if pair in table.entries and cell.degree == 2]
+        tables = [swapped]
+        for pairs in (foreign, [(x, y) for x, y in foreign
+                                if position[x] < position[y]]):
+            tables.append({**table.entries,
+                           **{pair: previous[pair] for pair in pairs}})
+        for entries in tables:
+            tampered = ProductTable(td.complex, entries)
+            report = verify_leibniz(td, tampered)
+            expected = leibniz_reference(td, tampered)
+            assert expected and list(report.violations) == expected
+
+    @pytest.mark.parametrize("ring,size", [(R2, 7), (R5, 7), (RQ, 5)],
+                             ids=["F2-7", "F5-7", "QQ-5"])
+    def test_clean_check_reads_only_e_e_cells(self, ring, size, monkeypatch):
+        # on a clean certified table the check builds the coordinates of no
+        # recipe cell with a u factor: those are read off their parts
+        T = random_skew(ring, size, random.Random(112 + size), degree=1)
+        td = trimmed_resolution(T, 3)
+        assert dgproducts._certified_rows(td.complex) is not None
+        table = full_table(td)
+        built, product = [], dgproducts._degree_one_product
+
+        def recording(td, i, l, j, s):
+            built.append((l, s))
+            return product(td, i, l, j, s)
+
+        monkeypatch.setattr(dgproducts, "_degree_one_product", recording)
+        assert verify_leibniz(td, table).all_passed
+        assert built and set(built) == {(None, None)}
 
 
 def tamper_off_block(td, table, mode):
