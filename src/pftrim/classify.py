@@ -9,7 +9,10 @@ term is the coefficient of z_l in T[k, i] under the greedy rule of
 ``decompose_c``; so ``classify`` and ``tor_products`` read Q1 mod the
 maximal ideal off T, and ``classify`` never builds the resolution.  The
 class decision needs no products for sizes seven and up; for size five it
-reduces to vanishing 2x2 minors of the same residues.
+reduces to vanishing 2x2 minors of the same residues.  ``tor_products``
+reads the products mod the maximal ideal off the table's cells without
+building their coordinates: a degree-(1, 1) cell kept as a recipe has
+constant terms in its unshifted parts only.
 """
 
 import dataclasses
@@ -197,10 +200,13 @@ class TorProductTable:
 def tor_products(td, table=None):
     """Products induced on the minimal residue-field classes.
 
-    Computes the full product table of the complex (or reuses a prebuilt
-    one), reduces modulo the maximal ideal, and rewrites the results in
-    the split basis that removes the unit pivots of the degree-two
-    differential, whose residues are read off T as in ``classify``.
+    Reads each cell of the product table (built here, or the prebuilt one
+    passed in) modulo the maximal ideal once: a degree-(1, 1) cell kept as
+    a recipe gives its residues off its parts, so no cell's coordinates
+    are built.  The products of the representatives are summed in the
+    field, and rewritten in the split basis that removes the unit pivots
+    of the degree-two differential, whose residues are read off T as in
+    ``classify``.
     """
     field = td.ring.field
     zero = field.of(0)
@@ -242,7 +248,7 @@ def tor_products(td, table=None):
             continue
         rep = {BasisElement.F(j): one}
         for col in pivots:
-            alpha = -basis[col][j - 1]
+            alpha = field.of(-basis[col][j - 1])
             if alpha != zero:
                 rep[BasisElement.F(col + 1)] = alpha
         deg2.append((BasisElement.F(j).label, rep))
@@ -253,21 +259,27 @@ def tor_products(td, table=None):
     deg3_order = [BasisElement.G().label] + \
         [BasisElement.W(k).label for k in range(1, t + 1)]
 
+    residues = {}  # (x, y) -> the residues of the table's cell x y
+
     def reduced_product(rep_x, rep_y):
         acc = {}
         for ex, cx in rep_x.items():
             for ey, cy in rep_y.items():
+                cell = residues.get((ex, ey))
+                if cell is None:
+                    cell = residues[(ex, ey)] = \
+                        table.lookup(ex, ey)._residues()
                 scale = cx * cy
-                for target, coeff in table.lookup(ex, ey).coords.items():
-                    c0 = coeff.constant_term()
-                    if c0 == zero:
-                        continue
+                for target, c0 in cell.items():
                     acc[target] = acc.get(target, zero) + c0 * scale
-        return {elem: v for elem, v in acc.items() if v != zero}
+        reduced = ((elem, field.of(v)) for elem, v in acc.items())
+        return {elem: v for elem, v in reduced if v != zero}
 
     def degree2_cells(acc):
         # products of degree-1 elements are cycles, so the expansion in
         # the split basis has no component on the pivot columns
+        if not acc:
+            return ()
         cells = []
         residual = dict(acc)
         for label, rep in deg2:
@@ -278,7 +290,7 @@ def tor_products(td, table=None):
             cells.append((label, beta))
             for elem, coeff in rep.items():
                 residual[elem] = residual.get(elem, zero) - beta * coeff
-        if any(v != zero for v in residual.values()):
+        if any(field.of(v) != zero for v in residual.values()):
             raise ArgumentError(
                 "degree-1 product with a component on a split column")
         return tuple(cells)

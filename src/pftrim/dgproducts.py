@@ -33,7 +33,9 @@ when i > j, with each u factor's block set to its contraction.  In degree
 (1, 2), e_i y is kept per (i, y) and the u^i_l cells are its -z_l shifts.
 That table is the one route to a cell: `product` reads it, and the
 trimming keeps it from the first call on.  A degree-(1, 1) cell of two
-indices is kept there as that recipe, its coordinates built on first read.
+indices is kept there as that recipe, its coordinates built on first read;
+its residues mod the maximal ideal, which `classify.tor_products` reads,
+are the constant terms of its unshifted parts.
 `verify_leibniz` reads the recipes of the trimming's own cells: d2 of each
 base and each contraction is taken once per call, and a cell's C1 residual
 is the sum of their shifts.  On C2 the first certified u of a block
@@ -43,6 +45,7 @@ of `verify_leibniz`).
 
 import dataclasses
 from itertools import combinations
+from operator import attrgetter
 from types import MappingProxyType
 
 from . import polyring as _ring_mod
@@ -101,6 +104,12 @@ class ChainElement:
 
     def coefficient(self, elem):
         return self.coords.get(elem, self.ring.zero)
+
+    def _residues(self):
+        # {basis element: nonzero constant term of its coefficient}, the
+        # element modulo the maximal ideal
+        return {elem: c for elem, coeff in self.coords.items()
+                if (c := coeff.constant_term())}
 
     def _combine(self, other, sign):
         if not isinstance(other, ChainElement):
@@ -437,20 +446,41 @@ def _degree_one_product(td, i, l, j, s):
 class _Recipe(ChainElement):
     # a degree-(1, 1) cell (i,l)(j,s), i != j, of td's full_table kept as
     # its factors and _cell_parts (negate, parts).  Its coords are built on
-    # first read by _degree_one_product (the empty slot sends that read to
-    # __getattr__) and kept read-only, so they are the cell the recipe names
-    __slots__ = ("td", "factors", "negate", "parts")
+    # first read by _degree_one_product and kept read-only.  td, factors,
+    # negate, parts and coords are properties with no setter, so no caller
+    # can change the cell the recipe names: _residues and verify_leibniz
+    # read it off the parts
+    __slots__ = ("_td", "_factors", "_negate", "_parts", "_coords")
 
     def __init__(self, td, factors, negate, parts):
-        self.ring, self.degree, self.td = td.ring, 2, td
-        self.factors, self.negate, self.parts = factors, negate, parts
+        self.ring, self.degree, self._coords = td.ring, 2, None
+        self._td, self._factors = td, factors
+        self._negate, self._parts = negate, parts
 
-    def __getattr__(self, name):
-        if name != "coords":
-            raise AttributeError(name)
-        self.coords = MappingProxyType(
-            _degree_one_product(self.td, *self.factors))
-        return self.coords
+    td = property(attrgetter("_td"))
+    factors = property(attrgetter("_factors"))
+    negate = property(attrgetter("_negate"))
+    parts = property(attrgetter("_parts"))
+
+    @property
+    def coords(self):
+        if self._coords is None:
+            self._coords = MappingProxyType(
+                _degree_one_product(self._td, *self._factors))
+        return self._coords
+
+    def _residues(self):
+        # the constant terms of the coords, off the parts: a part shifted
+        # by a nonzero key has none, and the parts hold disjoint elements
+        p, negate = self.ring._p, self._negate
+        out = {}
+        for _, pairs, key in self._parts:
+            if not key:
+                for elem, terms in pairs:
+                    c = terms.get(0)
+                    if c:
+                        out[elem] = p - c if negate else c
+        return out
 
 
 @_memo

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from pftrim import polyring, resolution
+from pftrim import dgproducts, polyring, resolution
 from pftrim.classify import ConjectureReport, TorReport, check_conjectures, \
     classify, conjugate_trim_set, tor_products, _residue_q1, _trim_reports
 from pftrim.dgproducts import ChainElement, full_table
@@ -130,6 +130,31 @@ def report_matrix(name, m):
     if m == 9:
         return random_skew(ring, m, rng, degree=2, terms=3, homogeneous=False)
     return random_skew(ring, m, rng, degree=1, density=0.6)
+
+
+# sha256 of tor_products(td).to_document() at every trim of report_matrix,
+# pinned with the scalars reduced mod p and before the residues were read
+# off the kept recipes, which must not change them
+TOR_DIGESTS = {
+    ("F2", 5):
+        "35c0d0547b7b35747c6d1b9d37cfbd6d5c0dde2e963af1d49b2702c6b1eb3a89",
+    ("F2", 7):
+        "8db75354da61912c11dd30f882cba4ec7b5274ae03a5eca2f905518999a64837",
+    ("F3", 5):
+        "684b57d44376d47af53f6358468e25b93f14f1b355f36324fcc08ed88e3142a1",
+    ("F3", 7):
+        "812a4cb372f04d52544219b5777ead84946eb0b2f3d3ad0dd57e7e916fd4dc11",
+    ("F3", 9):
+        "5bff222c7edb84b043045f950d089fe43339e3d65ce773cfb5f2f3152f49edba",
+    ("F5", 5):
+        "80dc0d90566c27165dca0018f0d56d770756fe565aff965e7231f907bb001026",
+    ("F5", 7):
+        "fdab7ae39d0116c4d02c572c8b609b40b2adf05f428dcde67447304932705c3f",
+    ("QQ", 5):
+        "846394875ad98edcecc7d73befce07c6a265ffc8e08064c64a095f1c4a1504e6",
+    ("QQ", 7):
+        "733e3f94d86faa7f3bb6528e682a4a01c05701c8900ca2db624f7e50d0ad2950",
+}
 
 
 def report_digest(T):
@@ -284,6 +309,51 @@ class TestTorProducts:
         with pytest.raises(ArgumentError, match="^degree-1 product with a "
                            "component on a split column$"):
             tor_products(td, table)
+
+    def test_scalars_reduced_mod_p(self):
+        # e3*e4 sums to 3 = 0 in F3 here, so it is no product; every stored
+        # scalar over F_p is a canonical unit
+        rng = random.Random(1)
+        m, d = rng.choice((5, 7)), rng.choice((1, 2))
+        T = _random_skew(R3, m, rng, 1, d)
+        assert tor_products(trimmed_resolution(T, 1)).lookup("e3", "e4") \
+            == ()
+        rng = random.Random(23)
+        for p in (2, 3, 5, 7):
+            ring = PolyRing(PrimeField(p))
+            for _ in range(4):
+                T = _random_skew(ring, 5, rng, 1, rng.choice((1, 2)))
+                for t in range(1, 6):
+                    tab = tor_products(trimmed_resolution(T, t))
+                    assert all(isinstance(c, int) and 1 <= c < p
+                               for cells in tab.entries.values()
+                               for _, c in cells), (p, t)
+
+    @pytest.mark.parametrize("name,m", [("F3", 5), ("F3", 7), ("QQ", 5),
+                                        ("QQ", 7)])
+    def test_no_coordinates_built(self, name, m, monkeypatch):
+        # the residues are read off the kept recipes: no degree-(1, 1)
+        # cell of two indices has its coordinates built
+        T = report_matrix(name, m)
+        tds = [trimmed_resolution(T, t) for t in range(1, m + 1)]
+        expected = [tor_products(td).to_document() for td in tds]
+        tables = [full_table(td) for td in tds]
+
+        def forbidden(*factors):
+            raise AssertionError("built the coordinates of a product cell")
+
+        monkeypatch.setattr(dgproducts, "_degree_one_product", forbidden)
+        assert [tor_products(td, table).to_document()
+                for td, table in zip(tds, tables)] == expected
+
+    @pytest.mark.parametrize("name,m", sorted(TOR_DIGESTS))
+    def test_golden_documents(self, name, m):
+        T = report_matrix(name, m)
+        h = hashlib.sha256()
+        for t in range(1, m + 1):
+            doc = tor_products(trimmed_resolution(T, t)).to_document()
+            h.update(json.dumps(doc).encode())
+        assert h.hexdigest() == TOR_DIGESTS[(name, m)]
 
     def test_document(self):
         tab = tor_products(trimmed_resolution(example_matrix(), 1))

@@ -806,6 +806,25 @@ class TestRecipeCells:
             with pytest.raises(TypeError):
                 coords[next(iter(coords))] = R5.one
 
+    @pytest.mark.parametrize("name", ["coords", "factors", "parts",
+                                      "negate", "td"])
+    def test_attributes_read_only(self, name):
+        # a table's recipe cell cannot be changed under what lookup,
+        # _residues and verify_leibniz read, neither before nor after its
+        # coordinates are built
+        td = trimmed_resolution(random_skew(R5, 7, random.Random(65),
+                                            degree=1), 3)
+        table = full_table(td)
+        cell = table.entries[(B.U(1, 1), B.E(5))]
+        for _ in range(2):
+            before = getattr(cell, name)
+            with pytest.raises(AttributeError):
+                setattr(cell, name, None)
+            with pytest.raises(AttributeError):
+                delattr(cell, name)
+            assert getattr(cell, name) is before
+        assert cell == formula_cell(td, B.U(1, 1), B.E(5))
+
     @pytest.mark.parametrize("ring", [R2, R5, RQ], ids=["F2", "F5", "QQ"])
     def test_moved_and_foreign_cells_checked(self, ring):
         # cells swapped within the table, and the degree-(1, 1) cells of the
@@ -1168,6 +1187,26 @@ class TestGoldenDigests:
             records = full_table(trimmed_resolution(T, t)).records()
             h.update(json.dumps(records).encode())
         assert h.hexdigest() == TABLE_DIGESTS[(name, m)]
+
+    @pytest.mark.parametrize("name,m", sorted(TABLE_DIGESTS))
+    def test_residues_match_constant_terms(self, name, m):
+        # each cell's residues, read off the parts for a recipe, are the
+        # nonzero constant terms of its coordinates, negated recipes (lower
+        # cells, and cells with one u factor) and QQ's -c included.  The
+        # size-7 matrices are linear, so no degree-(1, 1) cell of theirs
+        # has a constant term
+        T = digest_matrix(name, m)
+        negated = 0
+        for t in range(1, m + 1):
+            td = trimmed_resolution(T, t)
+            for cell in full_table(td).entries.values():
+                residues = cell._residues()
+                assert residues == {
+                    elem: coeff.constant_term()
+                    for elem, coeff in cell.coords.items()
+                    if coeff.constant_term() != 0}
+                negated += bool(residues and getattr(cell, "negate", False))
+        assert bool(negated) == (m == 5)
 
     @pytest.mark.parametrize("name,m", sorted(UNTRIMMED_DIGESTS))
     def test_untrimmed_structure(self, name, m):
