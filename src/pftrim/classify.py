@@ -11,8 +11,8 @@ maximal ideal off T, and ``classify`` never builds the resolution.  The
 class decision needs no products for sizes seven and up; for size five it
 reduces to vanishing 2x2 minors of the same residues.  ``tor_products``
 reads the products mod the maximal ideal off the table's cells without
-building their coordinates: a degree-(1, 1) cell kept as a recipe has
-constant terms in its unshifted parts only.
+building their coordinates: a cell kept as a recipe has constant terms
+in its unshifted parts only.
 """
 
 import dataclasses
@@ -20,7 +20,7 @@ import dataclasses
 from .dgproducts import full_table
 from .errors import ArgumentError, NotApplicable, UnsupportedSize
 from .linalg import insert_row
-from .resolution import _PAIRS, BasisElement
+from .resolution import _PAIRS
 
 
 @dataclasses.dataclass(frozen=True)
@@ -201,9 +201,9 @@ def tor_products(td, table=None):
     """Products induced on the minimal residue-field classes.
 
     Reads each cell of the product table (built here, or the prebuilt one
-    passed in) modulo the maximal ideal once: a degree-(1, 1) cell kept as
-    a recipe gives its residues off its parts, so no cell's coordinates
-    are built.  The products of the representatives are summed in the
+    passed in) modulo the maximal ideal once: a cell kept as a recipe
+    gives its residues off its parts, so no cell's coordinates are
+    built.  The products of the representatives are summed in the
     field, and rewritten in the split basis that removes the unit pivots
     of the degree-two differential, whose residues are read off T as in
     ``classify``.
@@ -224,40 +224,37 @@ def tor_products(td, table=None):
 
     # degree 1: every selfdual class, corrected on pivot columns so that
     # products with the corrected degree-2 classes vanish, then the
-    # Koszul classes away from a maximal independent set of rows
+    # Koszul classes away from a maximal independent set of rows.  The
+    # representatives hold the complex's own basis elements, so the table
+    # finds their cells by identity
+    C = td.complex
+    basis1, basis2 = C.basis(1), C.basis(2)
     deg1 = []
     for i in range(t + 1, m + 1):
-        rep = {BasisElement.E(i): one}
+        rep = {basis1[i - t - 1]: one}
         if i - 1 in basis:
             row = basis[i - 1]
             for k in range(t + 1, m + 1):
                 if k - 1 not in basis and row[k - 1] != zero:
-                    rep[BasisElement.E(k)] = row[k - 1]
-        deg1.append((BasisElement.E(i).label, rep))
-    for row_idx in range(3 * t):
-        if row_idx in split_rows:
-            continue
-        k, l = divmod(row_idx, 3)
-        elem = BasisElement.U(k + 1, l + 1)
-        deg1.append((elem.label, {elem: one}))
+                    rep[basis1[k - t - 1]] = row[k - 1]
+        deg1.append((basis1[i - t - 1].label, rep))
+    deg1.extend((elem.label, {elem: one})
+                for row_idx, elem in enumerate(basis1[m - t:])
+                if row_idx not in split_rows)
 
     # degree 2: nonpivot columns absorb the pivot ones, Koszul part as is
     deg2 = []
     for j in range(1, m + 1):
         if j - 1 in basis:
             continue
-        rep = {BasisElement.F(j): one}
+        rep = {basis2[j - 1]: one}
         for col in pivots:
             alpha = field.of(-basis[col][j - 1])
             if alpha != zero:
-                rep[BasisElement.F(col + 1)] = alpha
-        deg2.append((BasisElement.F(j).label, rep))
-    for k in range(1, t + 1):
-        for a, b in _PAIRS:
-            elem = BasisElement.V(k, a, b)
-            deg2.append((elem.label, {elem: one}))
-    deg3_order = [BasisElement.G().label] + \
-        [BasisElement.W(k).label for k in range(1, t + 1)]
+                rep[basis2[col]] = alpha
+        deg2.append((basis2[j - 1].label, rep))
+    deg2.extend((elem.label, {elem: one}) for elem in basis2[m:])
+    deg3_order = [elem.label for elem in C.basis(3)]
 
     residues = {}  # (x, y) -> the residues of the table's cell x y
 

@@ -192,12 +192,13 @@ def _load_matrix(path: str, limit=None, what="") -> SkewMatrix:
 
 
 def _emit(lines, out_path):
-    text = "\n".join(lines) + "\n"
+    # line by line: the whole text is never held as one string
+    text = (line + "\n" for line in lines)
     if out_path:
         with open(out_path, "w") as handle:
-            handle.write(text)
+            handle.writelines(text)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(text)
 
 
 def _format_matrix(rows):

@@ -30,17 +30,17 @@ pair.  `full_table` keeps, per pair i < j, the base e_i e_j = v(i,j) + sum
 over the other blocks k of D(k,i,j) v^k, and the sums S of the pair's u
 blocks; the cell (i,l)(j,s) is the base times (-1)^n z_l z_s, negated again
 when i > j, with each u factor's block set to its contraction.  In degree
-(1, 2), e_i y is kept per (i, y) and the u^i_l cells are its -z_l shifts.
-That table is the one route to a cell: `product` reads it, and the
-trimming keeps it from the first call on.  A degree-(1, 1) cell of two
-indices is kept there as that recipe, its coordinates built on first read;
-its residues mod the maximal ideal, which `classify.tor_products` reads,
-are the constant terms of its unshifted parts.
-`verify_leibniz` reads the recipes of the trimming's own cells: d2 of each
-base and each contraction is taken once per call, and a cell's C1 residual
-is the sum of their shifts.  On C2 the first certified u of a block
-settles, for the other two, the rows outside the block (the C2 block lemma
-of `verify_leibniz`).
+(1, 2), e_i y is kept per (i, y) and a u^i_l cell is its -z_l shift, plus
+a w^i term against its own block.  That table is the one route to a cell:
+`product` reads it, and the trimming keeps it from the first call on.
+Every cell but those of one index is kept there as that recipe, its
+coordinates built on first read; its residues mod the maximal ideal, which
+`classify.tor_products` reads, are the constant terms of its unshifted
+parts.  `verify_leibniz` reads the recipes of the trimming's own cells: d2
+of each base and each contraction is taken once per call, and a cell's C1
+residual is the sum of their shifts.  On C2 the first certified u of a
+block settles, for the other two, the rows outside the block, which their
+recipes make its z-shifts there (the trust rule of `verify_leibniz`).
 """
 
 import dataclasses
@@ -335,14 +335,6 @@ def _shifted(ring, pairs, key, negate):
     return out
 
 
-def _element(ring, degree, coords):
-    # a ChainElement from coordinates already known to be valid: basis
-    # elements of that degree with nonzero coefficients over ring
-    elem = object.__new__(ChainElement)
-    elem.ring, elem.degree, elem.coords = ring, degree, coords
-    return elem
-
-
 def gorenstein_product(T, x, y):
     """Product of two basis elements of the untrimmed selfdual resolution:
     `product` on the trimming with nothing trimmed, built once per matrix."""
@@ -426,34 +418,43 @@ def _degree_one_product(td, i, l, j, s):
     # base of the pair times (-1)^n z_l z_s (n u factors), negated once
     # more when i > j, and each u factor's block contracted, times the
     # other z
-    ring = td.ring
     if i == j:
         # two u factors of one block: u^i_l u^i_s = -y_i v^i_ls
         sign, elem = signed_v(i, l, s)
         y_i = td.y[i - 1]
         return {elem: y_i.scaled(-sign)} if y_i else {}
-    negate, ((pair, base, key), *contractions) = _cell_parts(td, i, l, j, s)
-    shifted = _pair_base(td, *pair)[3]
-    coords = shifted.get((key, negate))
-    if coords is None:
-        coords = shifted[(key, negate)] = _shifted(ring, base, key, negate)
-    coords = dict(coords)
-    for _, terms, key in contractions:
-        coords.update(_shifted(ring, terms, key, negate))
+    return _built(_Recipe(td, 2, (i, l, j, s), *_cell_parts(td, i, l, j, s)))
+
+
+def _built(cell):
+    # the coordinates of a recipe cell: (-1)^negate times the sum over its
+    # parts of z^key times their pairs, the parts holding disjoint
+    # elements.  The first part of a degree-(1, 1) cell is its pair base,
+    # shifted once per (key, sign) and kept on the pair for the cells of
+    # that shift
+    ring, negate = cell.ring, cell.negate
+    coords = {}
+    for n, (name, pairs, key) in enumerate(cell.parts):
+        shifts = {} if n or cell.degree == 3 else _pair_base(cell.td, *name)[3]
+        shift = shifts.get((key, negate))
+        if shift is None:
+            shift = shifts[(key, negate)] = _shifted(ring, pairs, key, negate)
+        coords.update(shift)
     return coords
 
 
 class _Recipe(ChainElement):
-    # a degree-(1, 1) cell (i,l)(j,s), i != j, of td's full_table kept as
-    # its factors and _cell_parts (negate, parts).  Its coords are built on
-    # first read by _degree_one_product and kept read-only.  td, factors,
-    # negate, parts and coords are properties with no setter, so no caller
-    # can change the cell the recipe names: _residues and verify_leibniz
-    # read it off the parts
+    # a cell of td's full_table kept as its factors, (i, l, j, s) in degree
+    # (1, 1) and (i, l, y) in degree (1, 2), and its parts (negate, parts)
+    # from _cell_parts or _degree_two_parts.  Its coords are built on first
+    # read by _built and kept read-only.  td, factors, negate, parts and
+    # coords are properties with no setter, so no caller can change the
+    # cell the recipe names: _residues and verify_leibniz read it off the
+    # parts
     __slots__ = ("_td", "_factors", "_negate", "_parts", "_coords")
 
-    def __init__(self, td, factors, negate, parts):
-        self.ring, self.degree, self._coords = td.ring, 2, None
+    def __init__(self, td, degree, factors, negate, parts):
+        self.ring, self.degree, self._coords = td.ring, degree, None
         self._td, self._factors = td, factors
         self._negate, self._parts = negate, parts
 
@@ -465,8 +466,7 @@ class _Recipe(ChainElement):
     @property
     def coords(self):
         if self._coords is None:
-            self._coords = MappingProxyType(
-                _degree_one_product(self._td, *self._factors))
+            self._coords = MappingProxyType(_built(self))
         return self._coords
 
     def _residues(self):
@@ -485,60 +485,57 @@ class _Recipe(ChainElement):
 
 @_memo
 def _times_degree_two(td, i, y):
-    # e_i y for y of degree 2 as a coordinate dict, for any index i (e_i
-    # need not be a basis element of this trimming)
-    ring = td.ring
+    # e_i y for y of degree 2 as (element, term dict) pairs, for any index
+    # i (e_i need not be a basis element of this trimming)
+    p = td.ring._p
     if y.kind == "v":
-        # e_i v^k_ab = (-1)^p S(k,i; k,p) w^k with {a, b, p} = {1, 2, 3}
+        # e_i v^k_ab = (-1)^c S(k,i; k,c) w^k with {a, b, c} = {1, 2, 3}
         k, a, b = y.data
-        p = 6 - a - b
+        c = 6 - a - b
         if i == k:
-            return {}
-        value = _pair_base(td, min(i, k), max(i, k))[1][k][p - 1]
-        return _shifted(ring, ((BasisElement.W(k), value),) if value else (),
-                        0, (p % 2 == 1) != (k > i))
+            return ()
+        value = _pair_base(td, min(i, k), max(i, k))[1][k][c - 1]
+        return ((BasisElement.W(k), _shift(value, 0, (c % 2 == 1) != (k > i),
+                                           p)),) if value else ()
     # the degree-3 pairing of the i-th selfdual generator with f_j: g when
     # i == j, else, when f_j belongs to a trimmed generator (c holds rows
     # j <= t only), w^j times the sum over r of c_{r,j,3} D(j,i,r,1,2)
     j = y.data[0]
     if i == j:
-        return {BasisElement.G(): ring.one}
-    coords = {}
-    if j <= td.t:
-        core, block = _ring_mod._core, _block_constants(td, j)
-        acc = {}
-        for r, weights in _splitting(td, j):
-            d = block.get((min(i, r), max(i, r)))
-            if weights[2] and d and d[0]:
-                core.addmul_into(acc, weights[2], d[0], 0, 1 if i < r else -1)
-        w = _reduced(acc, ring._p)
-        if w:
-            coords[BasisElement.W(j)] = Polynomial(ring, w)
-    return coords
+        return ((BasisElement.G(), td.ring.one.terms),)
+    if j > td.t:
+        return ()
+    core, block = _ring_mod._core, _block_constants(td, j)
+    acc = {}
+    for r, weights in _splitting(td, j):
+        d = block.get((min(i, r), max(i, r)))
+        if weights[2] and d and d[0]:
+            core.addmul_into(acc, weights[2], d[0], 0, 1 if i < r else -1)
+    w = _reduced(acc, p)
+    return ((BasisElement.W(j), w),) if w else ()
 
 
-def _product_with_degree_two(td, i, l, y):
-    # x y for the factor x = (i, l) and y of degree 2
-    ring = td.ring
-    base = _times_degree_two(td, i, y)
+def _degree_two_parts(td, i, l, y):
+    # x y for the factor x = (i, l) and y of degree 2 as (negate, parts),
+    # as _cell_parts gives a degree-(1, 1) cell: e_i y, named (i, y), under
+    # -z_l for a u; and for u^i_l against its own block, f_i or v^i_ab, a
+    # w^i term named (i, l, y), kept negated under the cell's sign.  There
+    # e_i y = g or 0 holds no w^i, so the parts hold disjoint elements
+    pairs = _times_degree_two(td, i, y)
     if l is None:
-        return _element(ring, 3, dict(base))
-    coords = _shifted(ring, ((elem, value.terms) for elem, value
-                             in base.items()), _VAR_KEYS[l - 1], True)
+        return False, [((i, y), pairs, 0)]
+    parts = [((i, y), pairs, _VAR_KEYS[l - 1])]
     if y.data[0] == i:
-        # u^i_l against its own block
         if y.kind == "f":
             phi, psi = sorted({1, 2, 3} - {l})
-            own = td.dk[(i, phi, psi)].scaled(1 if l % 2 == 1 else -1)
+            own, sign = td.dk[(i, phi, psi)].terms, (-1) ** l
         else:
-            own = td.y[i - 1].scaled(
-                -rearrange_sign((l, *y.data[1:]), (1, 2, 3)))
-        if own.terms:
-            w = BasisElement.W(i)
-            own = coords.pop(w, ring.zero) + own
-            if own.terms:
-                coords[w] = own
-    return _element(ring, 3, coords)
+            own = td.y[i - 1].terms
+            sign = rearrange_sign((l, *y.data[1:]), (1, 2, 3))
+        if own and sign:
+            parts.append(((i, l, y), ((BasisElement.W(i), _shift(
+                own, 0, sign < 0, td.ring._p)),), 0))
+    return True, parts
 
 
 class ProductTable:
@@ -583,11 +580,12 @@ class ProductTable:
 
 
 #: Largest matrix size ``pftrim products`` accepts; it exits 2 above it
-#: before the matrix is built.  On dense linear forms over F3,
-#: ``products --trim m`` took 0.5-0.8 s at size 9, 1.7-1.8 s at 11, 3.2-4.1 s
-#: at 13 and 7.3-7.6 s at 15 (CPU time, Python 3.11 on a 2-core Xeon), most
-#: of it printing, with a peak RSS of 32, 56, 111 and 212 MiB: the memory
-#: doubles with each step of 2.
+#: before the matrix is built.  ``products --trim m`` took (CPU time, Python
+#: 3.11 on a 2-core Xeon, most of it printing) 0.7-1.0, 2.2-2.4, 3.4-4.0
+#: and 7.9-9.6 s at sizes 9, 11, 13 and 15 on dense linear forms over F3,
+#: with a peak RSS of 30, 50, 93 and 173 MiB; with 80% of the entries
+#: quadratic of two terms over QQ, 1.4-2.2, 5.1-6.9, 16.5-20.7 and 43 s,
+#: with 54, 150, 382 and 874 MiB: the memory more than doubles per step of 2.
 MAX_PRODUCT_SIZE = 15
 
 
@@ -599,7 +597,7 @@ def full_table(td):
     overridden by their contractions (x x is zero); a degree-(1, 2) cell of
     u^i_l is the -z_l shift of e_i y plus its own-block w^i term.  By graded
     commutativity a (2, 1) cell is the (1, 2) cell of the swapped pair.
-    A degree-(1, 1) cell of two indices is kept as that recipe, built on
+    Every cell but those of one index is kept as that recipe, built on
     first read; each (part, key) shift is checked against EXPONENT_LIMIT
     here, so no cell read later can raise."""
     C, ring = td.complex, td.ring
@@ -607,24 +605,30 @@ def full_table(td):
     entries = table.entries
     basis1, basis2 = C.basis(1), C.basis(2)
     checked = set()  # (part name, key) shifts within EXPONENT_LIMIT
+
+    def kept(degree, factors, negate, parts):
+        for name, pairs, key in parts:
+            if key and (name, key) not in checked:
+                checked.add((name, key))  # on the shifted keys alone
+                check_exponents(k + key for _, terms in pairs
+                                for k in terms)
+        return _Recipe(td, degree, factors, negate, parts)
+
     for x in basis1:
         i, l = _factor(x)
         for y in basis1:
             j, s = _factor(y)
             if i == j:
                 entries[(x, y)] = zero_element(ring, 2) if x == y else \
-                    _element(ring, 2, _degree_one_product(td, i, l, j, s))
+                    ChainElement(ring, 2, _degree_one_product(td, i, l, j, s))
                 continue
-            negate, parts = _cell_parts(td, i, l, j, s)
-            for name, pairs, key in parts:
-                if key and (name, key) not in checked:
-                    checked.add((name, key))  # on the shifted keys alone
-                    check_exponents(k + key for _, terms in pairs
-                                    for k in terms)
-            entries[(x, y)] = _Recipe(td, (i, l, j, s), negate, parts)
+            entries[(x, y)] = kept(2, (i, l, j, s),
+                                   *_cell_parts(td, i, l, j, s))
     for x in basis1:
+        i, l = _factor(x)
         for y in basis2:
-            entries[(x, y)] = _product_with_degree_two(td, *_factor(x), y)
+            entries[(x, y)] = kept(3, (i, l, y),
+                                   *_degree_two_parts(td, i, l, y))
     entries.update(((y, x), entries[(x, y)]) for y in basis2 for x in basis1)
     return table
 
@@ -714,8 +718,9 @@ def _certified_rows(C):
     d3 at that point in order, so the S-rows of d3 form a square block
     whose determinant is a nonzero polynomial."""
     p = residue_modulus(C.ring)
-    d2, d3 = ([[residue_terms(entry, p) for entry in row]
-               for row in C.differential(d)] for d in (2, 3))
+    d2, d3 = ([[residue_terms(entry, p) if entry.terms else ()
+                for entry in row] for row in C.differential(d)]
+              for d in (2, 3))
     if any(None in row for row in d2 + d3):
         return None
     for point in POINTS:
@@ -748,60 +753,10 @@ def _on_rows(columns, rows):
             for column in columns]
 
 
-def _scaled(terms, key, other, other_key):
-    # whether z^key terms = z^other_key other as term dicts, term by term.
-    # On the ints, k + key = k' + other_key exactly when k' = k + (key -
-    # other_key), whatever a lane holds, and k -> k + key is injective; so
-    # with as many terms on each side the lookups pair them all
-    if len(terms) != len(other):
-        return False
-    shift = key - other_key
-    for k, c in terms.items():
-        if other.get(k + shift) != c:
-            return False
-    return True
-
-
-def _scaled_columns(columns, key, others, other_key):
-    # _scaled on every coordinate of columns of (index, term dict) pairs
-    # against the {index: term dict} of others at the same position
-    for column, other in zip(columns, others):
-        if len(column) != len(other):
-            return False
-        for index, terms in column:
-            theirs = other.get(index)
-            if theirs is None or not _scaled(terms, key, theirs, other_key):
-                return False
-    return True
-
-
 def _own_block(C, i):
     # the positions in C2 of the block of u^i: f_i and v^i_12, v^i_13, v^i_23
     return frozenset(C.index_of(2, elem) for elem in (
         BasisElement.F(i), *(BasisElement.V(i, a, b) for a, b in _PAIRS)))
-
-
-def _anchor_side(mine, own):
-    # an anchor's _block_gate side, built once per block: its columns on S'
-    # and outside the block's own positions, each as {index: term dict}
-    key, outer, left2, d1 = mine
-    return key, [dict(column) for column in outer], [
-        dict(column) for iy, column in enumerate(left2) if iy not in own], d1
-
-
-def _block_gate(mine, anchor, own):
-    # the C2 block gate of verify_leibniz for x = u^i_l against its block's
-    # anchor a = u^i_a, x's side given as (z key, L on C1 cut to S', L on
-    # C2, d1) and a's as _anchor_side: z_a times x's side equals z_l times
-    # a's on every C1 column, on every C2 column outside the block's own
-    # positions, and on d1
-    key, outer, left2, d1 = mine
-    anchor_key, anchor_outer, anchor_left2, anchor_d1 = anchor
-    return (_scaled(d1, anchor_key, anchor_d1, key)
-            and _scaled_columns(outer, anchor_key, anchor_outer, key)
-            and _scaled_columns(
-                [column for iy, column in enumerate(left2) if iy not in own],
-                anchor_key, anchor_left2, key))
 
 
 def verify_leibniz(td, table):
@@ -875,18 +830,23 @@ def verify_leibniz(td, table):
     O_i = {f_i, v^i_12, v^i_13, v^i_23} of its block.  Split S into S_i,
     its rows in O_i, and S' = S - S_i.  The first certified u of block i,
     the anchor a, is checked on S as above and keeps the columns y outside
-    O_i that vanish there.  A later certified x = u^i_l passes the gate
-    (``_block_gate``) when z_a L_x = z_l L_a on C1 cut to S' and on every
-    C2 column outside O_i, and z_a d1(x) = z_l d1(a), each term by term.
-    The residual of x at y on S', d3|S' L_x(y) + (L_x|S') d2(y) - d1(x)
-    [y in S'] e_y, is linear in (L_x|S', L_x(y), d1(x)), so at each y
-    outside O_i, z_a R_x = z_l R_a on S'.  Both sums only add keys, so as
-    for the C1 images above the two sides hold the same coefficients at
-    the same int keys whatever a lane holds, and a shift is injective: R_x
-    vanishes on S' with R_a, and each column the anchor kept is checked on
-    S_i only.  A column in O_i, one the anchor did not keep, and every
-    column of an x whose gate fails are checked on S as above, so again
-    every report is the one the full check gives."""
+    O_i that vanish there.  Call a u of block i whole when its cells with
+    a factor outside the block are trusted, in both degrees, and its cells
+    of the block (u u and x x, never recipes) lie in O_i.  When a and a
+    later certified x = u^i_l are whole and z_a d1(x) = z_l d1(a), then
+    z_a L_x = z_l L_a off O_i by construction: there x's recipes are z_l,
+    and a's z_a, times the same parts under the same sign (the base under
+    z_s and the contraction of (j,s), or e_i y).  The residual of x at y
+    on S', d3|S' L_x(y) + (L_x|S') d2(y) - d1(x) [y in S'] e_y, is linear
+    in (L_x|S', L_x(y), d1(x)), so at each y outside O_i, z_a R_x = z_l R_a
+    on S'.  Both sums only add keys, so as for the C1 images above the two
+    sides hold the same coefficients at the same int keys whatever a lane
+    holds, and a shift is injective: R_x vanishes on S' with R_a, and each
+    column the anchor kept is checked on S_i only.  A column in O_i, one
+    the anchor did not keep, and every column of an x or anchor that is
+    not whole are checked on S as above, so again every report is the one
+    the full check gives.  A trusted degree-(1, 2) cell's column is read
+    off its parts, so a clean check builds no such cell."""
     C = td.complex
     ring = td.ring
     core = _ring_mod._core
@@ -909,8 +869,9 @@ def verify_leibniz(td, table):
     shared = {}  # (x, y) position -> nonzero C1 residual column, for (y, x)
     images = {}  # part name of _cell_parts -> _d2_image of its pairs
     cuts = {}  # part name -> its (C2 index, term dict) pairs on the rows S
-    # u block -> its anchor's _anchor_side, the C2 positions it settled
-    # outside the block, and d3 cut to the block's rows of S
+    # u block -> its whole anchor's position, the C2 positions it settled
+    # outside the block, and d3 cut to the block's rows of S; None when
+    # the block's first certified u is not whole
     anchors = {}
 
     def residual(acc, ix, iy, diagonal=True):
@@ -988,23 +949,39 @@ def verify_leibniz(td, table):
                     shared[(ix, iy)] = column
             record(ix, y, column, basis1)
         certified = rows is not None and len(violations) == clean
-        left2 = [_left_column(C, table.lookup(x, y), 3) for y in basis2]
+        i, l = factors[ix]
+        left2, whole = [], True
+        for y in basis2:
+            cell = table.lookup(x, y)
+            if isinstance(cell, _Recipe) and cell.td is td and \
+                    cell.factors == (i, l, y):
+                # td's own recipe of x*y: its column read off its parts
+                left2.append([(C.index_of(3, elem), _shift(
+                    terms, key, cell.negate, p)) for _, pairs, key
+                    in cell.parts for elem, terms in pairs])
+            else:
+                left2.append(_left_column(C, cell, 3))
+                whole = False
         settled, anchoring, left1 = (), None, None
         if certified:
             left1_rows = [on_rows(cell, column)
                           for cell, column in zip(cells[ix], read)]
-            i, l = factors[ix]
             if l:
                 own = _own_block(C, i)
-                mine = (_VAR_KEYS[l - 1], _on_rows(left1_rows, rows - own),
-                        left2, d1[ix])
+                whole = whole and all(
+                    all(C.index_of(2, elem) in own for elem in cell.coords)
+                    if factors[iy][0] == i else trusted[ix][iy]
+                    for iy, cell in enumerate(cells[ix]))
                 if i not in anchors:
-                    anchoring = set()
-                    anchors[i] = (_anchor_side(mine, own), anchoring,
-                                  _on_rows(d3, rows & own))
-                elif _block_gate(mine, anchors[i][0], own):
-                    _, settled, d3_own = anchors[i]
-                    left1_own = _on_rows(left1_rows, own)
+                    anchors[i] = None
+                    if whole:
+                        anchoring = set()
+                        anchors[i] = (ix, anchoring, _on_rows(d3, rows & own))
+                elif whole and anchors[i]:
+                    a, kept, d3_own = anchors[i]
+                    if _shift(d1[ix], _VAR_KEYS[factors[a][1] - 1], 0, p) == \
+                            _shift(d1[a], _VAR_KEYS[l - 1], 0, p):
+                        settled, left1_own = kept, _on_rows(left1_rows, own)
         for iy, y in enumerate(basis2):
             if certified:
                 # a column the anchor settled is zero on S' with the

@@ -4,6 +4,7 @@ conjecture verdicts, and trim-set conjugation."""
 import hashlib
 import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,7 @@ import pytest
 from pftrim import dgproducts, polyring, resolution
 from pftrim.classify import ConjectureReport, TorReport, check_conjectures, \
     classify, conjugate_trim_set, tor_products, _residue_q1, _trim_reports
-from pftrim.dgproducts import ChainElement, full_table
+from pftrim.dgproducts import ChainElement, ProductTable, full_table
 from pftrim.errors import ArgumentError, NotApplicable, UnsupportedSize
 from pftrim.families import _random_skew
 from pftrim.pfaffian import SkewMatrix, pfaffian_drop
@@ -332,19 +333,35 @@ class TestTorProducts:
     @pytest.mark.parametrize("name,m", [("F3", 5), ("F3", 7), ("QQ", 5),
                                         ("QQ", 7)])
     def test_no_coordinates_built(self, name, m, monkeypatch):
-        # the residues are read off the kept recipes: no degree-(1, 1)
-        # cell of two indices has its coordinates built
+        # the residues are read off the kept recipes: no recipe cell, of
+        # degree (1, 1) or (1, 2), has its coordinates built
         T = report_matrix(name, m)
         tds = [trimmed_resolution(T, t) for t in range(1, m + 1)]
         expected = [tor_products(td).to_document() for td in tds]
         tables = [full_table(td) for td in tds]
 
-        def forbidden(*factors):
+        def forbidden(cell):
             raise AssertionError("built the coordinates of a product cell")
 
-        monkeypatch.setattr(dgproducts, "_degree_one_product", forbidden)
+        monkeypatch.setattr(dgproducts, "_built", forbidden)
         assert [tor_products(td, table).to_document()
                 for td, table in zip(tds, tables)] == expected
+
+    def test_cells_found_by_identity(self, monkeypatch):
+        # the representatives hold the complex's own basis elements, so no
+        # table lookup compares two equal elements through __eq__
+        td = trimmed_resolution(report_matrix("F3", 7), 3)
+        table = full_table(td)
+        eq, calls = BasisElement.__eq__, []
+
+        def counting(self, other):
+            if sys._getframe(1).f_code is ProductTable.lookup.__code__:
+                calls.append((self, other))
+            return eq(self, other)
+
+        monkeypatch.setattr(BasisElement, "__eq__", counting)
+        assert tor_products(td, table).entries
+        assert not calls
 
     @pytest.mark.parametrize("name,m", sorted(TOR_DIGESTS))
     def test_golden_documents(self, name, m):

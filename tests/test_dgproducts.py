@@ -422,7 +422,7 @@ class TestTableAndMultiply:
         # degree <= 2 and not homogeneous at t = 1 and t = m, and a matrix
         # whose y1 vanishes, so that u1_l u1_s is zero
         calls = Counter()
-        for name in ("product", "_product_with_degree_two", "full_table"):
+        for name in ("product", "_degree_two_parts", "full_table"):
             monkeypatch.setattr(dgproducts, name, counted(
                 calls, name, getattr(dgproducts, name)))
         vanishing = vanishing_generator_matrix(ring)
@@ -439,7 +439,7 @@ class TestTableAndMultiply:
             calls.clear()
             table = full_table(td)
             r1, r2 = td.complex.rank(1), td.complex.rank(2)
-            assert calls == {"_product_with_degree_two": r1 * r2}
+            assert calls == {"_degree_two_parts": r1 * r2}
             assert table.entries == direct
             assert [str(table.entries[pair]) for pair in pairs] == \
                 [str(direct[pair]) for pair in pairs]
@@ -477,7 +477,14 @@ def formula_cell(td, x, y):
         x, y = y, x
     i, l = dgproducts._factor(x)
     if y.degree == 2:
-        return dgproducts._product_with_degree_two(td, i, l, y)
+        # the sum of the parts' shifts, whether or not they overlap
+        negate, parts = dgproducts._degree_two_parts(td, i, l, y)
+        value = zero_element(td.ring, 3)
+        for _, pairs, key in parts:
+            z = td.ring.monomial(1, unpack_exponents(key))
+            value += ChainElement(td.ring, 3, {
+                elem: Polynomial(td.ring, terms) * z for elem, terms in pairs})
+        return -value if negate else value
     if x == y:
         return zero_element(td.ring, 2)
     return ChainElement(td.ring, 2, dgproducts._degree_one_product(
@@ -853,6 +860,39 @@ class TestRecipeCells:
             expected = leibniz_reference(td, tampered)
             assert expected and list(report.violations) == expected
 
+    @pytest.mark.parametrize("ring", [R2, R5, RQ], ids=["F2", "F5", "QQ"])
+    def test_moved_foreign_and_changed_degree_three_cells(self, ring):
+        # degree-(1, 2) cells moved within a row and between the u's of a
+        # block, those of the t - 1 table (all, or block 1's only), and one
+        # recipe replaced by a plain cell with its w coordinate dropped:
+        # each is read from its own terms, and the report is the
+        # reference's.  The t - 1 cells differ only over F5 (at f3)
+        T = random_skew(ring, 7, random.Random(65), degree=1)
+        td = trimmed_resolution(T, 3)
+        table = full_table(td)
+        v = B.V(2, 1, 2)
+        tables = []
+        for a, b in (((B.U(1, 1), v), (B.U(1, 1), B.V(2, 1, 3))),
+                     ((B.U(1, 2), v), (B.U(1, 3), v))):
+            swapped = dict(table.entries)
+            swapped[a], swapped[b] = swapped[b], swapped[a]
+            tables.append(swapped)
+        tables.append(drop_w(td, table, ("u", "v"))[0].entries)
+        previous = full_table(trimmed_resolution(T, 2)).entries
+        foreign = [(x, y) for (x, y), cell in previous.items()
+                   if (x, y) in table.entries and cell.degree == 3
+                   and x.degree == 1]
+        for pairs in (foreign, [(x, y) for x, y in foreign
+                                if x.data[0] == 1]):
+            tables.append({**table.entries,
+                           **{pair: previous[pair] for pair in pairs}})
+        for n, entries in enumerate(tables):
+            tampered = ProductTable(td.complex, entries)
+            report = verify_leibniz(td, tampered)
+            expected = leibniz_reference(td, tampered)
+            assert list(report.violations) == expected
+            assert bool(expected) == (n < 3 or ring is R5)
+
     @pytest.mark.parametrize("ring,size", [(R2, 7), (R5, 7), (RQ, 5)],
                              ids=["F2-7", "F5-7", "QQ-5"])
     def test_clean_check_reads_only_e_e_cells(self, ring, size, monkeypatch):
@@ -862,15 +902,43 @@ class TestRecipeCells:
         td = trimmed_resolution(T, 3)
         assert dgproducts._certified_rows(td.complex) is not None
         table = full_table(td)
-        built, product = [], dgproducts._degree_one_product
+        built, build = [], dgproducts._built
 
-        def recording(td, i, l, j, s):
-            built.append((l, s))
-            return product(td, i, l, j, s)
+        def recording(cell):
+            built.append(cell.factors)
+            return build(cell)
 
-        monkeypatch.setattr(dgproducts, "_degree_one_product", recording)
+        monkeypatch.setattr(dgproducts, "_built", recording)
         assert verify_leibniz(td, table).all_passed
-        assert built and set(built) == {(None, None)}
+        assert built and {(f[1], f[-1]) for f in built} == {(None, None)}
+
+    @pytest.mark.parametrize("ring,size,t", [(R2, 7, 3), (R5, 5, 5),
+                                             (RQ, 5, 2)],
+                             ids=["F2-7", "F5-5", "QQ-5"])
+    def test_clean_check_builds_no_degree_three_cells(self, ring, size, t,
+                                                      monkeypatch):
+        # a clean certified check reads every degree-(1, 2) cell, own-block
+        # w terms included, off its parts; a recipe moved to another
+        # position is read from its coordinates
+        T = random_skew(ring, size, random.Random(122 + size), degree=1)
+        td = trimmed_resolution(T, t)
+        assert dgproducts._certified_rows(td.complex) is not None
+        table = full_table(td)
+        built, build = [], dgproducts._built
+
+        def recording(cell):
+            built.append(cell)
+            return build(cell)
+
+        monkeypatch.setattr(dgproducts, "_built", recording)
+        assert verify_leibniz(td, table).all_passed
+        assert not [cell for cell in built if cell.degree == 3]
+        x, y = B.U(1, 2), B.F(1)
+        moved = table.entries[(B.U(1, 1), y)]
+        tampered = ProductTable(td.complex, {**table.entries, (x, y): moved})
+        report = verify_leibniz(td, tampered)
+        assert list(report.violations) == leibniz_reference(td, tampered)
+        assert [cell for cell in built if cell.degree == 3][:1] == [moved]
 
 
 def tamper_off_block(td, table, mode):
@@ -900,10 +968,11 @@ def tamper_off_block(td, table, mode):
 class TestLeibnizBlockGate:
     """On C2 a certified u^i_l after the first certified u of its block
     (the anchor) reads the anchor's columns outside the block's own
-    positions: when z_a L_x = z_l L_a on the rows of S outside the block,
-    on every such C2 column, and on d1, a column the anchor settled on S is
-    checked on the block's rows of S only.  Any tamper must still give the
-    reference's report."""
+    positions: when both are whole (every cell with a factor outside the
+    block td's own recipe, in both degrees, and every cell of the block
+    within its own positions) and z_a d1(x) = z_l d1(a), a column the
+    anchor settled on S is checked on the block's rows of S only.  Any
+    tamper must still give the reference's report."""
 
     @pytest.mark.parametrize("mode", ["boundary", "w"])
     @pytest.mark.parametrize("ring,size,t", [
@@ -957,58 +1026,86 @@ class TestLeibnizBlockGate:
         monkeypatch.setattr(dgproducts, "_accumulate", counting)
         assert verify_leibniz(td, table).all_passed
         assert on_all["S"] == size * (C.rank(2) + 8)
-        # with every gate refused each u checks every column on S
+        # the same values with every degree-(1, 2) cell a plain element: no
+        # u is whole, so each checks every column on S
         on_all.clear()
-        monkeypatch.setattr(dgproducts, "_block_gate", lambda *args: False)
-        assert verify_leibniz(td, table).all_passed
+        plain = ProductTable(C, {pair: ChainElement(ring, 3, dict(
+            cell.coords)) if cell.degree == 3 else cell
+            for pair, cell in table.entries.items()})
+        assert verify_leibniz(td, plain).all_passed
         assert on_all["S"] == 3 * size * C.rank(2)
 
     @pytest.mark.parametrize("ring,size,t", [(R2, 7, 3), (R5, 5, 5),
                                              (RQ, 5, 2)],
                              ids=["F2-7", "F5-5", "QQ-5"])
     def test_gate_checks_each_clause(self, ring, size, t, monkeypatch):
-        # the gate of the first non-anchor, u1_2 against u1_1, passes on the
-        # clean table; it fails once any one of its three clauses or the
-        # z keys are changed, and not when a column of the block's own
-        # positions (f1 included) is
+        # each clause of wholeness, broken for the non-anchor u1_2 alone,
+        # where only rows of S outside block 1 would see it (d3(w2) is
+        # nonzero on those rows alone): an off-block C1 coordinate, an
+        # off-block C2 coordinate, a same-block u*u cell given one, the
+        # anchor's (1, 2) cell moved to u1_2's place, the t - 1 table's (1,
+        # 2) cells of u1_2, and u1_2*f1 with its w1 term dropped.  Each
+        # report is the reference's; the last breaks the column f1, and
+        # each other change but the t - 1 cells (which differ from the
+        # table's at F5-5 only) a column outside the block.  Last, a table
+        # whose e1*v gains w2 has all three u1_l*v wrong: with the anchor's
+        # cell put right, u1_2's recipe is whole but the anchor is not
         T = random_skew(ring, size, random.Random(122 + size), degree=1)
         td = trimmed_resolution(T, t)
-        gate, calls = dgproducts._block_gate, []
+        C, x, anchor = td.complex, B.U(1, 2), B.U(1, 1)
+        rows = dgproducts._certified_rows(C)
+        own = dgproducts._own_block(C, 1)
+        w2 = C.index_of(3, B.W(2))
+        assert not {r for r in rows if C.differential(3)[r][w2]} & own
+        table = full_table(td)
+        assert verify_leibniz(td, table).all_passed
+        d3_w2 = ChainElement(ring, 2, {elem: row[w2] for elem, row in zip(
+            C.basis(2), C.differential(3))})
+        v = next(y for y in C.basis(2) if y.kind == "v" and y.data[0] == 2
+                 and table.entries[(x, y)].coords)
+        previous = full_table(trimmed_resolution(T, t - 1)).entries
+        entries = table.entries
+        tampers = {
+            "C1": {(x, C.basis(1)[-1]): entries[(x, C.basis(1)[-1])] + d3_w2},
+            "C2": {(x, v): entries[(x, v)] + ChainElement.of(ring, B.W(2))},
+            "same block": {(x, B.U(1, 3)): entries[(x, B.U(1, 3))] + d3_w2},
+            "moved": {(x, v): entries[(anchor, v)]},
+            "foreign": {(x, y): previous[(x, y)] for y in C.basis(2)
+                        if (x, y) in previous},
+            "changed": {(x, B.F(1)): ChainElement(ring, 3, {
+                B.G(): entries[(x, B.F(1))].coefficient(B.G())})}}
+        assert entries[(x, B.F(1))].coefficient(B.W(1))
+        for mode, cells in tampers.items():
+            tampered = ProductTable(C, {**entries, **cells})
+            report = verify_leibniz(td, tampered)
+            expected = leibniz_reference(td, tampered)
+            assert list(report.violations) == expected, mode
+            bad = [y for a, y, _ in expected if a == x and y.degree == 2]
+            if mode == "changed":
+                assert B.F(1) in bad
+            elif mode != "foreign":
+                assert any(C.index_of(2, y) not in own for y in bad), mode
+        times = dgproducts._times_degree_two
 
-        def recording(mine, anchor, own):
-            calls.append((mine, anchor, own))
-            return gate(mine, anchor, own)
+        def wrong(td, i, y):
+            pairs = times(td, i, y)
+            if (i, y) != (1, v):
+                return pairs
+            (w, terms), = pairs
+            assert w == B.W(2) and 0 not in terms
+            return ((w, {**terms, 0: 1}),)
 
-        monkeypatch.setattr(dgproducts, "_block_gate", recording)
-        assert verify_leibniz(td, full_table(td)).all_passed
-        assert len(calls) == 2 * t
-        mine, anchor, own = calls[0]
-        assert gate(mine, anchor, own)
-        key, outer, left2, d1 = mine
-        C = td.complex
-        assert own == {C.index_of(2, elem) for elem in (
-            B.F(1), B.V(1, 1, 2), B.V(1, 1, 3), B.V(1, 2, 3))}
-
-        def bumped(terms):
-            return {**terms, dgproducts._VAR_KEYS[0] * 7: 1}
-
-        def bump_column(columns, index):
-            columns = list(columns)
-            columns[index] = [(e, bumped(terms)) if n == 0 else (e, terms)
-                              for n, (e, terms) in enumerate(columns[index])]
-            return columns
-
-        assert not gate((key, outer, left2, bumped(d1)), anchor, own)
-        n = next(n for n, column in enumerate(outer) if column)
-        assert not gate((key, bump_column(outer, n), left2, d1), anchor, own)
-        n = next(n for n, column in enumerate(left2)
-                 if column and n not in own)
-        assert not gate((key, outer, bump_column(left2, n), d1), anchor, own)
-        assert not gate((anchor[0], outer, left2, d1), anchor, own)
-        for n in own:
-            if left2[n]:
-                assert gate((key, outer, bump_column(left2, n), d1), anchor,
-                            own)
+        td = trimmed_resolution(T, t)
+        with monkeypatch.context() as patch:
+            patch.setattr(dgproducts, "_times_degree_two", wrong)
+            table = full_table(td)
+        tampered = ProductTable(C, {**table.entries, (anchor, v): ChainElement(
+            ring, 3, dict(entries[(anchor, v)].coords))})
+        report = verify_leibniz(td, tampered)
+        expected = leibniz_reference(td, tampered)
+        assert list(report.violations) == expected
+        assert [(a, y) for a, y, _ in expected if y == v] == [
+            (B.U(1, 2), v), (B.U(1, 3), v)]
 
 
 class TestCertifiedRows:
@@ -1207,6 +1304,25 @@ class TestGoldenDigests:
                     if coeff.constant_term() != 0}
                 negated += bool(residues and getattr(cell, "negate", False))
         assert bool(negated) == (m == 5)
+
+    @pytest.mark.parametrize("name,m", sorted(TABLE_DIGESTS))
+    def test_own_block_products_hold_no_own_w(self, name, m):
+        # e_i y for y of block i is g (y = f_i) or zero (y = v^i_ab), never
+        # a w^i term, so the own-block w^i part of each u^i_l y is disjoint
+        # from it, as a recipe's coords and _residues take the parts to be
+        T = digest_matrix(name, m)
+        own = 0
+        for t in range(1, m + 1):
+            td = trimmed_resolution(T, t)
+            for i in range(1, t + 1):
+                for y in td.complex.basis(2):
+                    if y.data[0] == i:
+                        pairs = dict(dgproducts._times_degree_two(td, i, y))
+                        assert list(pairs) == ([B.G()] if y.kind == "f"
+                                               else [])
+                        own += sum(len(dgproducts._degree_two_parts(
+                            td, i, l, y)[1]) == 2 for l in (1, 2, 3))
+        assert own
 
     @pytest.mark.parametrize("name,m", sorted(UNTRIMMED_DIGESTS))
     def test_untrimmed_structure(self, name, m):
