@@ -52,7 +52,7 @@ from . import polyring as _ring_mod
 from .errors import ArgumentError, FieldMismatch
 from .linalg import POINTS, insert_row, residue_modulus, residue_terms, \
     residues_at
-from .pfaffian import pfaffian_drop, rearrange_sign, sigma3, sigma5
+from .pfaffian import rearrange_sign, sigma3, sigma5
 from .polyring import Polynomial, check_exponents, pack_exponents
 from .resolution import _PAIRS, BasisElement, _selfdual_part, _trimmed_data, \
     signed_v
@@ -275,15 +275,18 @@ def _block_constants(td, k):
     rows = _splitting(td, k)
     weights = {r: w for r, w in rows if w[1] or w[2]}
     out = {}
+    full = (1 << td.m) - 1
     for i, j, r in combinations([n for n in range(1, td.m + 1) if n != k], 3):
         pairs = [((x, y), z) for (x, y), z in (((j, r), i), ((i, r), j),
                                                 ((i, j), r)) if z in weights]
         if not pairs:
             continue
+        # the indices kept when i, j, r, k are dropped, as a pfaffian memo mask
+        kept = full ^ sum(1 << (n - 1) for n in (i, j, r, k))
         inner = ({}, {})
         for h, w in rows:
             if h != k and h not in (i, j, r) and (w[0] or w[1]):
-                pf = pfaffian_drop(td.T, (i, j, r, h, k)).terms
+                pf = td.T._pf(kept ^ (1 << (h - 1))).terms
                 if pf:
                     s5 = sigma5(i, j, r, h, k)
                     for acc, weight in zip(inner, w):

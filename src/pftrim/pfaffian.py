@@ -21,6 +21,7 @@ any indices coincide and are independent of the ambient size.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .errors import ArgumentError, EntryNotInMaximalIdeal, UnsupportedSize
@@ -163,7 +164,7 @@ class SkewMatrix:
 def _mask_of(matrix: SkewMatrix, indices, allow_repeats: bool):
     mask = 0
     for i in indices:
-        if not isinstance(i, int) or not 1 <= i <= matrix.m:
+        if not isinstance(i, int) or isinstance(i, bool) or not 1 <= i <= matrix.m:
             raise IndexError(f"index {i!r} out of range 1..{matrix.m}")
         bit = 1 << (i - 1)
         if mask & bit:
@@ -283,10 +284,10 @@ class IdentityReport:
 
 #: Largest matrix size ``check_identities`` accepts.  The expansion identity
 #: visits every even index subset, 2^(m-1) of them.  On dense linear forms
-#: over F3 (CPU time, Python 3.11 on a 2-core Xeon) the identities took
-#: 2.4 s at size 13, 9.4 s at 15 and 69 s at 17.  ``pftrim verify --trim m``
-#: took 0.4-0.5 s at size 9, 0.9-1.2 s at 11, 2.6-3.7 s at 13 and 13-14 s at
-#: 15, with a peak RSS of 22, 27, 40 and 75 MiB; past 15 the identities
+#: over F3 (CPU time, Python 3.11 on a shared 2-core Xeon) the identities
+#: took 1.3 s at size 13, 8.0 s at 15 and 41 s at 17.  ``pftrim verify --trim
+#: m`` took 0.3-0.5 s at size 9, 0.7-1.3 s at 11, 2.3-4.3 s at 13 and 9-17 s
+#: at 15, with a peak RSS of 21, 24, 32 and 57 MiB; past 15 the identities
 #: dominate.
 MAX_IDENTITY_SIZE = 15
 
@@ -316,17 +317,28 @@ def check_identities(matrix: SkewMatrix) -> IdentityReport:
 
     On any valid skew matrix all five pass; the report carries the first
     failing tuple of each identity otherwise.  Every ordered tuple is
-    counted, but each verdict is evaluated once per index set, by two sign
-    lemmas that hold for any rows, checked or not, since a pfaffian here
-    depends only on its index set:
+    counted, but each verdict is evaluated at most once and no ordered
+    tuple is walked:
 
-    - the sum3 vector r -> sigma3(i, j, r) of (j, i) is minus that of (i, j);
-    - the sum5 vector r -> sigma3(i, r, h) * sigma5(i, r, h, s, k) of an
-      ordered (i, h, s, k) is one sign times that of the sorted set.
+    - The expansion of a subset along its lowest element is counted as a
+      passing case and not evaluated.  It is ``SkewMatrix._pf``'s own
+      definition of the subset's memo entry: the same element, the same
+      signs and the same memo entries of the smaller subsets, so its
+      residual is zero by construction, whatever the rows.  A wrong memo
+      entry still fails the expansions along the subset's other elements.
+    - A sum3 or sum5 verdict depends only on the index set and the row
+      outside it, by two sign lemmas that hold for any rows, checked or
+      not, since a pfaffian here depends only on its index set: the sum3
+      vector r -> sigma3(i, j, r) of (j, i) is minus that of (i, j), and
+      the sum5 vector r -> sigma3(i, r, h) * sigma5(i, r, h, s, k) of an
+      ordered (i, h, s, k) is one sign times that of the sorted set.  A
+      residual and its negative vanish together.  So each pair i < j
+      (each 4-set) is visited once, in ``itertools.combinations`` order,
+      and a failing row counts once for each of its 2 (24) orderings.
 
-    A residual and its negative vanish together, so the verdict of
-    (i, j, k) depends on ({i, j}, k) and that of (i, h, s, k, j) on
-    ({i, h, s, k}, j).
+    A sorted tuple is the lexicographically first ordering of its set, so
+    the first failing ordered tuple is the first failing set in
+    combinations order, sorted, followed by its smallest failing row.
 
     Raises:
         UnsupportedSize: m above ``MAX_IDENTITY_SIZE``; checked before any
@@ -340,134 +352,84 @@ def check_identities(matrix: SkewMatrix) -> IdentityReport:
     p = matrix.ring._p
     pf = matrix._pf
     rows = [[entry.terms for entry in row] for row in matrix.rows]
+    full = (1 << m) - 1
     checks = []
 
-    def run(name, outcomes):
-        # outcomes: (tuple, residual is nonzero) in tuple order
+    def record(name, cases, failed):
+        # failed: (first ordered tuple, orderings) of each failing class, in
+        # the order of their first tuples
+        checks.append(IdentityCheck(name, cases, sum(n for _, n in failed),
+                                    repr(failed[0][0]) if failed else None))
+
+    def mask_of(indices):
+        return sum(1 << (v - 1) for v in indices)
+
+    # expansion over every even-size subset and every expansion element but
+    # the lowest; the failing (subset mask, element) pairs also decide the
+    # drop identities
+    cases = 0
+    failed = []
+    bad = set()
+    for mask in range(3, 1 << m):
+        size = mask.bit_count()
+        if size % 2:
+            continue
+        cases += size
+        bits = [v for v in range(m) if mask >> v & 1]
+        whole = pf(mask).terms
+        for pb in range(1, size):
+            b = bits[pb]
+            row = rows[b]
+            rest = mask ^ (1 << b)
+            acc = dict(whole)
+            for pr, r in enumerate(bits):
+                if pr != pb and row[r]:
+                    sub = pf(rest ^ (1 << r)).terms
+                    if sub:
+                        core.addmul_into(acc, row[r], sub, p, -_expansion_sign(pb, pr))
+            if acc:
+                bad.add((mask, b + 1))
+                failed.append(((tuple(v + 1 for v in bits), b + 1), 1))
+    record("expansion", cases, failed)
+
+    def drop_expansion(name, size):
+        # the expansion of the complement of a size-set along a k outside it
+        tuples = [dropped + (k,)
+                  for dropped in itertools.combinations(range(1, m + 1), size)
+                  for k in range(1, m + 1) if k not in dropped]
+        record(name, len(tuples), [(tup, 1) for tup in tuples
+                                   if (full ^ mask_of(tup[:-1]), tup[-1]) in bad])
+
+    def vanishing_sum(name, size, orderings, sign_of):
+        # row k outside each sorted size-set times the signed vector
+        # [(r - 1, sign, pfaffian with the set and r removed)] of the set
         cases = 0
-        failures = 0
-        first = None
-        for tup, failed in outcomes:
-            cases += 1
-            if failed:
-                failures += 1
-                if first is None:
-                    first = repr(tup)
-        checks.append(IdentityCheck(name, cases, failures, first))
-
-    # expansion over every even-size subset and every expansion element; its
-    # verdicts, keyed by (subset mask, b), also decide the drop identities
-    verdicts = {}
-
-    def expansion_residual(mask, bits, pb):
-        b = bits[pb]
-        row = rows[b]
-        acc = dict(pf(mask).terms)
-        for pr, r in enumerate(bits):
-            if pr != pb and row[r]:
-                sub = pf(mask ^ (1 << b) ^ (1 << r)).terms
-                if sub:
-                    core.addmul_into(acc, row[r], sub, p, -_expansion_sign(pb, pr))
-        return bool(acc)
-
-    def expansion_outcomes():
-        for mask in range(1, 1 << m):
-            bits = [v for v in range(m) if mask & (1 << v)]
-            if len(bits) % 2:
-                continue
-            subset = tuple(v + 1 for v in bits)
-            for pb, b in enumerate(subset):
-                failed = verdicts[(mask, b)] = expansion_residual(mask, bits, pb)
-                yield (subset, b), failed
-
-    run("expansion", expansion_outcomes())
-
-    full = (1 << m) - 1
-
-    def without(*indices):
-        # the mask of the complement of the given indices
-        return full ^ sum(1 << (v - 1) for v in indices)
-
-    # drop1_expansion over ordered pairs (i, j), i != j: the expansion of
-    # the complement of {i} along j
-    run("drop1_expansion", (((i, j), verdicts[(without(i), j)])
-                            for i in range(1, m + 1)
-                            for j in range(1, m + 1) if i != j))
-
-    # the two vanishing sums are one row of T times a signed pfaffian
-    # vector [(r - 1, sign, pfaffian terms)]; by the sign lemmas their
-    # verdicts depend only on the index set (a mask of 1-based bits) and the
-    # row k outside it, so each set's vector and verdicts are built once
-    set_verdicts = {}
-
-    def signed_drops(sign_of, dropped):
-        vector = []
-        for r in range(1, m + 1):
-            sign = sign_of(r)
-            if sign:
-                sub = pfaffian_drop(matrix, dropped(r)).terms
-                if sub:
-                    vector.append((r - 1, sign, sub))
-        return vector
-
-    def row_times(k, vector):
-        acc = {}
-        row = rows[k - 1]
-        for r, sign, sub in vector:
-            if row[r]:
-                core.addmul_into(acc, row[r], sub, p, sign)
-        return bool(acc)
-
-    def sum_verdicts(index_set, sign_of, dropped):
-        # (k, residual is nonzero) for every k outside the set, in order
-        verdict = set_verdicts.get(index_set)
-        if verdict is None:
-            vector = signed_drops(sign_of, dropped)
-            verdict = set_verdicts[index_set] = [
-                (k, row_times(k, vector)) for k in range(1, m + 1)
-                if not index_set >> k & 1]
-        return verdict
-
-    # sum3_vanishing over ordered distinct triples (i, j, k)
-    def sum3_outcomes():
-        for i in range(1, m + 1):
-            for j in range(1, m + 1):
-                if i == j:
+        failed = []
+        for index_set in itertools.combinations(range(1, m + 1), size):
+            kept = full ^ mask_of(index_set)
+            vector = []
+            for r in range(1, m + 1):
+                sign = sign_of(*index_set, r)
+                if sign:
+                    sub = pf(kept ^ (1 << (r - 1))).terms
+                    if sub:
+                        vector.append((r - 1, sign, sub))
+            for k in range(1, m + 1):
+                if k in index_set:
                     continue
-                for k, failed in sum_verdicts((1 << i) | (1 << j),
-                                              lambda r: sigma3(i, j, r),
-                                              lambda r: (i, j, r)):
-                    yield (i, j, k), failed
+                cases += orderings
+                row = rows[k - 1]
+                acc = {}
+                for r, sign, sub in vector:
+                    if row[r]:
+                        core.addmul_into(acc, row[r], sub, p, sign)
+                if acc:
+                    failed.append((index_set + (k,), orderings))
+        record(name, cases, failed)
 
-    run("sum3_vanishing", sum3_outcomes())
-
-    # drop3_expansion over ordered distinct quadruples (i, j, r, k) with
-    # i < j < r: the expansion of the complement of {i, j, r} along k
-    def drop3_outcomes():
-        for i in range(1, m + 1):
-            for j in range(i + 1, m + 1):
-                for r in range(j + 1, m + 1):
-                    for k in range(1, m + 1):
-                        if k not in (i, j, r):
-                            yield (i, j, r, k), verdicts[(without(i, j, r), k)]
-
-    run("drop3_expansion", drop3_outcomes())
-
-    # sum5_vanishing over ordered distinct (i, h, s, k) and j outside
-    def sum5_outcomes():
-        for i in range(1, m + 1):
-            for h in range(1, m + 1):
-                for s in range(1, m + 1):
-                    for k in range(1, m + 1):
-                        if len({i, h, s, k}) != 4:
-                            continue
-                        index_set = (1 << i) | (1 << h) | (1 << s) | (1 << k)
-                        for j, failed in sum_verdicts(
-                                index_set,
-                                lambda r: sigma3(i, r, h) * sigma5(i, r, h, s, k),
-                                lambda r: (i, r, h, s, k)):
-                            yield (i, h, s, k, j), failed
-
-    run("sum5_vanishing", sum5_outcomes())
-
+    drop_expansion("drop1_expansion", 1)
+    vanishing_sum("sum3_vanishing", 2, 2, sigma3)
+    drop_expansion("drop3_expansion", 3)
+    vanishing_sum("sum5_vanishing", 4, 24,
+                  lambda i, h, s, k, r: sigma3(i, r, h) * sigma5(i, r, h, s, k))
     return IdentityReport(tuple(checks))

@@ -197,3 +197,77 @@ def oracle_pivots(rows, p) -> tuple:
     cols = list(zip(*rows))
     return tuple(j for j in range(len(cols))
                  if oracle_rank(cols[:j + 1], p) > oracle_rank(cols[:j], p))
+
+
+def oracle_identity_report(matrix) -> list:
+    """[(name, cases, failures, first_failure)] of the five pfaffian
+    identities ``check_identities`` reports, every ordered tuple evaluated
+    on its own by definition: pfaffians from ``oracle_pfaffian``, signs
+    from ``oracle_sign``.  Tuples are walked in the checker's order: even
+    subsets by bit mask, then each element; the other identities
+    lexicographically."""
+    from itertools import combinations, permutations
+    ring = matrix.ring
+    everything = list(range(1, matrix.m + 1))
+    pfaffians = {}
+
+    def pf(indices):
+        key = tuple(indices)
+        if key not in pfaffians:
+            pfaffians[key] = oracle_pfaffian(matrix, key)
+        return pfaffians[key]
+
+    def without(*removed):
+        return [v for v in everything if v not in removed]
+
+    def expansion_fails(subset, b):
+        total = ring.zero
+        for r in subset:
+            if r != b:
+                rest = [v for v in subset if v not in (b, r)]
+                sign = oracle_sign(subset, [b, r] + rest)
+                total = total + (matrix.entry(b, r) * pf(rest)).scaled(sign)
+        return total != pf(subset)
+
+    def sigma3(i, j, r):
+        s = oracle_sign(without(i), [j, r] + without(i, j, r))
+        return s if i % 2 else -s
+
+    def sigma5(i, j, r, h, k):
+        return oracle_sign(without(i, j, r), [k, h] + without(i, j, r, h, k))
+
+    def signed_sum_fails(row, terms):
+        # terms: (sign, removed indices) over every r
+        total = ring.zero
+        for sign, removed, r in terms:
+            if sign:
+                total = total + (matrix.entry(row, r) * pf(without(*removed))).scaled(sign)
+        return bool(total)
+
+    def tally(name, outcomes):
+        failing = [tup for tup, failed in outcomes if failed]
+        return (name, len(outcomes), len(failing),
+                repr(failing[0]) if failing else None)
+
+    subsets = [[v + 1 for v in range(matrix.m) if mask >> v & 1]
+               for mask in range(1, 1 << matrix.m)]
+    return [
+        tally("expansion", [((tuple(s), b), expansion_fails(s, b))
+                            for s in subsets if len(s) % 2 == 0 for b in s]),
+        tally("drop1_expansion", [((i, j), expansion_fails(without(i), j))
+                                  for i, j in permutations(everything, 2)]),
+        tally("sum3_vanishing", [
+            ((i, j, k), signed_sum_fails(
+                k, [(sigma3(i, j, r), (i, j, r), r) for r in everything]))
+            for i, j, k in permutations(everything, 3)]),
+        tally("drop3_expansion", [
+            ((i, j, r, k), expansion_fails(without(i, j, r), k))
+            for i, j, r in combinations(everything, 3)
+            for k in everything if k not in (i, j, r)]),
+        tally("sum5_vanishing", [
+            ((i, h, s, k, j), signed_sum_fails(
+                j, [(sigma3(i, r, h) * sigma5(i, r, h, s, k), (i, r, h, s, k), r)
+                    for r in everything]))
+            for i, h, s, k in permutations(everything, 4)
+            for j in everything if j not in (i, h, s, k)]),
+    ]

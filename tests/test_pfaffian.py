@@ -12,9 +12,11 @@ from pftrim.errors import ArgumentError, EntryNotInMaximalIdeal, UnsupportedSize
 from pftrim.pfaffian import MAX_IDENTITY_SIZE, SkewMatrix, _expansion_sign, \
     check_identities, pfaffian_drop, pfaffian_keep, rearrange_sign, sigma3, \
     sigma5
+from pftrim import polyring
 from pftrim.polyring import PolyRing, PrimeField, QQ
 
-from oracles import oracle_det, oracle_pfaffian, oracle_sign, random_skew
+from oracles import oracle_det, oracle_identity_report, oracle_pfaffian, \
+    oracle_sign, random_skew
 
 
 R2 = PolyRing(PrimeField(2))
@@ -236,6 +238,13 @@ class TestPfaffians:
         with pytest.raises(IndexError):
             pfaffian_drop(T, (6,))
 
+    def test_boolean_indices_rejected(self):
+        T = generic_skew(RQ, 5)
+        for call, indices in ((pfaffian_drop, (True,)), (pfaffian_drop, (False, 3)),
+                              (pfaffian_keep, (True, 2)), (pfaffian_keep, (False, 1))):
+            with pytest.raises(IndexError, match="out of range"):
+                call(T, indices)
+
     def test_drop_conventions(self):
         T = generic_skew(RQ, 5)
         assert pfaffian_drop(T, (2, 2)).is_zero
@@ -381,6 +390,74 @@ class TestIdentities:
         assert failing == {"expansion", "drop1_expansion", "sum3_vanishing",
                            "drop3_expansion", "sum5_vanishing"}
 
+    def test_matches_identity_oracle(self):
+        for name in TAMPERED_FIELDS:
+            for m in (1, 3, 5, 7):
+                for kind in TAMPERED_KINDS:
+                    if m < TAMPERED_KINDS[kind]:
+                        continue
+                    T = tampered_matrix(name, m, kind)
+                    rows = [(c.name, c.cases, c.failures, c.first_failure)
+                            for c in check_identities(T).checks]
+                    assert rows == oracle_identity_report(T), (name, m, kind)
+
+    def test_wrong_memo_entry_fails_other_elements(self):
+        # the expansion along a subset's lowest element is _pf's own
+        # definition, so it is not evaluated; a wrong memo entry for
+        # {2, 3, 5, 6} must still fail its expansions along 3, 5 and 6.
+        # Evaluating along the lowest element as well would add one failure
+        # to expansion, ((2, 3, 5, 6), 2), and one to drop3_expansion,
+        # (1, 4, 7, 2)
+        R5 = PolyRing(PrimeField(5))
+        T = random_skew(R5, 7, random.Random(73), degree=1)
+        x, y, _ = R5.gens
+        T._pf_cache[0b110110] = oracle_pfaffian(T, (2, 3, 5, 6)) + x * y
+        assert [(c.name, c.cases, c.failures, c.first_failure)
+                for c in check_identities(T).checks] == [
+            ("expansion", 224, 9, "((2, 3, 5, 6), 3)"),
+            ("drop1_expansion", 42, 6, "(1, 4)"),
+            ("sum3_vanishing", 210, 16, "(1, 4, 2)"),
+            ("drop3_expansion", 140, 3, "(1, 4, 7, 3)"),
+            ("sum5_vanishing", 2520, 0, None),
+        ]
+
+    def test_lowest_element_expansion_not_evaluated(self, monkeypatch):
+        T = random_skew(PolyRing(PrimeField(5)), 7, random.Random(74), degree=1)
+        check_identities(T)   # fills the memo, so no pfaffian is built below
+
+        class Recorder:
+            def __init__(self, core):
+                self.core = core
+                self.factors = set()
+
+            def __getattr__(self, name):
+                return getattr(self.core, name)
+
+            def addmul_into(self, acc, a, b, p, sign):
+                self.factors.add((id(a), id(b)))
+                return self.core.addmul_into(acc, a, b, p, sign)
+
+        recorder = Recorder(polyring._core)
+        monkeypatch.setattr(polyring, "_core", recorder)
+        assert check_identities(T).all_passed
+
+        def expansion_factors(mask, pb):
+            # the nonzero (entry, memo entry) products of the expansion of
+            # mask along its element at position pb; no other check
+            # multiplies these pairs
+            bits = [v for v in range(T.m) if mask >> v & 1]
+            b = bits[pb]
+            pairs = ((T.rows[b][r], T._pf_cache[mask ^ (1 << b) ^ (1 << r)])
+                     for r in bits if r != b)
+            return {(id(entry.terms), id(sub.terms)) for entry, sub in pairs
+                    if entry and sub}
+
+        even = [mask for mask in T._pf_cache if mask.bit_count() >= 2]
+        assert len(even) == 2 ** (T.m - 1) - 1
+        for mask in even:
+            assert not expansion_factors(mask, 0) & recorder.factors, mask
+            assert expansion_factors(mask, 1) <= recorder.factors, mask
+
     def test_size_limit_comes_first(self, monkeypatch):
         def forbidden(*args):
             raise AssertionError("check_identities did pfaffian work")
@@ -396,6 +473,10 @@ class TestIdentities:
 
 TAMPERED_FIELDS = {"F2": PrimeField(2), "F3": PrimeField(3),
                    "F5": PrimeField(5), "QQ": QQ}
+
+
+#: Smallest size each kind of tampering applies to.
+TAMPERED_KINDS = {"pair": 3, "diagonal": 3, "symmetric": 1, "two": 5}
 
 
 def tampered_matrix(name, m, kind):
