@@ -29,18 +29,19 @@ vanishes for k in {i, j}, so the blocks a cell contracts are fixed by its
 pair.  `full_table` keeps, per pair i < j, the base e_i e_j = v(i,j) + sum
 over the other blocks k of D(k,i,j) v^k, and the sums S of the pair's u
 blocks; the cell (i,l)(j,s) is the base times (-1)^n z_l z_s, negated again
-when i > j, with each u factor's block set to its contraction.  In degree
-(1, 2), e_i y is kept per (i, y) and a u^i_l cell is its -z_l shift, plus
-a w^i term against its own block.  That table is the one route to a cell:
-`product` reads it, and the trimming keeps it from the first call on.
-Every cell but those of one index is kept there as that recipe, its
-coordinates built on first read; its residues mod the maximal ideal, which
-`classify.tor_products` reads, are the constant terms of its unshifted
-parts.  `verify_leibniz` reads the recipes of the trimming's own cells: d2
-of each base and each contraction is taken once per call, and a cell's C1
-residual is the sum of their shifts.  On C2 the first certified u of a
-block settles, for the other two, the rows outside the block, which their
-recipes make its z-shifts there (the trust rule of `verify_leibniz`).
+when i > j, with each u factor's block set to its contraction.  A cell of
+one block is -y_k v^k_ls, and x x has no part.  In degree (1, 2), e_i y is
+kept per (i, y) and a u^i_l cell is its -z_l shift, plus a w^i term
+against its own block.  That table is the one route to a cell: `product`
+reads it, and the trimming keeps it from the first call on.  Every cell is
+kept there as that recipe, its coordinates built on first read; its
+residues mod the maximal ideal, which `classify.tor_products` reads, are
+the constant terms of its unshifted parts.  `verify_leibniz` reads the
+recipes of the trimming's own cells: d2 of each part is taken once per
+call, and a cell's C1 residual is the sum of their shifts.  On C2 the
+first certified u of a block settles, for the other two, the rows outside
+the block, which their recipes make its z-shifts there (the trust rule of
+`verify_leibniz`).
 """
 
 import dataclasses
@@ -371,8 +372,7 @@ def _pair_base(td, i, j):
     # the blocks k other than i and j; per u block k of the pair the sums
     # S(i,j; k,p), p = 1, 2, 3, of the f_r coordinates times c_{r,k,p}, and
     # per u factor (k, var) its contraction, S(i,j; k,b) at v^k_ab if var
-    # is a and -S(i,j; k,a) if it is b; and the base times (-1)^negate z^key
-    # by (key, negate), which the u-u cells (l, s) and (s, l) share
+    # is a and -S(i,j; k,a) if it is b
     core, p = _ring_mod._core, td.ring._p
     basis2 = td.complex.basis(2)
     selfdual = [value.terms for value in _selfdual_part(td.T, i, j)]
@@ -396,18 +396,25 @@ def _pair_base(td, i, j):
                 for v, (a, b) in zip(blocks, _PAIRS)
                 if var in (a, b) and sk[(b if var == a else a) - 1])
             contractions[(k, var)] = contraction
-    return base, sums, contractions, {}
+    return base, sums, contractions
 
 
 def _cell_parts(td, i, l, j, s):
-    # (i,l)(j,s) for i != j as (negate, parts): the cell is (-1)^negate
-    # times the sum over the parts (name, (element, term dict) pairs, key)
-    # of z^key times the pairs.  The first part is the base of the pair
-    # under z_l z_s, named by the pair; then each u factor's contraction
-    # under the other factor's z, named (pair, block, var).  The parts hold
+    # (i,l)(j,s) as (negate, parts): the cell is (-1)^negate times the sum
+    # over the parts (name, (element, term dict) pairs, key) of z^key times
+    # the pairs.  For i != j the first part is the base of the pair under
+    # z_l z_s, named by the pair; then each u factor's contraction under
+    # the other factor's z, named (pair, block, var).  In one block,
+    # u^i_l u^i_s = -y_i v^i_ls is one part, named (i, i, a, b) for
+    # v^i_ls = +-v^i_ab; x x, and a zero y_i, have none.  The parts hold
     # disjoint elements
+    if i == j:
+        sign, v = signed_v(i, l, s)
+        y_i = td.y[i - 1].terms
+        return sign > 0, [((i, *v.data), ((v, y_i),), 0)] if sign and y_i \
+            else []
     pair = (i, j) if i < j else (j, i)
-    base, _, contractions, _ = _pair_base(td, *pair)
+    base, _, contractions = _pair_base(td, *pair)
     parts = [(pair, base, _z_key(l, s))]
     for k, var, other in ((i, l, s), (j, s, l)):
         if var:
@@ -417,43 +424,42 @@ def _cell_parts(td, i, l, j, s):
 
 
 def _degree_one_product(td, i, l, j, s):
-    # the coordinates of (i,l)(j,s) for distinct factors.  For i != j: the
-    # base of the pair times (-1)^n z_l z_s (n u factors), negated once
-    # more when i > j, and each u factor's block contracted, times the
-    # other z
-    if i == j:
-        # two u factors of one block: u^i_l u^i_s = -y_i v^i_ls
-        sign, elem = signed_v(i, l, s)
-        y_i = td.y[i - 1]
-        return {elem: y_i.scaled(-sign)} if y_i else {}
+    # the coordinates of (i,l)(j,s): the base of the pair times (-1)^n z_l
+    # z_s (n u factors), negated once more when i > j, and each u factor's
+    # block contracted, times the other z; -y_i v^i_ls in one block
     return _built(_Recipe(td, 2, (i, l, j, s), *_cell_parts(td, i, l, j, s)))
+
+
+@_memo
+def _shifts(td):
+    # {(part name, key, negate): _shifted of the part's pairs}, kept for
+    # the cells that share a shift, as the u u cells (i,l)(j,s) and
+    # (i,s)(j,l) share their pair base's
+    return {}
 
 
 def _built(cell):
     # the coordinates of a recipe cell: (-1)^negate times the sum over its
-    # parts of z^key times their pairs, the parts holding disjoint
-    # elements.  The first part of a degree-(1, 1) cell is its pair base,
-    # shifted once per (key, sign) and kept on the pair for the cells of
-    # that shift
-    ring, negate = cell.ring, cell.negate
+    # parts of z^key times their pairs, the parts holding disjoint elements
+    shifts, negate = _shifts(cell.td), cell.negate
     coords = {}
-    for n, (name, pairs, key) in enumerate(cell.parts):
-        shifts = {} if n or cell.degree == 3 else _pair_base(cell.td, *name)[3]
-        shift = shifts.get((key, negate))
+    for name, pairs, key in cell.parts:
+        shift = shifts.get((name, key, negate))
         if shift is None:
-            shift = shifts[(key, negate)] = _shifted(ring, pairs, key, negate)
+            shift = shifts[(name, key, negate)] = _shifted(cell.ring, pairs,
+                                                           key, negate)
         coords.update(shift)
     return coords
 
 
 class _Recipe(ChainElement):
-    # a cell of td's full_table kept as its factors, (i, l, j, s) in degree
-    # (1, 1) and (i, l, y) in degree (1, 2), and its parts (negate, parts)
-    # from _cell_parts or _degree_two_parts.  Its coords are built on first
-    # read by _built and kept read-only.  td, factors, negate, parts and
-    # coords are properties with no setter, so no caller can change the
-    # cell the recipe names: _residues and verify_leibniz read it off the
-    # parts
+    # a cell of td's full_table (every cell is one) kept as its factors,
+    # (i, l, j, s) in degree (1, 1) and (i, l, y) in degree (1, 2), and its
+    # parts (negate, parts) from _cell_parts or _degree_two_parts.  Its
+    # coords are built on first read by _built and kept read-only.  td,
+    # factors, negate, parts and coords are properties with no setter, so
+    # no caller can change the cell the recipe names: _residues and
+    # verify_leibniz read it off the parts
     __slots__ = ("_td", "_factors", "_negate", "_parts", "_coords")
 
     def __init__(self, td, degree, factors, negate, parts):
@@ -595,15 +601,15 @@ MAX_PRODUCT_SIZE = 15
 def full_table(td):
     """Multiplication table for every ordered basis pair of degree sum <= 3.
 
-    A degree-(1, 1) cell x y is the base of its index pair under one
-    packed-key shift and one sign, with the blocks of its u factors
-    overridden by their contractions (x x is zero); a degree-(1, 2) cell of
-    u^i_l is the -z_l shift of e_i y plus its own-block w^i term.  By graded
-    commutativity a (2, 1) cell is the (1, 2) cell of the swapped pair.
-    Every cell but those of one index is kept as that recipe, built on
-    first read; each (part, key) shift is checked against EXPONENT_LIMIT
-    here, so no cell read later can raise."""
-    C, ring = td.complex, td.ring
+    A degree-(1, 1) cell x y of two indices is the base of its index pair
+    under one packed-key shift and one sign, with the blocks of its u
+    factors overridden by their contractions; u^i_l u^i_s is -y_i v^i_ls and
+    x x is zero.  A degree-(1, 2) cell of u^i_l is the -z_l shift of e_i y
+    plus its own-block w^i term.  By graded commutativity a (2, 1) cell is
+    the (1, 2) cell of the swapped pair.  Every cell is kept as that
+    recipe, built on first read; each (part, key) shift is checked against
+    EXPONENT_LIMIT here, so no cell read later can raise."""
+    C = td.complex
     table = ProductTable(C, {})
     entries = table.entries
     basis1, basis2 = C.basis(1), C.basis(2)
@@ -621,14 +627,8 @@ def full_table(td):
         i, l = _factor(x)
         for y in basis1:
             j, s = _factor(y)
-            if i == j:
-                entries[(x, y)] = zero_element(ring, 2) if x == y else \
-                    ChainElement(ring, 2, _degree_one_product(td, i, l, j, s))
-                continue
             entries[(x, y)] = kept(2, (i, l, j, s),
                                    *_cell_parts(td, i, l, j, s))
-    for x in basis1:
-        i, l = _factor(x)
         for y in basis2:
             entries[(x, y)] = kept(3, (i, l, y),
                                    *_degree_two_parts(td, i, l, y))
@@ -786,30 +786,24 @@ def verify_leibniz(td, table):
     one when both cells are trusted: td's own recipes (``full_table``) at
     their own positions, the cell's td being td and its factors those of
     (x, y).  The recipes of (i,l)(j,s) and (j,s)(i,l) hold the same parts
-    under opposite signs, c against p - c term by term.  Any other cell,
-    tampered, moved, from another table or not a recipe, has its column
-    computed from its own terms, each summed over the integers and reduced
-    once (the deferred reduction of _poly_core).
+    under opposite signs, c against p - c term by term.
 
-    Most of the other C1 columns are read off images computed once per
-    call.  The basis lists the e's, then the u blocks in order, so for x =
-    (i,l) before y = (j,s) with i != j and a u among them the cell carries
-    no sign: it is z_l z_s v + z_s c(i,l) + z_l c(j,s), with v the base of
-    the index pair and c the contraction of a u factor (``_cell_parts``).
-    d2 is R-linear, so d2(z^K v) = z^K d2(v): d2 of each base and each
-    contraction is summed and reduced once per call (``_d2_image``), and
-    d2 of the cell is the sum of the images' shifts.  It is taken only
-    for a trusted cell, whose coordinates the recipe builds as that sum.
-    Then a cell term is a term of v or c, key b, moved to key b + K with
-    its coefficient, and a d2 entry term has some key e: the per-cell sum
-    puts their product at (b + K) + e and the shifted image at (b + e) +
-    K, the same int.  So both add the same coefficients at the same keys
-    whatever a lane holds, past EXPONENT_LIMIT too, and the column equals
-    the per-cell one term by term: over F_p both are the canonical
-    residues of one sum.  Every other cell, e e (one per base, so nothing
-    is shared), u u of one block, or an untrusted cell, is summed from its
-    own terms as above.  Every report (violations, their order and diffs,
-    ``pairs_checked``) is therefore the one the per-cell check gives.
+    Every other trusted cell is read off images computed once per call.
+    Its recipe is (-1)^negate times the sum of its parts v under z-shifts
+    z^K (``_cell_parts``), and d2 is R-linear, so d2(z^K v) = z^K d2(v):
+    d2 of each part is summed and reduced once per call (``_d2_image``),
+    and d2 of the cell is the sum of the images' shifts under the recipe's
+    sign.  A cell term is a term of v, key b, moved to key b + K with its
+    coefficient, and a d2 entry term has some key e: the per-cell sum puts
+    their product at (b + K) + e and the shifted image at (b + e) + K, the
+    same int.  So both add the same coefficients at the same keys whatever
+    a lane holds, past EXPONENT_LIMIT too, and the column equals the
+    per-cell one term by term: over F_p both are the canonical residues of
+    one sum.  Any other cell, tampered, moved, from another table or not a
+    recipe, has its column computed from its own terms, each summed over
+    the integers and reduced once (the deferred reduction of _poly_core).
+    Every report (violations, their order and diffs, ``pairs_checked``) is
+    therefore the one the per-cell check gives.
 
     On C2 most columns are checked on t + 1 rows only.  Let R be the C2
     residual of x.  When the C1 identity holds for x, and d1 d2 = 0 and
@@ -825,31 +819,30 @@ def verify_leibniz(td, table):
     diff or in place of the restricted one, when no point certifies, a
     composition is nonzero, x has a C1 violation, or the column is
     nonzero on S; every report is therefore the one the full check
-    gives.  A trusted cell is cut to S part by part, each part once per
-    call, and only the coordinates on S are shifted.
+    gives.  A trusted cell is cut to S off its parts, and only the
+    coordinates on S are shifted.
 
-    The three u's of a block share most of that work.  As d(u^i_l) =
-    -z_l d(e_i), u^i_l multiplies as -z_l e_i away from the own positions
-    O_i = {f_i, v^i_12, v^i_13, v^i_23} of its block.  Split S into S_i,
-    its rows in O_i, and S' = S - S_i.  The first certified u of block i,
-    the anchor a, is checked on S as above and keeps the columns y outside
-    O_i that vanish there.  Call a u of block i whole when its cells with
-    a factor outside the block are trusted, in both degrees, and its cells
-    of the block (u u and x x, never recipes) lie in O_i.  When a and a
-    later certified x = u^i_l are whole and z_a d1(x) = z_l d1(a), then
-    z_a L_x = z_l L_a off O_i by construction: there x's recipes are z_l,
-    and a's z_a, times the same parts under the same sign (the base under
-    z_s and the contraction of (j,s), or e_i y).  The residual of x at y
-    on S', d3|S' L_x(y) + (L_x|S') d2(y) - d1(x) [y in S'] e_y, is linear
+    The three u's of a block share most of that work.  As d(u^i_l) = -z_l
+    d(e_i), u^i_l multiplies as -z_l e_i away from the own positions O_i =
+    {f_i, v^i_12, v^i_13, v^i_23} of its block.  Split S into S_i, its rows
+    in O_i, and S' = S - S_i.  The first certified u of block i, the anchor
+    a, is checked on S as above and keeps the columns y outside O_i that
+    vanish there.  Call a u of block i whole when every cell of its row is
+    trusted, in both degrees; its cells of the block then lie in O_i.  When
+    a and a later certified x = u^i_l are whole and z_a d1(x) = z_l d1(a),
+    then z_a L_x = z_l L_a off O_i by construction: there x's recipes are
+    z_l, and a's z_a, times the same parts under the same sign (the base
+    under z_s and the contraction of (j,s), or e_i y).  The residual of x at
+    y on S', d3|S' L_x(y) + (L_x|S') d2(y) - d1(x) [y in S'] e_y, is linear
     in (L_x|S', L_x(y), d1(x)), so at each y outside O_i, z_a R_x = z_l R_a
     on S'.  Both sums only add keys, so as for the C1 images above the two
     sides hold the same coefficients at the same int keys whatever a lane
     holds, and a shift is injective: R_x vanishes on S' with R_a, and each
-    column the anchor kept is checked on S_i only.  A column in O_i, one
-    the anchor did not keep, and every column of an x or anchor that is
-    not whole are checked on S as above, so again every report is the one
-    the full check gives.  A trusted degree-(1, 2) cell's column is read
-    off its parts, so a clean check builds no such cell."""
+    column the anchor kept is checked on S_i only.  A column in O_i, one the
+    anchor did not keep, and every column of an x or anchor that is not
+    whole are checked on S as above, so again every report is the one the
+    full check gives.  A trusted cell of either degree is read off its
+    parts, so a clean certified check builds no cell."""
     C = td.complex
     ring = td.ring
     core = _ring_mod._core
@@ -859,19 +852,21 @@ def verify_leibniz(td, table):
     d2 = _columns(C.differential(2))
     d3 = _columns(C.differential(3))
     factors = [_factor(x) for x in basis1]
+
+    def trusted(cell, *of):
+        # whether the cell is td's own recipe of the product of the factors
+        return isinstance(cell, _Recipe) and cell.td is td and \
+            cell.factors == of
+
     cells = [[table.lookup(x, y) for y in basis1] for x in basis1]
-    # whether the cell at (x, y) is td's own recipe of x*y
-    trusted = [[isinstance(cell, _Recipe) and cell.td is td
-                and cell.factors == (*factors[ix], *factors[iy])
-                for iy, cell in enumerate(row)]
-               for ix, row in enumerate(cells)]
+    trust = [[trusted(cell, *factors[ix], *factors[iy])
+              for iy, cell in enumerate(row)] for ix, row in enumerate(cells)]
     rows = _certified_rows(C)
     if rows is not None:
         d3_rows = _on_rows(d3, rows)
     violations = []
     shared = {}  # (x, y) position -> nonzero C1 residual column, for (y, x)
     images = {}  # part name of _cell_parts -> _d2_image of its pairs
-    cuts = {}  # part name -> its (C2 index, term dict) pairs on the rows S
     # u block -> its whole anchor's position, the C2 positions it settled
     # outside the block, and d3 cut to the block's rows of S; None when
     # the block's first certified u is not whole
@@ -886,12 +881,15 @@ def verify_leibniz(td, table):
 
     def shifted_image(recipe):
         # d2 of td's own recipe cell, summed with p = 0, from the images of
-        # its parts
+        # its parts under the recipe's sign
         acc = {}
         for name, pairs, key in recipe.parts:
             image = images.get(name)
             if image is None:
                 image = images[name] = _d2_image(C, d2, pairs, p)
+            if recipe.negate:
+                image = {row: core.neg_terms(terms, p)
+                         for row, terms in image.items()}
             for row, terms in image.items():
                 cell = acc.get(row)
                 if cell is None:
@@ -908,19 +906,12 @@ def verify_leibniz(td, table):
 
     def on_rows(cell, column):
         # L_x at y cut to S: the column read from the table, or for td's
-        # own recipe cell (column None) its parts cut once per call, with
-        # only the coordinates kept shifted
+        # own recipe cell (column None) its parts' coordinates on S, shifted
         if column is not None:
             return [(r, terms) for r, terms in column if r in rows]
-        out = []
-        for name, pairs, key in cell.parts:
-            cut = cuts.get(name)
-            if cut is None:
-                cut = cuts[name] = [(r, terms) for elem, terms in pairs
-                                    if (r := C.index_of(2, elem)) in rows]
-            out.extend((r, _shift(terms, key, cell.negate, p))
-                       for r, terms in cut)
-        return out
+        return [(r, _shift(terms, key, cell.negate, p))
+                for _, pairs, key in cell.parts for elem, terms in pairs
+                if (r := C.index_of(2, elem)) in rows]
 
     def record(ix, y, column, basis):
         if column:
@@ -934,12 +925,11 @@ def verify_leibniz(td, table):
         read = [None] * len(basis1)  # L_x at y read from the table's cell
         for iy, y in enumerate(basis1):
             cell = cells[ix][iy]
-            if iy < ix and trusted[ix][iy] and trusted[iy][ix]:
+            if iy < ix and trust[ix][iy] and trust[iy][ix]:
                 column = {row: core.neg_terms(terms, p) for row, terms
                           in shared.get((iy, ix), {}).items()}
             else:
-                if iy > ix and trusted[ix][iy] and not cell.negate and (
-                        factors[ix][1] or factors[iy][1]):
+                if trust[ix][iy]:
                     acc = shifted_image(cell)
                 else:
                     acc = {}
@@ -953,11 +943,10 @@ def verify_leibniz(td, table):
             record(ix, y, column, basis1)
         certified = rows is not None and len(violations) == clean
         i, l = factors[ix]
-        left2, whole = [], True
+        left2, whole = [], all(trust[ix])
         for y in basis2:
             cell = table.lookup(x, y)
-            if isinstance(cell, _Recipe) and cell.td is td and \
-                    cell.factors == (i, l, y):
+            if trusted(cell, i, l, y):
                 # td's own recipe of x*y: its column read off its parts
                 left2.append([(C.index_of(3, elem), _shift(
                     terms, key, cell.negate, p)) for _, pairs, key
@@ -971,10 +960,6 @@ def verify_leibniz(td, table):
                           for cell, column in zip(cells[ix], read)]
             if l:
                 own = _own_block(C, i)
-                whole = whole and all(
-                    all(C.index_of(2, elem) in own for elem in cell.coords)
-                    if factors[iy][0] == i else trusted[ix][iy]
-                    for iy, cell in enumerate(cells[ix]))
                 if i not in anchors:
                     anchors[i] = None
                     if whole:

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 from . import linalg
 from .errors import ArgumentError, MinimizationNotPolynomial
-from .pfaffian import SkewMatrix, pfaffian_drop, sigma3
+from .pfaffian import SkewMatrix, sigma3
 from .polyring import PolyRing, decompose_c
 
 
@@ -273,12 +273,15 @@ class TrimmedData:
 
 def _selfdual_part(T, i, j):
     # the f-coordinates of e_i e_j in the Gorenstein resolution, as the
-    # tuple (sigma3(i, j, r) pf(i, j, r) for r = 1..m)
+    # tuple (sigma3(i, j, r) pf(i, j, r) for r = 1..m), each pfaffian read
+    # by the memo mask of the indices kept (sigma3 is 0 unless i, j, r are
+    # distinct)
     zero = T.ring.zero
+    kept = ((1 << T.m) - 1) ^ (1 << (i - 1)) ^ (1 << (j - 1))
     coords = []
     for r in range(1, T.m + 1):
         s3 = sigma3(i, j, r)
-        pf = pfaffian_drop(T, (i, j, r)) if s3 else zero
+        pf = T._pf(kept ^ (1 << (r - 1))) if s3 else zero
         coords.append(-pf if s3 < 0 else pf)
     return tuple(coords)
 

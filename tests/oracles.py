@@ -155,7 +155,13 @@ def random_poly(ring: PolyRing, rng, degree: int, terms: int,
 def random_skew(ring: PolyRing, m: int, rng, degree: int = 1,
                 terms: int = 2, homogeneous: bool = True,
                 density: float = 1.0):
-    """Random odd-size skew matrix with entries of positive degree."""
+    """Random odd-size skew matrix whose entries have no constant term.
+
+    Each upper entry is drawn with probability density (entries not drawn
+    are zero) as a random_poly with its constant term dropped.  An entry
+    may still be zero: its drawn terms can cancel or be all constant, as
+    for entry (6, 3) of the size-7 matrix over F5 from random.Random(74).
+    So the matrix need not be dense even at density 1."""
     from pftrim.pfaffian import SkewMatrix
     upper = {}
     for i in range(1, m + 1):

@@ -447,12 +447,17 @@ class TestTableAndMultiply:
                        for coeff in value.coords.values())
             assert verify_leibniz(td, table).all_passed
             # the cache keeps each index pair once: no negated copy under
-            # the reversed pair
+            # the reversed pair, and the shifts of a pair's parts are kept
+            # under the increasing pair
             cache = td.__dict__["_product_cache"]
-            for name, i, *rest in cache:
-                if rest and rest[0] != i:
-                    assert (name, rest[0], i, *rest[1:]) not in cache, \
-                        (name, i, *rest)
+            for name, *args in cache:
+                if len(args) > 1 and args[0] != args[1]:
+                    assert (name, args[1], args[0], *args[2:]) not in cache, \
+                        (name, *args)
+            shifts = dgproducts._shifts(td)
+            assert shifts and all(part[0] <= part[1] for part, _, _ in shifts
+                                  if isinstance(part[1], int)
+                                  and len(part) != 3)
             # product reads one table built on its first call
             calls.clear()
             basis = [b for d in range(4) for b in td.complex.basis(d)]
@@ -860,6 +865,41 @@ class TestRecipeCells:
             expected = leibniz_reference(td, tampered)
             assert expected and list(report.violations) == expected
 
+    @pytest.mark.parametrize("ring,size", [(R2, 7), (R5, 7), (RQ, 5)],
+                             ids=["F2-7", "F5-7", "QQ-5"])
+    def test_moved_foreign_and_changed_one_index_cells(self, ring, size):
+        # the same-block cell u1_1*u1_2 and the diagonal cells u1_1*u1_1
+        # and e4*e4, each moved within the table, taken from the t - 1
+        # table (in one order only, or with the partner of the pair too),
+        # or changed: each is read from its own terms, and the report is
+        # the reference's.  Every move and change breaks the identity, and
+        # the t - 1 cells equal the table's
+        T = random_skew(ring, size, random.Random(65), degree=1)
+        td = trimmed_resolution(T, 3)
+        assert td.y[0]
+        table = full_table(td)
+        entries = table.entries
+        x, z = ring.gens[0], ring.gens[2]
+        same, diagonal, e = (B.U(1, 1), B.U(1, 2)), (B.U(1, 1), B.U(1, 1)), \
+            (B.E(4), B.E(4))
+        previous = full_table(trimmed_resolution(T, 2)).entries
+        broken = [
+            {same: entries[(B.U(1, 1), B.U(1, 3))]},
+            {same: entries[diagonal]},
+            {diagonal: entries[same]},
+            {e: entries[(B.E(4), B.E(5))]},
+            {same: entries[same] + ChainElement(ring, 2, {B.V(1, 1, 3): z})},
+            {diagonal: ChainElement(ring, 2, {B.F(1): x})},
+            {e: ChainElement(ring, 2, {B.V(2, 1, 2): x})}]
+        kept = [{pair: previous[pair] for pair in pairs}
+                for pairs in ([same], [same, same[::-1]], [diagonal], [e])]
+        for n, cells in enumerate(broken + kept):
+            tampered = ProductTable(td.complex, {**entries, **cells})
+            report = verify_leibniz(td, tampered)
+            expected = leibniz_reference(td, tampered)
+            assert list(report.violations) == expected, n
+            assert bool(expected) == (n < len(broken)), n
+
     @pytest.mark.parametrize("ring", [R2, R5, RQ], ids=["F2", "F5", "QQ"])
     def test_moved_foreign_and_changed_degree_three_cells(self, ring):
         # degree-(1, 2) cells moved within a row and between the u's of a
@@ -893,24 +933,23 @@ class TestRecipeCells:
             assert list(report.violations) == expected
             assert bool(expected) == (n < 3 or ring is R5)
 
-    @pytest.mark.parametrize("ring,size", [(R2, 7), (R5, 7), (RQ, 5)],
-                             ids=["F2-7", "F5-7", "QQ-5"])
-    def test_clean_check_reads_only_e_e_cells(self, ring, size, monkeypatch):
-        # on a clean certified table the check builds the coordinates of no
-        # recipe cell with a u factor: those are read off their parts
+    @pytest.mark.parametrize("ring,size,t", [(R2, 7, 3), (R5, 7, 3),
+                                             (RQ, 5, 3), (R5, 5, 5)],
+                             ids=["F2-7", "F5-7", "QQ-5", "F5-5-all-u"])
+    def test_clean_check_builds_no_cell(self, ring, size, t, monkeypatch):
+        # on a clean certified table every cell, e e, x x and u u of one
+        # block included, is td's own recipe at its own position, read off
+        # its parts: the check builds the coordinates of none
         T = random_skew(ring, size, random.Random(112 + size), degree=1)
-        td = trimmed_resolution(T, 3)
+        td = trimmed_resolution(T, t)
         assert dgproducts._certified_rows(td.complex) is not None
         table = full_table(td)
-        built, build = [], dgproducts._built
 
-        def recording(cell):
-            built.append(cell.factors)
-            return build(cell)
+        def forbidden(cell):
+            raise AssertionError(f"built {cell.factors}")
 
-        monkeypatch.setattr(dgproducts, "_built", recording)
+        monkeypatch.setattr(dgproducts, "_built", forbidden)
         assert verify_leibniz(td, table).all_passed
-        assert built and {(f[1], f[-1]) for f in built} == {(None, None)}
 
     @pytest.mark.parametrize("ring,size,t", [(R2, 7, 3), (R5, 5, 5),
                                              (RQ, 5, 2)],
@@ -1284,6 +1323,25 @@ class TestGoldenDigests:
             records = full_table(trimmed_resolution(T, t)).records()
             h.update(json.dumps(records).encode())
         assert h.hexdigest() == TABLE_DIGESTS[(name, m)]
+
+    @pytest.mark.parametrize("name,m", sorted(TABLE_DIGESTS))
+    def test_every_cell_an_own_recipe(self, name, m):
+        # every cell with a degree-1 factor, x x and u u of one block
+        # included, is td's own recipe of its factors at its own position;
+        # a (2, 1) cell is the recipe of the swapped pair
+        T, factor = digest_matrix(name, m), dgproducts._factor
+        for t in range(1, m + 1):
+            td = trimmed_resolution(T, t)
+            entries = full_table(td).entries
+            r1, r2 = td.complex.rank(1), td.complex.rank(2)
+            assert len(entries) == r1 * (r1 + 2 * r2)
+            for (x, y), cell in entries.items():
+                if x.degree == 2:
+                    x, y = y, x
+                factors = (*factor(x), *factor(y)) if y.degree == 1 else \
+                    (*factor(x), y)
+                assert isinstance(cell, dgproducts._Recipe), (t, x, y)
+                assert cell.td is td and cell.factors == factors, (t, x, y)
 
     @pytest.mark.parametrize("name,m", sorted(TABLE_DIGESTS))
     def test_residues_match_constant_terms(self, name, m):
