@@ -18,7 +18,8 @@ in its unshifted parts only.
 import dataclasses
 
 from .dgproducts import full_table
-from .errors import ArgumentError, NotApplicable, UnsupportedSize
+from .errors import ArgumentError, NotApplicable, UnsupportedSize, \
+    _is_int
 from .linalg import insert_row
 from .resolution import _PAIRS
 
@@ -96,7 +97,7 @@ def classify(T, t):
     if m % 2 == 0 or m < 5:
         raise UnsupportedSize(
             f"classification needs odd size at least 5, got {m}")
-    if not isinstance(t, int) or not 1 <= t <= m:
+    if not _is_int(t) or not 1 <= t <= m:
         raise ArgumentError(f"trim count must satisfy 1 <= t <= {m}, got {t!r}")
     *_, report = _trim_reports(T, t)
     return report

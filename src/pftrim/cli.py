@@ -25,7 +25,7 @@ import sys
 
 from .classify import check_conjectures, classify, conjugate_trim_set
 from .dgproducts import MAX_PRODUCT_SIZE, full_table, verify_leibniz
-from .errors import ParseError, PftrimError, UnsupportedSize
+from .errors import ParseError, PftrimError, UnsupportedSize, _is_int
 from .families import (MAX_FAMILY_BAND, MAX_SCAN_SIZE, FamilySpec,
                        build_family, family_checks, realizability_scan,
                        write_scan_csv)
@@ -83,11 +83,6 @@ class MatrixDocument:
             except ParseError as exc:
                 raise ParseError(f"entry ({i},{j}): {exc}")
         return SkewMatrix.from_upper(ring, self.size, entries)
-
-
-def _is_int(value) -> bool:
-    # JSON true/false load as bool, which is a subclass of int
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def parse_matrix_document(text: str) -> MatrixDocument:

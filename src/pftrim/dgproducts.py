@@ -36,9 +36,12 @@ against its own block.  That table is the one route to a cell: `product`
 reads it, and the trimming keeps it from the first call on.  Every cell is
 kept there as that recipe, its coordinates built on first read; its
 residues mod the maximal ideal, which `classify.tor_products` reads, are
-the constant terms of its unshifted parts.  `verify_leibniz` reads the
-recipes of the trimming's own cells: d2 of each part is taken once per
-call, and a cell's C1 residual is the sum of their shifts.  On C2 the
+the constant terms of its unshifted parts.  `verify_leibniz` reads every
+cell off its parts, any other `ChainElement` being its coordinates as one
+unshifted part: a cell's C1 residual is the sum of the shifts of its
+parts' d2 images, and its C2 column the shifts of its parts.  Whether a
+cell is the trimming's own recipe at its own position decides only what
+is shared: d2 of such a cell's part is taken once per call, and on C2 the
 first certified u of a block settles, for the other two, the rows outside
 the block, which their recipes make its z-shifts there (the trust rule of
 `verify_leibniz`).
@@ -50,7 +53,7 @@ from operator import attrgetter
 from types import MappingProxyType
 
 from . import polyring as _ring_mod
-from .errors import ArgumentError, FieldMismatch
+from .errors import ArgumentError, FieldMismatch, _is_int
 from .linalg import POINTS, insert_row, residue_modulus, residue_terms, \
     residues_at
 from .pfaffian import rearrange_sign, sigma3, sigma5
@@ -70,8 +73,13 @@ class ChainElement:
 
     __slots__ = ("ring", "degree", "coords")
 
+    #: Read as a recipe is (``_Recipe``): (-1)^negate times the sum over the
+    #: parts (name, (element, term dict) pairs, key) of z^key times the
+    #: pairs.  A plain element is its coordinates as one unshifted part.
+    negate = False
+
     def __init__(self, ring, degree, coords=None):
-        if not isinstance(degree, int) or degree < 0:
+        if not _is_int(degree) or degree < 0:
             raise ArgumentError(f"invalid homological degree {degree!r}")
         clean = {}
         for elem, coeff in (coords or {}).items():
@@ -106,11 +114,24 @@ class ChainElement:
     def coefficient(self, elem):
         return self.coords.get(elem, self.ring.zero)
 
+    @property
+    def parts(self):
+        return ((None, [(elem, coeff.terms)
+                        for elem, coeff in self.coords.items()], 0),)
+
     def _residues(self):
         # {basis element: nonzero constant term of its coefficient}, the
-        # element modulo the maximal ideal
-        return {elem: c for elem, coeff in self.coords.items()
-                if (c := coeff.constant_term())}
+        # element modulo the maximal ideal, off the parts: a part shifted
+        # by a nonzero key has none, and the parts hold disjoint elements
+        p, negate = self.ring._p, self.negate
+        out = {}
+        for _, pairs, key in self.parts:
+            if not key:
+                for elem, terms in pairs:
+                    c = terms.get(0)
+                    if c:
+                        out[elem] = p - c if negate else c
+        return out
 
     def _combine(self, other, sign):
         if not isinstance(other, ChainElement):
@@ -207,7 +228,7 @@ def d_constants(td, flavor, indices):
         raise ArgumentError(f"unknown constant flavor {flavor!r}")
     indices = tuple(indices)
     if len(indices) != _D_FLAVORS[flavor] or \
-            not all(isinstance(n, int) for n in indices):
+            not all(_is_int(n) for n in indices):
         raise ArgumentError(
             f"flavor {flavor!r} takes {_D_FLAVORS[flavor]} integer indices, "
             f"got {indices!r}")
@@ -326,17 +347,12 @@ def _shift(terms, key, negate, p):
 
 def _shifted(ring, pairs, key, negate):
     # {element: _shift of its terms} as Polynomials, for (element, term
-    # dict) pairs within EXPONENT_LIMIT.  Each term dict shifted by a
-    # nonzero key is checked against the limit here (check_exponents; a
-    # zero key cannot pass it).  Polynomials are immutable, so cells may
-    # share them and their term dicts with the _memo cache; the fresh
-    # entries dict of each full_table call is what keeps a caller's edits
-    # away from `product`
-    out = {}
-    for elem, terms in pairs:
-        terms = _shift(terms, key, negate, ring._p)
-        out[elem] = Polynomial(ring, check_exponents(terms) if key else terms)
-    return out
+    # dict) pairs whose shift `_recipe` checked against EXPONENT_LIMIT.
+    # Polynomials are immutable, so cells may share them and their term
+    # dicts with the _memo cache; the fresh entries dict of each full_table
+    # call is what keeps a caller's edits away from `product`
+    return {elem: Polynomial(ring, _shift(terms, key, negate, ring._p))
+            for elem, terms in pairs}
 
 
 def gorenstein_product(T, x, y):
@@ -427,7 +443,7 @@ def _degree_one_product(td, i, l, j, s):
     # the coordinates of (i,l)(j,s): the base of the pair times (-1)^n z_l
     # z_s (n u factors), negated once more when i > j, and each u factor's
     # block contracted, times the other z; -y_i v^i_ls in one block
-    return _built(_Recipe(td, 2, (i, l, j, s), *_cell_parts(td, i, l, j, s)))
+    return _built(_recipe(td, 2, (i, l, j, s), *_cell_parts(td, i, l, j, s)))
 
 
 @_memo
@@ -436,6 +452,24 @@ def _shifts(td):
     # the cells that share a shift, as the u u cells (i,l)(j,s) and
     # (i,s)(j,l) share their pair base's
     return {}
+
+
+@_memo
+def _checked(td):
+    # the (part name, key) shifts `_recipe` found within EXPONENT_LIMIT
+    return set()
+
+
+def _recipe(td, degree, factors, negate, parts):
+    # td's recipe cell of the factors, each (part name, key) shift checked
+    # against EXPONENT_LIMIT once per trimming (on the shifted keys alone;
+    # a zero key cannot pass it), so no cell read later can raise
+    checked = _checked(td)
+    for name, pairs, key in parts:
+        if key and (name, key) not in checked:
+            check_exponents(k + key for _, terms in pairs for k in terms)
+            checked.add((name, key))
+    return _Recipe(td, degree, factors, negate, parts)
 
 
 def _built(cell):
@@ -458,8 +492,8 @@ class _Recipe(ChainElement):
     # parts (negate, parts) from _cell_parts or _degree_two_parts.  Its
     # coords are built on first read by _built and kept read-only.  td,
     # factors, negate, parts and coords are properties with no setter, so
-    # no caller can change the cell the recipe names: _residues and
-    # verify_leibniz read it off the parts
+    # no caller can change the cell the recipe names.  _residues and
+    # verify_leibniz read every cell off its parts, a recipe's as kept
     __slots__ = ("_td", "_factors", "_negate", "_parts", "_coords")
 
     def __init__(self, td, degree, factors, negate, parts):
@@ -477,19 +511,6 @@ class _Recipe(ChainElement):
         if self._coords is None:
             self._coords = MappingProxyType(_built(self))
         return self._coords
-
-    def _residues(self):
-        # the constant terms of the coords, off the parts: a part shifted
-        # by a nonzero key has none, and the parts hold disjoint elements
-        p, negate = self.ring._p, self._negate
-        out = {}
-        for _, pairs, key in self._parts:
-            if not key:
-                for elem, terms in pairs:
-                    c = terms.get(0)
-                    if c:
-                        out[elem] = p - c if negate else c
-        return out
 
 
 @_memo
@@ -608,30 +629,20 @@ def full_table(td):
     plus its own-block w^i term.  By graded commutativity a (2, 1) cell is
     the (1, 2) cell of the swapped pair.  Every cell is kept as that
     recipe, built on first read; each (part, key) shift is checked against
-    EXPONENT_LIMIT here, so no cell read later can raise."""
+    EXPONENT_LIMIT as the recipe is made, so no cell read later can raise."""
     C = td.complex
     table = ProductTable(C, {})
     entries = table.entries
     basis1, basis2 = C.basis(1), C.basis(2)
-    checked = set()  # (part name, key) shifts within EXPONENT_LIMIT
-
-    def kept(degree, factors, negate, parts):
-        for name, pairs, key in parts:
-            if key and (name, key) not in checked:
-                checked.add((name, key))  # on the shifted keys alone
-                check_exponents(k + key for _, terms in pairs
-                                for k in terms)
-        return _Recipe(td, degree, factors, negate, parts)
-
     for x in basis1:
         i, l = _factor(x)
         for y in basis1:
             j, s = _factor(y)
-            entries[(x, y)] = kept(2, (i, l, j, s),
-                                   *_cell_parts(td, i, l, j, s))
+            entries[(x, y)] = _recipe(td, 2, (i, l, j, s),
+                                      *_cell_parts(td, i, l, j, s))
         for y in basis2:
-            entries[(x, y)] = kept(3, (i, l, y),
-                                   *_degree_two_parts(td, i, l, y))
+            entries[(x, y)] = _recipe(td, 3, (i, l, y),
+                                      *_degree_two_parts(td, i, l, y))
     entries.update(((y, x), entries[(x, y)]) for y in basis2 for x in basis1)
     return table
 
@@ -682,13 +693,6 @@ def _columns(mat):
             if entry.terms:
                 cols[c].append((r, entry.terms))
     return cols
-
-
-def _left_column(complex_, cell, degree):
-    # a column of L_x: the table's cell x*y of that degree as (basis index,
-    # term dict) pairs
-    return [(complex_.index_of(degree, elem), coeff.terms)
-            for elem, coeff in cell.coords.items()]
 
 
 def _accumulate(acc, combination, columns, addmul):
@@ -780,30 +784,32 @@ def verify_leibniz(td, table):
     (x, y, diff), with the column as a ChainElement of the degree of y;
     violations come in (x, degree of y, basis position of y) order.
 
-    On C1 the residual column of (x, y) is d2(xy) + d1(y) e_x - d1(x) e_y,
-    so when x*y is the negative of y*x, as graded commutativity makes it,
-    the column is the negative of the one for (y, x).  It is read off that
-    one when both cells are trusted: td's own recipes (``full_table``) at
-    their own positions, the cell's td being td and its factors those of
-    (x, y).  The recipes of (i,l)(j,s) and (j,s)(i,l) hold the same parts
-    under opposite signs, c against p - c term by term.
+    Every cell is read off its parts.  A recipe (``full_table``) is
+    (-1)^negate times the sum of its parts v under z-shifts z^K
+    (``_cell_parts``), and any other cell is its coordinates as one
+    unshifted part.  d2 is R-linear, so d2(z^K v) = z^K d2(v): d2 of each
+    part is summed and reduced (``_d2_image``), and d2 of the cell is the
+    sum of the images' shifts under its sign.  A cell term is a term of v,
+    key b, moved to key b + K with its coefficient, and a d2 entry term has
+    some key e: the per-cell sum puts their product at (b + K) + e and the
+    shifted image at (b + e) + K, the same int.  So both add the same
+    coefficients at the same keys whatever a lane holds, past
+    EXPONENT_LIMIT too, and the column equals the per-cell one term by
+    term: over F_p both are the canonical residues of one sum.
 
-    Every other trusted cell is read off images computed once per call.
-    Its recipe is (-1)^negate times the sum of its parts v under z-shifts
-    z^K (``_cell_parts``), and d2 is R-linear, so d2(z^K v) = z^K d2(v):
-    d2 of each part is summed and reduced once per call (``_d2_image``),
-    and d2 of the cell is the sum of the images' shifts under the recipe's
-    sign.  A cell term is a term of v, key b, moved to key b + K with its
-    coefficient, and a d2 entry term has some key e: the per-cell sum puts
-    their product at (b + K) + e and the shifted image at (b + e) + K, the
-    same int.  So both add the same coefficients at the same keys whatever
-    a lane holds, past EXPONENT_LIMIT too, and the column equals the
-    per-cell one term by term: over F_p both are the canonical residues of
-    one sum.  Any other cell, tampered, moved, from another table or not a
-    recipe, has its column computed from its own terms, each summed over
-    the integers and reduced once (the deferred reduction of _poly_core).
-    Every report (violations, their order and diffs, ``pairs_checked``) is
-    therefore the one the per-cell check gives.
+    Trust decides what cells share, never how a cell is read.  A cell is
+    trusted when it is td's own recipe at its own position, its td being
+    td and its factors those of (x, y).  The image of a trusted cell's part
+    is kept by part name for the rest of the call; any other cell,
+    tampered, moved, from another table or not a recipe, has its images
+    computed for it alone.  On C1 the residual column of (x, y) is d2(xy) +
+    d1(y) e_x - d1(x) e_y, so when x*y is the negative of y*x, as graded
+    commutativity makes it, the column is the negative of the one for
+    (y, x).  It is read off that one when both cells are trusted: the
+    recipes of (i,l)(j,s) and (j,s)(i,l) hold the same parts under
+    opposite signs, c against p - c term by term.  Every report
+    (violations, their order and diffs, ``pairs_checked``) is therefore
+    the one the per-cell check gives.
 
     On C2 most columns are checked on t + 1 rows only.  Let R be the C2
     residual of x.  When the C1 identity holds for x, and d1 d2 = 0 and
@@ -819,8 +825,8 @@ def verify_leibniz(td, table):
     diff or in place of the restricted one, when no point certifies, a
     composition is nonzero, x has a C1 violation, or the column is
     nonzero on S; every report is therefore the one the full check
-    gives.  A trusted cell is cut to S off its parts, and only the
-    coordinates on S are shifted.
+    gives.  A cell is cut to S off its parts, and only the coordinates on
+    S are shifted.
 
     The three u's of a block share most of that work.  As d(u^i_l) = -z_l
     d(e_i), u^i_l multiplies as -z_l e_i away from the own positions O_i =
@@ -841,8 +847,8 @@ def verify_leibniz(td, table):
     column the anchor kept is checked on S_i only.  A column in O_i, one the
     anchor did not keep, and every column of an x or anchor that is not
     whole are checked on S as above, so again every report is the one the
-    full check gives.  A trusted cell of either degree is read off its
-    parts, so a clean certified check builds no cell."""
+    full check gives.  As no cell of either degree is read off its
+    coordinates, a clean check, certified or not, builds no recipe's."""
     C = td.complex
     ring = td.ring
     core = _ring_mod._core
@@ -866,7 +872,7 @@ def verify_leibniz(td, table):
         d3_rows = _on_rows(d3, rows)
     violations = []
     shared = {}  # (x, y) position -> nonzero C1 residual column, for (y, x)
-    images = {}  # part name of _cell_parts -> _d2_image of its pairs
+    images = {}  # part name of a trusted cell -> _d2_image of its pairs
     # u block -> its whole anchor's position, the C2 positions it settled
     # outside the block, and d3 cut to the block's rows of S; None when
     # the block's first certified u is not whole
@@ -879,39 +885,37 @@ def verify_leibniz(td, table):
             acc[iy] = core.sub_terms(acc.get(iy, {}), d1[ix], 0)
         return _reduced_rows(acc, p)
 
-    def shifted_image(recipe):
-        # d2 of td's own recipe cell, summed with p = 0, from the images of
-        # its parts under the recipe's sign
+    def shifted_image(cell, cache):
+        # d2 of the cell, summed with p = 0, from the images of its parts
+        # under its sign; a part's image is kept in the cache by name
         acc = {}
-        for name, pairs, key in recipe.parts:
-            image = images.get(name)
+        for name, pairs, key in cell.parts:
+            image = cache.get(name)
             if image is None:
-                image = images[name] = _d2_image(C, d2, pairs, p)
-            if recipe.negate:
+                image = cache[name] = _d2_image(C, d2, pairs, p)
+            if cell.negate:
                 image = {row: core.neg_terms(terms, p)
                          for row, terms in image.items()}
             for row, terms in image.items():
-                cell = acc.get(row)
-                if cell is None:
+                entry = acc.get(row)
+                if entry is None:
                     acc[row] = {k + key: c for k, c in terms.items()}
                     continue
                 for k, c in terms.items():
                     k += key
-                    c += cell.get(k, 0)
+                    c += entry.get(k, 0)
                     if c:
-                        cell[k] = c
+                        entry[k] = c
                     else:
-                        del cell[k]
+                        del entry[k]
         return acc
 
-    def on_rows(cell, column):
-        # L_x at y cut to S: the column read from the table, or for td's
-        # own recipe cell (column None) its parts' coordinates on S, shifted
-        if column is not None:
-            return [(r, terms) for r, terms in column if r in rows]
+    def read(cell, degree, rows):
+        # L_x at y, the cell, off its parts as (basis index, term dict)
+        # pairs on the rows given: only the coordinates kept are shifted
         return [(r, _shift(terms, key, cell.negate, p))
                 for _, pairs, key in cell.parts for elem, terms in pairs
-                if (r := C.index_of(2, elem)) in rows]
+                if (r := C.index_of(degree, elem)) in rows]
 
     def record(ix, y, column, basis):
         if column:
@@ -922,19 +926,13 @@ def verify_leibniz(td, table):
 
     for ix, x in enumerate(basis1):
         clean = len(violations)
-        read = [None] * len(basis1)  # L_x at y read from the table's cell
         for iy, y in enumerate(basis1):
-            cell = cells[ix][iy]
             if iy < ix and trust[ix][iy] and trust[iy][ix]:
                 column = {row: core.neg_terms(terms, p) for row, terms
                           in shared.get((iy, ix), {}).items()}
             else:
-                if trust[ix][iy]:
-                    acc = shifted_image(cell)
-                else:
-                    acc = {}
-                    read[iy] = _left_column(C, cell, 2)
-                    _accumulate(acc, read[iy], d2, addmul)
+                acc = shifted_image(cells[ix][iy],
+                                    images if trust[ix][iy] else {})
                 if d1[iy]:
                     acc[ix] = core.add_terms(acc.get(ix, {}), d1[iy], 0)
                 column = residual(acc, ix, iy)
@@ -943,21 +941,13 @@ def verify_leibniz(td, table):
             record(ix, y, column, basis1)
         certified = rows is not None and len(violations) == clean
         i, l = factors[ix]
-        left2, whole = [], all(trust[ix])
-        for y in basis2:
-            cell = table.lookup(x, y)
-            if trusted(cell, i, l, y):
-                # td's own recipe of x*y: its column read off its parts
-                left2.append([(C.index_of(3, elem), _shift(
-                    terms, key, cell.negate, p)) for _, pairs, key
-                    in cell.parts for elem, terms in pairs])
-            else:
-                left2.append(_left_column(C, cell, 3))
-                whole = False
+        cells2 = [table.lookup(x, y) for y in basis2]
+        left2 = [read(cell, 3, range(C.rank(3))) for cell in cells2]
+        whole = all(trust[ix]) and all(
+            trusted(cell, i, l, y) for cell, y in zip(cells2, basis2))
         settled, anchoring, left1 = (), None, None
         if certified:
-            left1_rows = [on_rows(cell, column)
-                          for cell, column in zip(cells[ix], read)]
+            left1_rows = [read(cell, 2, rows) for cell in cells[ix]]
             if l:
                 own = _own_block(C, i)
                 if i not in anchors:
@@ -984,8 +974,8 @@ def verify_leibniz(td, table):
                         anchoring.add(iy)
                     continue
             if left1 is None:
-                left1 = [_left_column(C, cell, 2) if column is None
-                         else column for cell, column in zip(cells[ix], read)]
+                left1 = [read(cell, 2, range(len(basis2)))
+                         for cell in cells[ix]]
             acc = {}
             _accumulate(acc, left2[iy], d3, addmul)
             _accumulate(acc, d2[iy], left1, addmul)

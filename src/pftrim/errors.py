@@ -1,4 +1,11 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer test its
+argument checks use."""
+
+
+def _is_int(value) -> bool:
+    # bool is a subclass of int, and JSON true/false load as bool; neither
+    # is an index, a size or a count
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 class PftrimError(Exception):

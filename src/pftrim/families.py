@@ -22,7 +22,7 @@ import dataclasses
 import random
 
 from .classify import TorReport, _trim_reports, classify
-from .errors import ArgumentError, UnsupportedSize
+from .errors import ArgumentError, UnsupportedSize, _is_int
 from .linalg import POINTS, det_bareiss, insert_row, residue_modulus, \
     residue_terms, residues_at
 from .pfaffian import SkewMatrix, pfaffian_drop
@@ -65,7 +65,7 @@ class FamilySpec:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ArgumentError(f"family kind must be one of {_KINDS}, got {self.kind!r}")
-        if not isinstance(self.s, int) or self.s < 1:
+        if not _is_int(self.s) or self.s < 1:
             raise ArgumentError(f"band size must be a positive integer, got {self.s!r}")
         if self.s > MAX_FAMILY_BAND:
             raise UnsupportedSize(
@@ -330,10 +330,16 @@ def realizability_scan(char: int, m: int, trials: int, degree_bound: int = 2,
     produces one record per trim count t in 1..m, in trial order.
 
     Raises:
-        ArgumentError: m even or below 5, or another argument out of range.
+        ArgumentError: an argument not an integer, m even or below 5, or
+            another argument out of range.
         UnsupportedSize: m above ``MAX_SCAN_SIZE``; checked before any
             matrix is built.
     """
+    for name, value in (("char", char), ("m", m), ("trials", trials),
+                        ("degree_bound", degree_bound), ("seed", seed),
+                        ("min_degree", min_degree)):
+        if not _is_int(value):
+            raise ArgumentError(f"{name} must be an integer, got {value!r}")
     if m % 2 == 0 or m < 5:
         raise ArgumentError(f"scan size must be odd and at least 5, got {m}")
     if m > MAX_SCAN_SIZE:

@@ -24,7 +24,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import ArgumentError, EntryNotInMaximalIdeal, UnsupportedSize
+from .errors import ArgumentError, EntryNotInMaximalIdeal, UnsupportedSize, \
+    _is_int
 from .polyring import Polynomial, PolyRing
 from . import polyring as _ring_mod
 
@@ -164,7 +165,7 @@ class SkewMatrix:
 def _mask_of(matrix: SkewMatrix, indices, allow_repeats: bool):
     mask = 0
     for i in indices:
-        if not isinstance(i, int) or isinstance(i, bool) or not 1 <= i <= matrix.m:
+        if not _is_int(i) or not 1 <= i <= matrix.m:
             raise IndexError(f"index {i!r} out of range 1..{matrix.m}")
         bit = 1 << (i - 1)
         if mask & bit:

@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import linalg
-from .errors import ArgumentError, MinimizationNotPolynomial
+from .errors import ArgumentError, MinimizationNotPolynomial, _is_int
 from .pfaffian import SkewMatrix, sigma3
 from .polyring import PolyRing, decompose_c
 
@@ -311,7 +311,7 @@ def trimmed_resolution(T: SkewMatrix, t: int) -> TrimmedData:
     Raises:
         ArgumentError: t outside 1..m.
     """
-    if not isinstance(t, int) or not 1 <= t <= T.m:
+    if not _is_int(t) or not 1 <= t <= T.m:
         raise ArgumentError(f"trim count must satisfy 1 <= t <= {T.m}, got {t!r}")
     return _trimmed_data(T, t)
 

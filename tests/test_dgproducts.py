@@ -699,7 +699,7 @@ class TestLeibnizGate:
     """A degree-(1, 1) cell of two indices with a u factor has its C1
     residual read off the d2 images of its pair base and contractions when
     it is the trimming's own recipe at its own position; any other cell is
-    computed from its own terms.  Either way the report is the
+    imaged off its own parts, unshared.  Either way the report is the
     reference's."""
 
     @pytest.mark.parametrize("mode", ["coefficient", "contraction", "extra",
@@ -779,7 +779,8 @@ class TestLeibnizGate:
         # checks off (a recipe cell builds its coordinates on first read).
         # As a recipe the cell is read off shifted images and its lower
         # partner off it; as a plain cell, the shifted sum of its parts, it
-        # is summed from its own terms.  Both reports are the reference's
+        # is one unshifted part, imaged on its own.  Both reports are the
+        # reference's
         td = limit_trim(EXPONENT_LIMIT - 1)
         x, y = B.U(1, 1), B.U(2, 1)
         negate, parts = dgproducts._cell_parts(td, 1, 1, 2, 1)
@@ -803,7 +804,8 @@ class TestLeibnizGate:
 class TestRecipeCells:
     """full_table keeps each degree-(1, 1) cell of two indices as its
     recipe, read-only coordinates built on first read; verify_leibniz reads
-    the recipe only for the trimming's own cell at its own position."""
+    every cell off its parts, and shares their images only for the
+    trimming's own cell at its own position."""
 
     def test_coords_built_once_and_read_only(self):
         T = random_skew(R5, 7, random.Random(65), degree=1)
@@ -842,8 +844,8 @@ class TestRecipeCells:
         # cells swapped within the table, and the degree-(1, 1) cells of the
         # t - 1 table (all of them, or those of one order only, so that
         # each pair mixes the two trimmings) are recipes of the wrong
-        # position or trimming: each is summed from its own terms, and the
-        # report is the reference's
+        # position or trimming: each is imaged off its own parts, unshared,
+        # and the report is the reference's
         T = random_skew(ring, 7, random.Random(65), degree=1)
         td = trimmed_resolution(T, 3)
         table = full_table(td)
@@ -871,7 +873,7 @@ class TestRecipeCells:
         # the same-block cell u1_1*u1_2 and the diagonal cells u1_1*u1_1
         # and e4*e4, each moved within the table, taken from the t - 1
         # table (in one order only, or with the partner of the pair too),
-        # or changed: each is read from its own terms, and the report is
+        # or changed: each is read off its own parts, and the report is
         # the reference's.  Every move and change breaks the identity, and
         # the t - 1 cells equal the table's
         T = random_skew(ring, size, random.Random(65), degree=1)
@@ -905,7 +907,7 @@ class TestRecipeCells:
         # degree-(1, 2) cells moved within a row and between the u's of a
         # block, those of the t - 1 table (all, or block 1's only), and one
         # recipe replaced by a plain cell with its w coordinate dropped:
-        # each is read from its own terms, and the report is the
+        # each is read off its own parts, and the report is the
         # reference's.  The t - 1 cells differ only over F5 (at f3)
         T = random_skew(ring, 7, random.Random(65), degree=1)
         td = trimmed_resolution(T, 3)
@@ -933,16 +935,29 @@ class TestRecipeCells:
             assert list(report.violations) == expected
             assert bool(expected) == (n < 3 or ring is R5)
 
-    @pytest.mark.parametrize("ring,size,t", [(R2, 7, 3), (R5, 7, 3),
-                                             (RQ, 5, 3), (R5, 5, 5)],
-                             ids=["F2-7", "F5-7", "QQ-5", "F5-5-all-u"])
-    def test_clean_check_builds_no_cell(self, ring, size, t, monkeypatch):
-        # on a clean certified table every cell, e e, x x and u u of one
-        # block included, is td's own recipe at its own position, read off
-        # its parts: the check builds the coordinates of none
-        T = random_skew(ring, size, random.Random(112 + size), degree=1)
+    @pytest.mark.parametrize("ring,size,t,rows", [
+        (R2, 7, 3, "certified"), (R5, 7, 3, "certified"),
+        (RQ, 5, 3, "certified"), (R5, 5, 5, "certified"),
+        (R5, 7, 3, "patched"), (R5, 5, 3, "vanishing")],
+        ids=["F2-7", "F5-7", "QQ-5", "F5-5-all-u", "F5-7-uncertified",
+             "F5-5-one-entry"])
+    def test_clean_check_builds_no_cell(self, ring, size, t, rows,
+                                        monkeypatch):
+        # on a clean table every cell, e e, x x and u u of one block
+        # included, is read off its parts: the check builds the coordinates
+        # of none, with the rows S certified or not (when every C2 column
+        # is checked in full).  The one-entry matrix, whose drop-one
+        # pfaffians all vanish, has no certificate; the F5-7 one has its
+        # certificate patched away
+        if rows == "vanishing":
+            T = SkewMatrix.from_upper(ring, size, {(1, 2): ring.gens[0]})
+        else:
+            T = random_skew(ring, size, random.Random(112 + size), degree=1)
         td = trimmed_resolution(T, t)
-        assert dgproducts._certified_rows(td.complex) is not None
+        assert (dgproducts._certified_rows(td.complex) is None) == \
+            (rows == "vanishing")
+        if rows == "patched":
+            monkeypatch.setattr(dgproducts, "_certified_rows", lambda C: None)
         table = full_table(td)
 
         def forbidden(cell):
@@ -957,8 +972,9 @@ class TestRecipeCells:
     def test_clean_check_builds_no_degree_three_cells(self, ring, size, t,
                                                       monkeypatch):
         # a clean certified check reads every degree-(1, 2) cell, own-block
-        # w terms included, off its parts; a recipe moved to another
-        # position is read from its coordinates
+        # w terms included, off its parts; so does the check of a table
+        # with a recipe moved to another position, whose images it does
+        # not share
         T = random_skew(ring, size, random.Random(122 + size), degree=1)
         td = trimmed_resolution(T, t)
         assert dgproducts._certified_rows(td.complex) is not None
@@ -976,8 +992,8 @@ class TestRecipeCells:
         moved = table.entries[(B.U(1, 1), y)]
         tampered = ProductTable(td.complex, {**table.entries, (x, y): moved})
         report = verify_leibniz(td, tampered)
+        assert not [cell for cell in built if cell.degree == 3]
         assert list(report.violations) == leibniz_reference(td, tampered)
-        assert [cell for cell in built if cell.degree == 3][:1] == [moved]
 
 
 def tamper_off_block(td, table, mode):

@@ -7,6 +7,8 @@ from fractions import Fraction
 import pytest
 
 from pftrim import families
+from pftrim.classify import classify
+from pftrim.dgproducts import ChainElement, d_constants
 from pftrim.errors import ArgumentError, UnsupportedSize
 from pftrim.families import (
     MAX_FAMILY_BAND,
@@ -23,6 +25,7 @@ from pftrim.families import (
 from pftrim.linalg import QQ_MODULUS, det_bareiss
 from pftrim.pfaffian import SkewMatrix, pfaffian_drop
 from pftrim.polyring import PolyRing, PrimeField, QQ
+from pftrim.resolution import trimmed_resolution
 
 RQ = PolyRing(QQ)
 R2 = PolyRing(PrimeField(2))
@@ -266,6 +269,35 @@ class TestScan:
         write_scan_csv(result.records, buffer)
         digest = hashlib.sha256(buffer.getvalue().encode()).hexdigest()
         assert digest == SCAN_DIGESTS[(char, m, trials, seed, min_degree)]
+
+
+def linear_matrix():
+    x, y, z = R2.gens
+    return SkewMatrix.from_upper(R2, 5, {
+        (i, j): x + (y, z)[(i + j) % 2] for i in range(1, 6)
+        for j in range(i + 1, 6)})
+
+
+@pytest.mark.parametrize("call", [
+    lambda: realizability_scan(2, 5, 1.5),
+    lambda: realizability_scan(2, 5, True),
+    lambda: realizability_scan(2, 5, 1, degree_bound=2.5),
+    lambda: realizability_scan(2, 5, 1, seed=1.5),
+    lambda: realizability_scan(2, 5, 1, min_degree=True),
+    lambda: FamilySpec("odd", True),
+    lambda: trimmed_resolution(linear_matrix(), True),
+    lambda: classify(linear_matrix(), True),
+    lambda: d_constants(trimmed_resolution(linear_matrix(), 1), "two_index",
+                        (1, True, 2, 1, 2)),
+    lambda: ChainElement(R2, True)],
+    ids=["scan-trials", "scan-bool-trials", "scan-degree-bound",
+         "scan-seed", "scan-bool-min-degree", "family-band", "trim",
+         "classify", "d-constants", "chain-degree"])
+def test_integer_arguments_refuse_others(call):
+    # a float or a bool where an index, size, count or seed goes fails
+    # with the documented error, not a TypeError, a ValueError or a result
+    with pytest.raises(ArgumentError):
+        call()
 
 
 class TestSkipCertificate:
