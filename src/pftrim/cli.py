@@ -22,6 +22,7 @@ import argparse
 import dataclasses
 import json
 import sys
+from itertools import chain
 
 from .classify import check_conjectures, classify, conjugate_trim_set
 from .dgproducts import MAX_PRODUCT_SIZE, full_table, verify_leibniz
@@ -260,11 +261,11 @@ def cmd_products(args) -> int:
     td = trimmed_resolution(M, t)
     table = full_table(td)
     C = td.complex
-    for dx, dy in ((1, 1), (1, 2)):
-        for x in C.basis(dx):
-            for y in C.basis(dy):
-                lines.append(f"{x.label}*{y.label} = {table.lookup(x, y)}")
-    _emit(lines, args.out)
+    # each cell is formatted as it is written and then dropped
+    cells = (f"{x.label}*{y.label} = {table.lookup(x, y)}"
+             for dx, dy in ((1, 1), (1, 2))
+             for x in C.basis(dx) for y in C.basis(dy))
+    _emit(chain(lines, cells), args.out)
     return 0
 
 

@@ -34,7 +34,7 @@ one block is -y_k v^k_ls, and x x has no part.  In degree (1, 2), e_i y is
 kept per (i, y) and a u^i_l cell is its -z_l shift, plus a w^i term
 against its own block.  That table is the one route to a cell: `product`
 reads it, and the trimming keeps it from the first call on.  Every cell is
-kept there as that recipe, its coordinates built on first read; its
+kept there as that recipe alone, its coordinates built on each read; its
 residues mod the maximal ideal, which `classify.tor_products` reads, are
 the constant terms of its unshifted parts.  `verify_leibniz` reads every
 cell off its parts, any other `ChainElement` being its coordinates as one
@@ -50,7 +50,6 @@ the block, which their recipes make its z-shifts there (the trust rule of
 import dataclasses
 from itertools import combinations
 from operator import attrgetter
-from types import MappingProxyType
 
 from . import polyring as _ring_mod
 from .errors import ArgumentError, FieldMismatch, _is_int
@@ -171,11 +170,12 @@ class ChainElement:
     __hash__ = None
 
     def __str__(self):
-        if not self.coords:
+        coords = self.coords
+        if not coords:
             return "0"
         parts = []
-        for elem in sorted(self.coords, key=lambda b: (b.kind, b.data)):
-            text = str(self.coords[elem])
+        for elem in sorted(coords, key=lambda b: (b.kind, b.data)):
+            text = str(coords[elem])
             if text == "1":
                 parts.append(elem.label)
             elif "+" in text or text.startswith("-") or " " in text:
@@ -347,10 +347,9 @@ def _shift(terms, key, negate, p):
 
 def _shifted(ring, pairs, key, negate):
     # {element: _shift of its terms} as Polynomials, for (element, term
-    # dict) pairs whose shift `_recipe` checked against EXPONENT_LIMIT.
-    # Polynomials are immutable, so cells may share them and their term
-    # dicts with the _memo cache; the fresh entries dict of each full_table
-    # call is what keeps a caller's edits away from `product`
+    # dict) pairs whose shift `_recipe` checked against EXPONENT_LIMIT;
+    # built afresh on each read of a cell.  Polynomials are immutable, so
+    # an unshifted one may share its term dict with the _memo cache
     return {elem: Polynomial(ring, _shift(terms, key, negate, ring._p))
             for elem, terms in pairs}
 
@@ -447,14 +446,6 @@ def _degree_one_product(td, i, l, j, s):
 
 
 @_memo
-def _shifts(td):
-    # {(part name, key, negate): _shifted of the part's pairs}, kept for
-    # the cells that share a shift, as the u u cells (i,l)(j,s) and
-    # (i,s)(j,l) share their pair base's
-    return {}
-
-
-@_memo
 def _checked(td):
     # the (part name, key) shifts `_recipe` found within EXPONENT_LIMIT
     return set()
@@ -473,31 +464,28 @@ def _recipe(td, degree, factors, negate, parts):
 
 
 def _built(cell):
-    # the coordinates of a recipe cell: (-1)^negate times the sum over its
-    # parts of z^key times their pairs, the parts holding disjoint elements
-    shifts, negate = _shifts(cell.td), cell.negate
+    # the coordinates of a recipe cell, built afresh on each read: (-1)^negate
+    # times the sum over its parts of z^key times their pairs, the parts
+    # holding disjoint elements
     coords = {}
-    for name, pairs, key in cell.parts:
-        shift = shifts.get((name, key, negate))
-        if shift is None:
-            shift = shifts[(name, key, negate)] = _shifted(cell.ring, pairs,
-                                                           key, negate)
-        coords.update(shift)
+    for _, pairs, key in cell.parts:
+        coords.update(_shifted(cell.ring, pairs, key, cell.negate))
     return coords
 
 
 class _Recipe(ChainElement):
     # a cell of td's full_table (every cell is one) kept as its factors,
     # (i, l, j, s) in degree (1, 1) and (i, l, y) in degree (1, 2), and its
-    # parts (negate, parts) from _cell_parts or _degree_two_parts.  Its
-    # coords are built on first read by _built and kept read-only.  td,
+    # parts (negate, parts) from _cell_parts or _degree_two_parts.  It
+    # keeps nothing else: its coords are built by _built on each read, a
+    # fresh dict no caller's edit can carry back into the cell.  td,
     # factors, negate, parts and coords are properties with no setter, so
     # no caller can change the cell the recipe names.  _residues and
     # verify_leibniz read every cell off its parts, a recipe's as kept
-    __slots__ = ("_td", "_factors", "_negate", "_parts", "_coords")
+    __slots__ = ("_td", "_factors", "_negate", "_parts")
 
     def __init__(self, td, degree, factors, negate, parts):
-        self.ring, self.degree, self._coords = td.ring, degree, None
+        self.ring, self.degree = td.ring, degree
         self._td, self._factors = td, factors
         self._negate, self._parts = negate, parts
 
@@ -508,9 +496,7 @@ class _Recipe(ChainElement):
 
     @property
     def coords(self):
-        if self._coords is None:
-            self._coords = MappingProxyType(_built(self))
-        return self._coords
+        return _built(self)
 
 
 @_memo
@@ -601,21 +587,21 @@ class ProductTable:
     def records(self):
         out = []
         for x, y in self.pairs():
-            value = self.entries[(x, y)]
+            coords = self.entries[(x, y)].coords
             target = self.complex.basis(x.degree + y.degree)
-            cells = [[elem.label, str(value.coefficient(elem))]
-                     for elem in target if not value.coefficient(elem).is_zero]
+            cells = [[elem.label, str(coords[elem])]
+                     for elem in target if elem in coords]
             out.append({"left": x.label, "right": y.label, "value": cells})
         return out
 
 
 #: Largest matrix size ``pftrim products`` accepts; it exits 2 above it
 #: before the matrix is built.  ``products --trim m`` took (CPU time, Python
-#: 3.11 on a 2-core Xeon, most of it printing) 0.7-1.0, 2.2-2.4, 3.4-4.0
-#: and 7.9-9.6 s at sizes 9, 11, 13 and 15 on dense linear forms over F3,
-#: with a peak RSS of 30, 50, 93 and 173 MiB; with 80% of the entries
-#: quadratic of two terms over QQ, 1.4-2.2, 5.1-6.9, 16.5-20.7 and 43 s,
-#: with 54, 150, 382 and 874 MiB: the memory more than doubles per step of 2.
+#: 3.11 on a shared 2-core Xeon, most of it printing) 0.6-1.0, 1.5-2.2,
+#: 3.1-5.0 and 6.6-7.9 s at sizes 9, 11, 13 and 15 on dense linear forms
+#: over F3, with a peak RSS of 20, 22, 28 and 43 MiB; with 80% of the
+#: entries quadratic of two terms over QQ, 1.5-2.4, 5.4-7.4, 13-18 and
+#: 40-50 s, with 21, 31, 55 and 117 MiB.
 MAX_PRODUCT_SIZE = 15
 
 
@@ -628,8 +614,9 @@ def full_table(td):
     x x is zero.  A degree-(1, 2) cell of u^i_l is the -z_l shift of e_i y
     plus its own-block w^i term.  By graded commutativity a (2, 1) cell is
     the (1, 2) cell of the swapped pair.  Every cell is kept as that
-    recipe, built on first read; each (part, key) shift is checked against
-    EXPONENT_LIMIT as the recipe is made, so no cell read later can raise."""
+    recipe, its coordinates built on each read; each (part, key) shift is
+    checked against EXPONENT_LIMIT as the recipe is made, so no cell read
+    later can raise."""
     C = td.complex
     table = ProductTable(C, {})
     entries = table.entries

@@ -70,6 +70,8 @@ class SkewMatrix:
         ``upper`` maps (i, j) with 1 <= i < j <= m to a Polynomial (or a
         string parsed by the ring); omitted pairs are zero.
         """
+        if not _is_int(m):
+            raise ArgumentError(f"matrix size must be an integer, got {m!r}")
         zero = ring.zero
         rows = [[zero] * m for _ in range(m)]
         for (i, j), value in dict(upper).items():

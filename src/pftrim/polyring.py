@@ -30,7 +30,8 @@ from functools import reduce
 from math import isqrt
 from operator import or_
 
-from .errors import ArgumentError, EntryNotInMaximalIdeal, FieldMismatch, ParseError
+from .errors import ArgumentError, EntryNotInMaximalIdeal, FieldMismatch, \
+    ParseError, _is_int
 
 # Every caller, in this module and the others, resolves ``polyring._core`` at
 # call time instead of binding the kernels at import, so that the counting
@@ -291,7 +292,7 @@ class Polynomial:
         return Polynomial(self.ring, _core.neg_terms(self.terms, self.ring._p))
 
     def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
+        if not _is_int(n) or n < 0:
             raise ArgumentError(f"polynomial powers take a nonnegative integer, got {n!r}")
         out = self.ring.one
         for _ in range(n):

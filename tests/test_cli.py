@@ -23,7 +23,7 @@ from pftrim.cli import (
     parse_matrix_document,
     serialize_matrix_document,
 )
-from pftrim import cli
+from pftrim import cli, dgproducts
 from pftrim.dgproducts import MAX_PRODUCT_SIZE, full_table
 from pftrim.errors import ArgumentError, EntryNotInMaximalIdeal, ParseError
 from pftrim.families import MAX_FAMILY_BAND, _random_skew
@@ -255,6 +255,35 @@ class TestCommands:
         assert "e3*f3 = g" in lines
         # 7x7 degree-one pairs plus 7x8 mixed pairs
         assert len(lines) == 49 + 56
+
+    def test_products_builds_each_printed_cell_once(self, tmp_path, capsys,
+                                                    monkeypatch):
+        # products hands _emit an iterator, so no cell is built before the
+        # writing starts, and each printed cell is built exactly once
+        T = _random_skew(PolyRing(PrimeField(5)), 7, random.Random(7), 1, 1)
+        path = tmp_path / "f5.json"
+        path.write_text(serialize_matrix_document(document_of_matrix(T)))
+        builds, handed = [], []
+        build, emit = dgproducts._built, cli._emit
+
+        def counting(cell):
+            builds.append(cell)
+            return build(cell)
+
+        def recording(lines, out_path):
+            assert not builds
+            handed.append(lines)
+            return emit(lines, out_path)
+
+        monkeypatch.setattr(dgproducts, "_built", counting)
+        monkeypatch.setattr(cli, "_emit", recording)
+        assert main(["products", str(path), "--trim", "3"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        C = trimmed_resolution(T, 3).complex
+        r1, r2 = C.rank(1), C.rank(2)
+        assert len(lines) == len(builds) == r1 * r1 + r1 * r2
+        assert len({id(cell) for cell in builds}) == len(builds)
+        assert len(handed) == 1 and iter(handed[0]) is handed[0]
 
     def test_resolve_trimmed(self, example_file, capsys):
         assert main(["resolve", example_file, "--trim", "1"]) == 0

@@ -447,17 +447,12 @@ class TestTableAndMultiply:
                        for coeff in value.coords.values())
             assert verify_leibniz(td, table).all_passed
             # the cache keeps each index pair once: no negated copy under
-            # the reversed pair, and the shifts of a pair's parts are kept
-            # under the increasing pair
+            # the reversed pair
             cache = td.__dict__["_product_cache"]
             for name, *args in cache:
                 if len(args) > 1 and args[0] != args[1]:
                     assert (name, args[1], args[0], *args[2:]) not in cache, \
                         (name, *args)
-            shifts = dgproducts._shifts(td)
-            assert shifts and all(part[0] <= part[1] for part, _, _ in shifts
-                                  if isinstance(part[1], int)
-                                  and len(part) != 3)
             # product reads one table built on its first call
             calls.clear()
             basis = [b for d in range(4) for b in td.complex.basis(d)]
@@ -803,22 +798,27 @@ class TestLeibnizGate:
 
 class TestRecipeCells:
     """full_table keeps each degree-(1, 1) cell of two indices as its
-    recipe, read-only coordinates built on first read; verify_leibniz reads
-    every cell off its parts, and shares their images only for the
+    recipe alone, its coordinates built afresh on each read; verify_leibniz
+    reads every cell off its parts, and shares their images only for the
     trimming's own cell at its own position."""
 
-    def test_coords_built_once_and_read_only(self):
+    def test_coords_built_on_each_read_and_read_only(self):
+        # each read is a fresh dict equal to the formula's, so editing one
+        # leaves the cell, and the next read, as it was
         T = random_skew(R5, 7, random.Random(65), degree=1)
         td = trimmed_resolution(T, 3)
         table = full_table(td)
         for x, y in ((B.U(1, 1), B.U(2, 2)), (B.U(2, 2), B.U(1, 1)),
                      (B.E(4), B.U(3, 1)), (B.E(5), B.E(6))):
             cell = table.entries[(x, y)]
+            expected = formula_cell(td, x, y).coords
             coords = cell.coords
-            assert cell.coords is coords
+            assert coords == expected and coords
+            coords[next(iter(coords))] = R5.one
+            coords[B.G()] = R5.one
+            assert cell.coords is not coords
+            assert cell.coords == expected
             assert cell == formula_cell(td, x, y)
-            with pytest.raises(TypeError):
-                coords[next(iter(coords))] = R5.one
 
     @pytest.mark.parametrize("name", ["coords", "factors", "parts",
                                       "negate", "td"])
@@ -836,7 +836,11 @@ class TestRecipeCells:
                 setattr(cell, name, None)
             with pytest.raises(AttributeError):
                 delattr(cell, name)
-            assert getattr(cell, name) is before
+            # coords is a fresh dict on each read, equal to the last
+            if name == "coords":
+                assert getattr(cell, name) == before
+            else:
+                assert getattr(cell, name) is before
         assert cell == formula_cell(td, B.U(1, 1), B.E(5))
 
     @pytest.mark.parametrize("ring", [R2, R5, RQ], ids=["F2", "F5", "QQ"])
@@ -1265,11 +1269,14 @@ class TestCertifiedRows:
         table = full_table(td)
         rows = dgproducts._certified_rows(C)
         assert rows is not None
-        # the term dicts of L_x on C1, by whether their row is in S
-        inside, outside = set(), set()
+        # the term dicts of L_x on C1, by whether their row is in S.  Each
+        # read builds the cell anew, so the builds are kept alive: a freed
+        # term dict's id could be reused by one verify_leibniz makes
+        inside, outside, built = set(), set(), []
         for x in C.basis(1):
             for y in C.basis(1):
-                for elem, coeff in table.lookup(x, y).coords.items():
+                built.append(table.lookup(x, y).coords)
+                for elem, coeff in built[-1].items():
                     side = inside if C.index_of(2, elem) in rows else outside
                     side.add(id(coeff.terms))
         outside -= {id(entry.terms) for d in (1, 2, 3)

@@ -190,6 +190,12 @@ class TestSkewMatrixValidation:
         with pytest.raises(ArgumentError):
             SkewMatrix.from_upper(RQ, 3, {(1, 4): "x"})
 
+    def test_from_upper_refuses_a_non_integer_size(self):
+        # True would build a size-1 matrix and 5.0 fail inside range()
+        for bad in (True, 5.0, "5", None):
+            with pytest.raises(ArgumentError, match="must be an integer"):
+                SkewMatrix.from_upper(R7, bad, {})
+
     def test_from_upper_builds_skew(self):
         T = example_matrix(RQ)
         x = RQ.gens[0]

@@ -256,6 +256,13 @@ class TestArithmetic:
         with pytest.raises(ArgumentError):
             x ** -1
 
+    def test_pow_refuses_bools_and_floats(self):
+        # bool is an int subclass: x ** True must not pass as x ** 1
+        x = R5.gens[0]
+        for bad in (True, False, 2.0, "2"):
+            with pytest.raises(ArgumentError, match="nonnegative integer"):
+                x ** bad
+
     def test_degree_and_terms(self):
         x, y, z = RQ.gens
         f = x * y ** 2 + z
