@@ -67,7 +67,7 @@ def _residue_q1(T, t):
     # coefficient of z_l in T[k, i]
     zero = T.ring.field.of(0)
     z_keys = [next(iter(z.terms)) for z in T.ring.gens]
-    return [[T.rows[k][i].terms.get(key, zero) for i in range(T.m)]
+    return [[f.terms.get(key, zero) for f in T.rows[k]]
             for k in range(t) for key in z_keys]
 
 
@@ -99,15 +99,15 @@ def classify(T, t):
             f"classification needs odd size at least 5, got {m}")
     if not _is_int(t) or not 1 <= t <= m:
         raise ArgumentError(f"trim count must satisfy 1 <= t <= {m}, got {t!r}")
-    *_, report = _trim_reports(T, t)
-    return report
+    *_, fields = _trim_reports(T, t)
+    return TorReport(*fields)
 
 
 def _trim_reports(T, last):
-    # the report of every trim count 1..last, from one elimination: the
-    # residue block of trim t is the first 3t rows of that of trim last,
-    # so its rank is the size of the echelon basis after those rows, and
-    # its pivot columns (those of its RREF) are the basis's lead columns
+    # the TorReport fields of every trim count 1..last, from one
+    # elimination: the residue block of trim t is the first 3t rows of that
+    # of trim last, so its rank is the size of the echelon basis after
+    # those rows, and its pivot columns are the basis's lead columns
     m, field = T.m, T.ring.field
     qbar = _residue_q1(T, last)
     basis = {}
@@ -120,7 +120,7 @@ def _trim_reports(T, last):
         failure = _minor_failure(field, qbar, m, t) if m == 5 else None
         r = m - t - p if failure is None else None
         cls = "NotG" if failure else f"G({r})"
-        yield TorReport(m, t, rank, p, fmt, fmt[1], r, cls, failure)
+        yield m, t, rank, p, fmt, fmt[1], r, cls, failure
 
 
 class TorProductTable:

@@ -712,9 +712,8 @@ def _certified_rows(C):
     d3 at that point in order, so the S-rows of d3 form a square block
     whose determinant is a nonzero polynomial."""
     p = residue_modulus(C.ring)
-    d2, d3 = ([[residue_terms(entry, p) if entry.terms else ()
-                for entry in row] for row in C.differential(d)]
-              for d in (2, 3))
+    d2, d3 = ([[residue_terms(entry, p) for entry in row]
+               for row in C.differential(d)] for d in (2, 3))
     if any(None in row for row in d2 + d3):
         return None
     for point in POINTS:

@@ -17,6 +17,7 @@ to ``MAX_SCAN_SIZE`` (21) are accepted.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import random
@@ -26,7 +27,8 @@ from .errors import ArgumentError, UnsupportedSize, _is_int
 from .linalg import POINTS, det_bareiss, insert_row, residue_modulus, \
     residue_terms, residues_at
 from .pfaffian import SkewMatrix, pfaffian_drop
-from .polyring import PolyRing, PrimeField, QQ
+from .polyring import EXPONENT_LIMIT, Polynomial, PolyRing, PrimeField, \
+    QQ, pack_exponents
 
 __all__ = [
     "MAX_FAMILY_BAND",
@@ -203,10 +205,11 @@ def family_checks(spec: FamilySpec, ring: PolyRing = None) -> FamilyReport:
 
 #: Largest size ``realizability_scan`` accepts.  Classification reads
 #: residues only, and the skip check is settled by evaluation for nearly
-#: every matrix; the bound is for the rest, whose drop-one pfaffians the
-#: check computes symbolically.  Their cost grows about four times per
-#: step of 2 in size, some 3 s of CPU and 130 MiB per trial at size 21
-#: (F2, degree bound 2, Python 3.11 on a 2-core Xeon).
+#: every matrix: such a certified trial takes about 0.3, 1.0 and 2.7 ms of
+#: CPU at sizes 7, 13 and 21.  The bound is for the rest, whose drop-one
+#: pfaffians the check computes symbolically.  Their cost grows about four
+#: times per step of 2 in size, some 3 s of CPU and 130 MiB per trial at
+#: size 21 (all F2, degree bound 2, Python 3.11 on a 2-core Xeon).
 MAX_SCAN_SIZE = 21
 
 
@@ -218,18 +221,15 @@ def _certified(T):
     of T is a nonzero polynomial.  False proves nothing."""
     m = T.m
     p = residue_modulus(T.ring)
-    cells, polys = [], []
-    for (i, j), f in T.upper_entries():
-        terms = residue_terms(f, p)
-        if terms is None:
-            return False
-        cells.append((i - 1, j - 1))
-        polys.append(terms)
+    cells = T.upper_entries()
+    polys = [residue_terms(f, p) for _, f in cells]
+    if None in polys:
+        return False
     for point in POINTS:
         rows = [[0] * m for _ in range(m)]
-        for (i, j), v in zip(cells, residues_at(polys, point, p)):
-            rows[i][j] = v
-            rows[j][i] = -v % p
+        for ((i, j), _), v in zip(cells, residues_at(polys, point, p)):
+            rows[i - 1][j - 1] = v
+            rows[j - 1][i - 1] = -v % p
         basis = {}
         misses = 0
         for row in rows:
@@ -294,19 +294,27 @@ class ScanResult:
 
 
 def _random_entry(ring, rng, min_degree, degree_bound):
+    # canonical as drawn: summed by packed key, reduced, zeros dropped
+    char = ring.field.char
     terms = {}
     for _ in range(rng.randint(0, 3)):
         d = rng.randint(min_degree, degree_bound)
         a1 = rng.randint(0, d)
         a2 = rng.randint(0, d - a1)
         exps = (a1, a2, d - a1 - a2)
-        char = ring.field.char
+        if d > EXPONENT_LIMIT:
+            ring.from_terms({exps: 1})  # refuses an exponent past the limit
         if char:
             coeff = rng.randrange(1, char) if char > 2 else 1
         else:
             coeff = rng.choice((-3, -2, -1, 1, 2, 3))
-        terms[exps] = terms.get(exps, 0) + coeff
-    return ring.from_terms(terms)
+        key = pack_exponents(*exps)
+        terms[key] = terms.get(key, 0) + coeff
+    if char:
+        terms = {key: c % char for key, c in terms.items() if c % char}
+    else:
+        terms = {key: c for key, c in terms.items() if c}
+    return Polynomial(ring, terms)
 
 
 def _random_skew(ring, m, rng, min_degree, degree_bound):
@@ -361,10 +369,9 @@ def realizability_scan(char: int, m: int, trials: int, degree_bound: int = 2,
         if not _keeps(T):
             skipped += 1
             continue
-        for rep in _trim_reports(T, m):
-            records.append(ScanRecord(seed, trial, field.char, m, rep.t,
-                                      rep.rank_q1, rep.p, rep.mu, rep.t + 1,
-                                      rep.r, rep.class_, degree_bound))
+        for _, t, rank, p, _, mu, r, cls, _ in _trim_reports(T, m):
+            records.append(ScanRecord(seed, trial, field.char, m, t, rank, p,
+                                      mu, t + 1, r, cls, degree_bound))
     return ScanResult(tuple(records), trials, skipped)
 
 
@@ -373,15 +380,8 @@ def write_scan_csv(records, out):
 
     ``out`` is a path or a writable text file object.
     """
-    if hasattr(out, "write"):
-        _write_rows(out, records)
-        return
-    with open(out, "w", newline="") as handle:
-        _write_rows(handle, records)
-
-
-def _write_rows(handle, records):
-    writer = csv.writer(handle)
-    writer.writerow(SCAN_COLUMNS)
-    for record in records:
-        writer.writerow(record.csv_row())
+    with contextlib.nullcontext(out) if hasattr(out, "write") else \
+            open(out, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(SCAN_COLUMNS)
+        writer.writerows(record.csv_row() for record in records)

@@ -4,17 +4,20 @@ exact polynomial division.  Matrices are tuples of tuples (rows), dense.
 
 It also holds the point evaluation that the evaluation certificates share
 (the scan's skip check in ``families`` and the Leibniz check on C2 in
-``dgproducts``): the points ``POINTS`` of F_p^3, rational coefficients
+``dgproducts``): the points ``POINTS`` of {0, 1}^3, rational coefficients
 read mod ``QQ_MODULUS``, and ``residue_terms`` / ``residues_at`` taking
-polynomials to their values at a point.  A nonzero value, or a nonzero
-minor of an evaluated matrix, proves the same of the polynomial one.
+polynomials to their values at a point, where a term's value is its
+coefficient when its support lies inside the point's and 0 otherwise.  A
+nonzero value, or a nonzero minor of an evaluated matrix, proves the same
+of the polynomial one.
 """
 
 from __future__ import annotations
 
 from . import polyring as _ring_mod
 from .errors import ArgumentError
-from .polyring import Polynomial, PolyRing, unpack_exponents
+from .polyring import EXPONENT_LIMIT, Polynomial, PolyRing, \
+    pack_exponents, unpack_exponents
 
 
 def freeze(rows):
@@ -57,26 +60,31 @@ def residue_modulus(ring: PolyRing) -> int:
 
 
 def residue_terms(f: Polynomial, p: int):
-    """The terms of f as (coefficient mod p, a1, a2, a3) tuples, or None
-    when a rational coefficient has a denominator divisible by p: f then
-    has no residue mod p."""
-    rational = not f.ring.field.char
-    terms = []
+    """The terms of f with coefficients mod p, as a read-only dict from
+    packed key to coefficient (over F_p, f's own terms), or None when a
+    rational coefficient has a denominator divisible by p: f then has no
+    residue mod p."""
+    if f.ring.field.char:
+        return f.terms
+    terms = {}
     for key, c in f.terms.items():
-        if rational:
-            if c.denominator % p == 0:
-                return None
-            c = c.numerator * pow(c.denominator, -1, p) % p
-        terms.append((c, *unpack_exponents(key)))
+        if c.denominator % p == 0:
+            return None
+        terms[key] = c.numerator * pow(c.denominator, -1, p) % p
     return terms
 
 
 def residues_at(polys, point, p: int):
     """The values mod p at ``point`` of polynomials given by their
-    ``residue_terms``, as a list."""
-    x, y, z = point
-    return [sum(c * pow(x, a, p) * pow(y, b, p) * pow(z, d, p)
-                for c, a, b, d in terms) % p for terms in polys]
+    ``residue_terms``, as a list.  The point lies in {0, 1}^3, so a term's
+    value there is its coefficient when its support lies inside the
+    point's, and 0 otherwise: when its key meets no lane of a variable
+    that is 0 there."""
+    outside = pack_exponents(*(EXPONENT_LIMIT * (1 - v) for v in point))
+    if not outside:
+        return [sum(terms.values()) % p for terms in polys]
+    return [sum(c for key, c in terms.items() if not key & outside) % p
+            for terms in polys]
 
 
 def insert_row(basis, row, p):

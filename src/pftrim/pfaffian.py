@@ -57,8 +57,11 @@ class SkewMatrix:
                 if rows[i][j].constant_term():
                     raise EntryNotInMaximalIdeal(
                         f"entry ({i + 1},{j + 1}) has a nonzero constant term")
+        self._setup(ring, rows)
+
+    def _setup(self, ring, rows):
         self.ring = ring
-        self.m = m
+        self.m = len(rows)
         self.rows = rows
         self._pf_cache = {0: ring.one}
         self._untrimmed = None
@@ -68,34 +71,38 @@ class SkewMatrix:
         """Build from the strict upper triangle.
 
         ``upper`` maps (i, j) with 1 <= i < j <= m to a Polynomial (or a
-        string parsed by the ring); omitted pairs are zero.
+        string parsed by the ring); omitted pairs are zero.  Each value is
+        checked once and negated below the diagonal, so the matrix is skew.
         """
         if not _is_int(m):
             raise ArgumentError(f"matrix size must be an integer, got {m!r}")
         zero = ring.zero
         rows = [[zero] * m for _ in range(m)]
-        for (i, j), value in dict(upper).items():
-            if not (1 <= i < j <= m):
-                raise ArgumentError(f"upper-triangle key ({i},{j}) out of range for size {m}")
+        for key, value in dict(upper).items():
+            i, j = key if isinstance(key, tuple) and len(key) == 2 else (0, 0)
+            if not (_is_int(i) and _is_int(j) and 1 <= i < j <= m):
+                raise ArgumentError(f"upper-triangle key {key!r} out of range for size {m}")
             if isinstance(value, str):
                 value = ring.from_string(value)
+            if not isinstance(value, Polynomial) or \
+                    (value.ring is not ring and value.ring != ring):
+                raise ArgumentError(f"entry ({i},{j}) is not over {ring!r}")
+            if value.terms.get(0):
+                raise EntryNotInMaximalIdeal(f"entry ({i},{j}) has a nonzero constant term")
             rows[i - 1][j - 1] = value
             rows[j - 1][i - 1] = -value
-        return cls(ring, rows)
+        if m % 2 == 0 or m < 1:
+            raise UnsupportedSize(f"matrix size must be odd and positive, got {m}")
+        return cls.unchecked(ring, rows)
 
     @classmethod
     def unchecked(cls, ring: PolyRing, rows) -> "SkewMatrix":
-        """Testing hook: skip every invariant check.
-
-        Used to feed deliberately invalid matrices to the verifiers; never
-        use this for real inputs.
-        """
+        """Build with no invariant check.  ``from_upper`` builds through it
+        rows that hold every invariant by construction, and tests feed
+        deliberately invalid matrices to the verifiers through it; build
+        real inputs with ``from_upper`` or the constructor."""
         self = object.__new__(cls)
-        self.ring = ring
-        self.rows = tuple(tuple(row) for row in rows)
-        self.m = len(self.rows)
-        self._pf_cache = {0: ring.one}
-        self._untrimmed = None
+        self._setup(ring, tuple(tuple(row) for row in rows))
         return self
 
     def entry(self, i: int, j: int) -> Polynomial:
@@ -104,12 +111,8 @@ class SkewMatrix:
 
     def upper_entries(self):
         """Nonzero strict-upper-triangle entries as ((i, j), Polynomial)."""
-        out = []
-        for i in range(self.m):
-            for j in range(i + 1, self.m):
-                if self.rows[i][j]:
-                    out.append(((i + 1, j + 1), self.rows[i][j]))
-        return out
+        return [((i, j), f) for i, row in enumerate(self.rows, start=1)
+                for j, f in enumerate(row[i:], start=i + 1) if f.terms]
 
     def generators(self) -> tuple:
         """The alternating-sign pfaffian generators: entry i (1-based) is

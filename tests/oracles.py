@@ -124,6 +124,16 @@ def oracle_poly_mul(a: dict, b: dict, p: int) -> dict:
     return out
 
 
+def oracle_value(terms: dict, point, p: int) -> int:
+    """Value mod p at a point of an exponent-triple dict with int or
+    Fraction coefficients: the exact rational sum of c * x^a * y^b * z^d,
+    then its numerator over its denominator mod p."""
+    x, y, z = point
+    total = sum((Fraction(c) * x ** a * y ** b * z ** d
+                 for (a, b, d), c in terms.items()), Fraction(0))
+    return total.numerator * pow(total.denominator, -1, p) % p
+
+
 def tuple_terms(f: Polynomial) -> dict:
     """View a Polynomial's terms as an exponent-triple dict."""
     return {unpack_exponents(k): c for k, c in f.terms.items()}

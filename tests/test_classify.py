@@ -204,7 +204,8 @@ class TestTrimReports:
                 residues = [[T.entry(k, i).coefficient(unit)
                              for i in range(1, m + 1)]
                             for k in range(1, m + 1) for unit in self.UNITS]
-                reports = list(_trim_reports(T, m))
+                reports = [TorReport(*fields)
+                           for fields in _trim_reports(T, m)]
                 assert [rep.t for rep in reports] == list(range(1, m + 1))
                 for t, rep in enumerate(reports, start=1):
                     pivots = oracle_pivots(residues[:3 * t], field.char)

@@ -610,6 +610,21 @@ class TestCommands:
         assert captured.out == ""
         assert captured.err == "error: scan size must be at most 21, got 23\n"
 
+    @pytest.mark.parametrize("bound,code,err", [
+        ("2000000", 2, "error: exponent 538284 outside 0..524287\n"),
+        ("524288", 0, "scan: 15 records, 0 of 3 trials skipped\n")])
+    def test_scan_exponent_limit(self, tmp_path, capsys, bound, code, err):
+        # a drawn exponent above EXPONENT_LIMIT is refused as
+        # PolyRing.from_terms refuses it; with the bound at 524288, seed 1
+        # happens to draw no exponent past the limit
+        target = tmp_path / "records.csv"
+        assert main(["scan", "--char", "2", "--size", "5", "--trials", "3",
+                     "--seed", "1", "--degree-bound", bound,
+                     "--out", str(target)]) == code
+        assert capsys.readouterr().err == err
+        if code == 0:
+            assert len(target.read_text().splitlines()) == 16
+
     def test_module_entry_point(self, example_file):
         # the child finds the package of this checkout, installed or not
         src = str(pathlib.Path(__file__).resolve().parents[1] / "src")

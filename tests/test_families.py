@@ -2,6 +2,8 @@
 
 import hashlib
 import io
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -22,10 +24,13 @@ from pftrim.families import (
     write_scan_csv,
     _band,
 )
-from pftrim.linalg import QQ_MODULUS, det_bareiss
+from pftrim.linalg import POINTS, QQ_MODULUS, det_bareiss, residue_modulus, \
+    residue_terms, residues_at
 from pftrim.pfaffian import SkewMatrix, pfaffian_drop
 from pftrim.polyring import PolyRing, PrimeField, QQ
 from pftrim.resolution import trimmed_resolution
+
+from oracles import oracle_value, random_poly, tuple_terms
 
 RQ = PolyRing(QQ)
 R2 = PolyRing(PrimeField(2))
@@ -40,7 +45,7 @@ EXPECTED = {
 }
 
 
-# sha256 of the CSV of the criterion 8 and 9 scans, keyed by
+# sha256 of the CSV of the criterion 8 and 9 scans and of two more, keyed by
 # (char, size, trials, seed, min_degree), all with degree bound 2
 SCAN_DIGESTS = {
     (2, 7, 160, 11, 1):
@@ -51,6 +56,12 @@ SCAN_DIGESTS = {
         "74f2ec8936ee08c6d0e3fbf64b9f58aea9656b3096734e8b7685337c403b1b00",
     (3, 7, 20, 14, 2):
         "3293467a745218da72e950308f4fbd3c9326684e6f3cb090f27e83c452e49a08",
+    # the draw's other coefficient branches: rng.choice over QQ, and
+    # rng.randrange over a prime above 3
+    (0, 7, 20, 15, 1):
+        "67450e0d9f0fd0ee073ad34616aa4e9c0b832839ae9d16bb6ccc03907a4f7b90",
+    (7, 7, 40, 17, 1):
+        "02a97c8e952e88e5a5daf81f855c7218ca22b560c926e7f2c003039b95b97c15",
 }
 
 
@@ -269,6 +280,34 @@ class TestScan:
         write_scan_csv(result.records, buffer)
         digest = hashlib.sha256(buffer.getvalue().encode()).hexdigest()
         assert digest == SCAN_DIGESTS[(char, m, trials, seed, min_degree)]
+
+
+class TestResidues:
+    def test_points_are_nonzero_corners(self):
+        # residues_at reads a term's value off its support, which is exact
+        # only at points of {0, 1}^3
+        corners = set(itertools.product((0, 1), repeat=3)) - {(0, 0, 0)}
+        assert set(POINTS) <= corners
+        assert len(set(POINTS)) == len(POINTS)
+
+    @pytest.mark.parametrize("field", [PrimeField(2), PrimeField(5), QQ],
+                             ids=repr)
+    def test_against_oracle(self, field):
+        ring = PolyRing(field)
+        p = residue_modulus(ring)
+        rng = random.Random(field.char + 41)
+        polys = [random_poly(ring, rng, degree, terms)
+                 for degree in (0, 1, 2, 5) for terms in (0, 1, 3, 8)
+                 for _ in range(3)]
+        if not field.char:
+            polys.append(ring.from_terms({(2, 0, 1): Fraction(3, 7),
+                                          (0, 1, 0): Fraction(-5, 4),
+                                          (0, 0, 0): Fraction(1, 2)}))
+        assert any(f.terms for f in polys)
+        residues = [residue_terms(f, p) for f in polys]
+        for point in POINTS:
+            assert residues_at(residues, point, p) == \
+                [oracle_value(tuple_terms(f), point, p) for f in polys], point
 
 
 def linear_matrix():

@@ -190,6 +190,21 @@ class TestSkewMatrixValidation:
         with pytest.raises(ArgumentError):
             SkewMatrix.from_upper(RQ, 3, {(1, 4): "x"})
 
+    @pytest.mark.parametrize("upper", [
+        {(1, 2): None}, {(1, 2): ["x"]}, {(1, 2): object()}, {(1, 2): 0},
+        {(1,): "x"}, {("a", 2): "x"}, {(True, 2): "x"}, {(1, 2.0): "x"},
+        {(1, 2, 3): "x"}, {"12": "x"}],
+        ids=["none", "list", "object", "int", "short-key", "str-index",
+             "bool-index", "float-index", "long-key", "str-key"])
+    def test_from_upper_refuses_bad_input(self, upper):
+        # neither a raw TypeError or ValueError nor a matrix
+        with pytest.raises(ArgumentError):
+            SkewMatrix.from_upper(RQ, 3, upper)
+
+    def test_from_upper_refuses_a_foreign_polynomial(self):
+        with pytest.raises(ArgumentError, match=r"\(1,2\)"):
+            SkewMatrix.from_upper(RQ, 3, {(1, 2): R7.gens[0]})
+
     def test_from_upper_refuses_a_non_integer_size(self):
         # True would build a size-1 matrix and 5.0 fail inside range()
         for bad in (True, 5.0, "5", None):
