@@ -62,11 +62,15 @@ class TorReport:
                 f"class {self.class_}"]
 
 
-def _residue_q1(T, t):
+def _residue_q1(T, t, packed=False):
     # Q1 mod the maximal ideal, 3t x m: row (k, l), column i is the
-    # coefficient of z_l in T[k, i]
-    zero = T.ring.field.of(0)
+    # coefficient of z_l in T[k, i]; packed (over F2), each row is an int
+    # with bit i set where that coefficient is 1
     z_keys = [next(iter(z.terms)) for z in T.ring.gens]
+    if packed:
+        return [sum(1 << i for i, f in enumerate(T.rows[k]) if key in f.terms)
+                for k in range(t) for key in z_keys]
+    zero = T.ring.field.of(0)
     return [[f.terms.get(key, zero) for f in T.rows[k]]
             for k in range(t) for key in z_keys]
 
@@ -109,7 +113,8 @@ def _trim_reports(T, last):
     # of trim last, so its rank is the size of the echelon basis after
     # those rows, and its pivot columns are the basis's lead columns
     m, field = T.m, T.ring.field
-    qbar = _residue_q1(T, last)
+    # packed over F2, but for the size-5 minor test, which reads entries
+    qbar = _residue_q1(T, last, field.char == 2 and m > 5)
     basis = {}
     for t in range(1, last + 1):
         for row in qbar[3 * t - 3:3 * t]:

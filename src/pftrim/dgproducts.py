@@ -53,8 +53,8 @@ from operator import attrgetter
 
 from . import polyring as _ring_mod
 from .errors import ArgumentError, FieldMismatch, _is_int
-from .linalg import POINTS, insert_row, residue_modulus, residue_terms, \
-    residues_at
+from .linalg import POINTS, insert_row, residue_bits, residue_modulus, \
+    residue_terms, residues_at
 from .pfaffian import rearrange_sign, sigma3, sigma5
 from .polyring import Polynomial, check_exponents, pack_exponents
 from .resolution import _PAIRS, BasisElement, _selfdual_part, _trimmed_data, \
@@ -716,16 +716,19 @@ def _certified_rows(C):
                for row in C.differential(d)] for d in (2, 3))
     if any(None in row for row in d2 + d3):
         return None
+
+    def at(row, point):  # the row's residues, packed over F2
+        return residue_bits(row, point) if p == 2 else residues_at(row, point, p)
     for point in POINTS:
         basis = {}
         rows = frozenset(
             r for r, row in enumerate(d3)
-            if insert_row(basis, residues_at(row, point, p), p) is not None)
+            if insert_row(basis, at(row, point), p) is not None)
         if len(rows) != C.rank(3):
             continue
         basis = {}
         for row in d2:
-            insert_row(basis, residues_at(row, point, p), p)
+            insert_row(basis, at(row, point), p)
         if len(basis) + len(rows) == C.rank(2):
             return rows if C.composes_to_zero() else None
     return None

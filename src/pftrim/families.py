@@ -205,7 +205,7 @@ def family_checks(spec: FamilySpec, ring: PolyRing = None) -> FamilyReport:
 
 #: Largest size ``realizability_scan`` accepts.  Classification reads
 #: residues only, and the skip check is settled by evaluation for nearly
-#: every matrix: such a certified trial takes about 0.3, 1.0 and 2.7 ms of
+#: every matrix: such a certified trial takes about 0.2, 0.5 and 1.2 ms of
 #: CPU at sizes 7, 13 and 21.  The bound is for the rest, whose drop-one
 #: pfaffians the check computes symbolically.  Their cost grows about four
 #: times per step of 2 in size, some 3 s of CPU and 130 MiB per trial at
@@ -226,10 +226,17 @@ def _certified(T):
     if None in polys:
         return False
     for point in POINTS:
-        rows = [[0] * m for _ in range(m)]
-        for ((i, j), _), v in zip(cells, residues_at(polys, point, p)):
-            rows[i - 1][j - 1] = v
-            rows[j - 1][i - 1] = -v % p
+        values = residues_at(polys, point, p)
+        if p == 2:  # packed rows, bit j - 1 for column j; -v = v
+            rows = [0] * m
+            for ((i, j), _), v in zip(cells, values):
+                rows[i - 1] |= v << j - 1
+                rows[j - 1] |= v << i - 1
+        else:
+            rows = [[0] * m for _ in range(m)]
+            for ((i, j), _), v in zip(cells, values):
+                rows[i - 1][j - 1] = v
+                rows[j - 1][i - 1] = -v % p
         basis = {}
         misses = 0
         for row in rows:
@@ -293,37 +300,49 @@ class ScanResult:
                 f"{self.skipped} of {self.trials} trials skipped"]
 
 
-def _random_entry(ring, rng, min_degree, degree_bound):
-    # canonical as drawn: summed by packed key, reduced, zeros dropped
-    char = ring.field.char
-    terms = {}
-    for _ in range(rng.randint(0, 3)):
-        d = rng.randint(min_degree, degree_bound)
-        a1 = rng.randint(0, d)
-        a2 = rng.randint(0, d - a1)
-        exps = (a1, a2, d - a1 - a2)
-        if d > EXPONENT_LIMIT:
-            ring.from_terms({exps: 1})  # refuses an exponent past the limit
-        if char:
-            coeff = rng.randrange(1, char) if char > 2 else 1
-        else:
-            coeff = rng.choice((-3, -2, -1, 1, 2, 3))
-        key = pack_exponents(*exps)
-        terms[key] = terms.get(key, 0) + coeff
-    if char:
-        terms = {key: c % char for key, c in terms.items() if c % char}
-    else:
-        terms = {key: c for key, c in terms.items() if c}
-    return Polynomial(ring, terms)
+def _randbelow(rng):
+    # below(n) draws from 0..n-1 as rng.randint, randrange and choice do,
+    # by CPython's _randbelow_with_getrandbits (n = 1 included): the same
+    # values and state after, without their argument layers
+    getrandbits = rng.getrandbits
+
+    def below(n):
+        k = n.bit_length()
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        return r
+    return below
 
 
 def _random_skew(ring, m, rng, min_degree, degree_bound):
+    # each entry canonical as drawn: summed by packed key, reduced, zeros
+    # dropped
+    char = ring.field.char
+    below = _randbelow(rng)
     upper = {}
     for i in range(1, m + 1):
         for j in range(i + 1, m + 1):
-            f = _random_entry(ring, rng, min_degree, degree_bound)
-            if f:
-                upper[(i, j)] = f
+            terms = {}
+            for _ in range(below(4)):
+                d = min_degree + below(degree_bound - min_degree + 1)
+                a1 = below(d + 1)
+                a2 = below(d - a1 + 1)
+                exps = (a1, a2, d - a1 - a2)
+                if d > EXPONENT_LIMIT:
+                    ring.from_terms({exps: 1})  # refuses the exponent
+                if char:
+                    coeff = 1 + below(char - 1) if char > 2 else 1
+                else:
+                    coeff = (-3, -2, -1, 1, 2, 3)[below(6)]
+                key = pack_exponents(*exps)
+                terms[key] = terms.get(key, 0) + coeff
+            if char:
+                terms = {key: c % char for key, c in terms.items() if c % char}
+            else:
+                terms = {key: c for key, c in terms.items() if c}
+            if terms:
+                upper[(i, j)] = Polynomial(ring, terms)
     return SkewMatrix.from_upper(ring, m, upper)
 
 

@@ -9,7 +9,8 @@ read mod ``QQ_MODULUS``, and ``residue_terms`` / ``residues_at`` taking
 polynomials to their values at a point, where a term's value is its
 coefficient when its support lies inside the point's and 0 otherwise.  A
 nonzero value, or a nonzero minor of an evaluated matrix, proves the same
-of the polynomial one.
+of the polynomial one.  Over F2, residue rows read only for their rank
+and lead columns are ints, bit c for column c, eliminated with XOR.
 """
 
 from __future__ import annotations
@@ -87,6 +88,14 @@ def residues_at(polys, point, p: int):
             for terms in polys]
 
 
+def residue_bits(polys, point):
+    """``residues_at`` over F2 packed into an int, bit c for polys[c]: each
+    coefficient is 1, so a value is the parity of the terms inside."""
+    outside = pack_exponents(*(EXPONENT_LIMIT * (1 - v) for v in point))
+    return sum(1 << c for c, terms in enumerate(polys)
+               if sum(1 for key in terms if not key & outside) & 1)
+
+
 def insert_row(basis, row, p):
     """One Gauss-Jordan step on canonical scalars of F_p, or of the
     rationals (ints and Fractions, see ``polyring.RationalField``) when p
@@ -97,8 +106,10 @@ def insert_row(basis, row, p):
     anything is left, it is scaled to 1 at its first nonzero column, that
     column is cleared from the other rows, and the row joins the basis.
     Returns the new lead column, or None when the row is in the span; the
-    row passed in is left as it is.
+    row passed in is left as it is.  An int row goes to ``insert_bits``.
     """
+    if type(row) is int:
+        return insert_bits(basis, row)
     for lead, other in basis.items():
         factor = row[lead]
         if factor:
@@ -116,6 +127,22 @@ def insert_row(basis, row, p):
         factor = other[lead]
         if factor:
             basis[col] = _sub_multiple(other, factor, row, p)
+    basis[lead] = row
+    return lead
+
+
+def insert_bits(basis, row):
+    """``insert_row`` over F2 on rows packed into ints, bit c for column c:
+    adding a row is XOR, and the first nonzero column is the lowest bit."""
+    for lead, other in basis.items():
+        if row >> lead & 1:
+            row ^= other
+    if not row:
+        return None
+    lead = (row & -row).bit_length() - 1
+    for col, other in basis.items():
+        if other >> lead & 1:
+            basis[col] = other ^ row
     basis[lead] = row
     return lead
 

@@ -72,11 +72,13 @@ class SkewMatrix:
 
         ``upper`` maps (i, j) with 1 <= i < j <= m to a Polynomial (or a
         string parsed by the ring); omitted pairs are zero.  Each value is
-        checked once and negated below the diagonal, so the matrix is skew.
+        checked once and negated below the diagonal, so the matrix is skew;
+        over F2, where -f = f, the value itself is stored there.
         """
         if not _is_int(m):
             raise ArgumentError(f"matrix size must be an integer, got {m!r}")
         zero = ring.zero
+        char2 = ring.field.char == 2
         rows = [[zero] * m for _ in range(m)]
         for key, value in dict(upper).items():
             i, j = key if isinstance(key, tuple) and len(key) == 2 else (0, 0)
@@ -90,7 +92,7 @@ class SkewMatrix:
             if value.terms.get(0):
                 raise EntryNotInMaximalIdeal(f"entry ({i},{j}) has a nonzero constant term")
             rows[i - 1][j - 1] = value
-            rows[j - 1][i - 1] = -value
+            rows[j - 1][i - 1] = value if char2 else -value
         if m % 2 == 0 or m < 1:
             raise UnsupportedSize(f"matrix size must be odd and positive, got {m}")
         return cls.unchecked(ring, rows)

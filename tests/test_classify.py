@@ -16,11 +16,12 @@ from pftrim.dgproducts import ChainElement, ProductTable, full_table
 from pftrim.errors import ArgumentError, NotApplicable, UnsupportedSize
 from pftrim.families import _random_skew
 from pftrim.pfaffian import SkewMatrix, pfaffian_drop
-from pftrim.linalg import insert_row, rref
+from pftrim.linalg import POINTS, insert_bits, insert_row, residue_bits, \
+    residues_at, rref
 from pftrim.polyring import PolyRing, PrimeField, QQ
 from pftrim.resolution import BasisElement, minimize, trimmed_resolution
 
-from oracles import oracle_pivots, random_skew
+from oracles import oracle_pivots, oracle_rank, random_skew
 
 from test_dgproducts import DIGEST_FIELDS, digest_matrix
 from test_pfaffian import example_matrix
@@ -241,6 +242,53 @@ class TestRref:
         assert rref(QQ, []) == ([], ())
         assert rref(PrimeField(2), [[0, 0], [0, 0]]) == \
             ([(0, 0), (0, 0)], ())
+
+
+def _packed(row):
+    return sum(v << c for c, v in enumerate(row))
+
+
+def _f2_batches():
+    # random 0/1 rows of every width up to 64, each batch with a zero row
+    # and a repeated row, then the scan's own residue rows over F2: Q1 and
+    # the certificate's matrix at every point
+    rng = random.Random(2)
+    for width in range(1, 65):
+        rows = [[int(rng.random() < rng.choice((0.1, 0.5, 0.9)))
+                 for _ in range(width)]
+                for _ in range(rng.randint(1, 12))]
+        rows.insert(rng.randrange(len(rows) + 1), [0] * width)
+        rows.insert(rng.randrange(len(rows) + 1), rng.choice(rows))
+        yield rows
+    ring = PolyRing(PrimeField(2))
+    for m in (7, 13, 21):
+        T = _random_skew(ring, m, random.Random(m), 1, 2)
+        qbar = _residue_q1(T, m)
+        assert _residue_q1(T, m, packed=True) == [_packed(row) for row in qbar]
+        yield qbar
+        for point in POINTS:
+            rows = [residues_at([f.terms for f in row], point, 2)
+                    for row in T.rows]
+            assert [residue_bits([f.terms for f in row], point)
+                    for row in T.rows] == [_packed(row) for row in rows]
+            yield rows
+
+
+class TestInsertBits:
+    def test_against_insert_row(self):
+        # every step returns the dense step's value and leaves its basis,
+        # packed, and the leads are the reduced echelon form's pivots;
+        # insert_row hands a packed row to insert_bits
+        for rows in _f2_batches():
+            dense, packed, handed = {}, {}, {}
+            for row in rows:
+                lead = insert_row(dense, row, 2)
+                assert insert_bits(packed, _packed(row)) == lead
+                assert insert_row(handed, _packed(row), 2) == lead
+                assert packed == handed == {
+                    col: _packed(other) for col, other in dense.items()}
+            assert len(packed) == oracle_rank(rows, 2)
+            assert tuple(sorted(packed)) == oracle_pivots(rows, 2)
 
 
 class TestTorProducts:

@@ -9,8 +9,9 @@ from fractions import Fraction
 import pytest
 
 from pftrim import families
-from pftrim.classify import classify
-from pftrim.dgproducts import ChainElement, d_constants
+from pftrim.classify import classify, tor_products
+from pftrim.dgproducts import ChainElement, d_constants, full_table, \
+    verify_leibniz
 from pftrim.errors import ArgumentError, UnsupportedSize
 from pftrim.families import (
     MAX_FAMILY_BAND,
@@ -24,8 +25,8 @@ from pftrim.families import (
     write_scan_csv,
     _band,
 )
-from pftrim.linalg import POINTS, QQ_MODULUS, det_bareiss, residue_modulus, \
-    residue_terms, residues_at
+from pftrim.linalg import POINTS, QQ_MODULUS, det_bareiss, residue_bits, \
+    residue_modulus, residue_terms, residues_at
 from pftrim.pfaffian import SkewMatrix, pfaffian_drop
 from pftrim.polyring import PolyRing, PrimeField, QQ
 from pftrim.resolution import trimmed_resolution
@@ -45,24 +46,46 @@ EXPECTED = {
 }
 
 
-# sha256 of the CSV of the criterion 8 and 9 scans and of two more, keyed by
-# (char, size, trials, seed, min_degree), all with degree bound 2
+# sha256 of the CSV of the criterion 8 and 9 scans and of more, keyed by
+# (char, size, trials, seed, min_degree, degree_bound)
 SCAN_DIGESTS = {
-    (2, 7, 160, 11, 1):
+    (2, 7, 160, 11, 1, 2):
         "e88537c927bd5805044691bf1bee5e531922fc02cff3a60d92bee0d98381b74e",
-    (3, 5, 100, 12, 1):
+    (3, 5, 100, 12, 1, 2):
         "1c72541748504bf2b76d498a1222d20232248eb27f9011e4cbba98edd45200fb",
-    (2, 5, 60, 13, 2):
+    (2, 5, 60, 13, 2, 2):
         "74f2ec8936ee08c6d0e3fbf64b9f58aea9656b3096734e8b7685337c403b1b00",
-    (3, 7, 20, 14, 2):
+    (3, 7, 20, 14, 2, 2):
         "3293467a745218da72e950308f4fbd3c9326684e6f3cb090f27e83c452e49a08",
     # the draw's other coefficient branches: rng.choice over QQ, and
     # rng.randrange over a prime above 3
-    (0, 7, 20, 15, 1):
+    (0, 7, 20, 15, 1, 2):
         "67450e0d9f0fd0ee073ad34616aa4e9c0b832839ae9d16bb6ccc03907a4f7b90",
-    (7, 7, 40, 17, 1):
+    (7, 7, 40, 17, 1, 2):
         "02a97c8e952e88e5a5daf81f855c7218ca22b560c926e7f2c003039b95b97c15",
+    # F2 at the largest scan size, so the certificate's and the
+    # classification's eliminations run at their widest rows
+    (2, 21, 40, 18, 1, 2):
+        "1beb3540c4c8359fed5e00390c159979f44909115ca6854b9f8e5d45a3656fd8",
+    # other draw ranges: a degree bound of 1 draws every degree from a
+    # range of one value, a bound of 5 draws exponents up to 5
+    (5, 9, 40, 19, 1, 1):
+        "6ad038f92a1d6c040713f34b68c9977022170cfbae55ff758f3de8edab575c7b",
+    (2, 7, 40, 22, 1, 1):
+        "758e04e6aa23b2b39cad2e2788f18d776aa071087ece6fbc225263cef442580a",
+    (3, 7, 30, 20, 2, 5):
+        "03acaabdbfe4f4534a85274d2fdcdf72a0155ea8b0772b256c83e638be059945",
+    (0, 7, 20, 21, 1, 5):
+        "4e52428e2915820a23692d82f2a7b084d8d02beff99931c6a6fcd0db7dd995b6",
 }
+
+
+def _scan_id(key):
+    # the degree bound is named only where it is not 2, so the entries
+    # frozen before it joined the key keep their test ids
+    *head, degree_bound = key
+    suffix = "" if degree_bound == 2 else f"-bound{degree_bound}"
+    return "-".join(map(str, head)) + suffix
 
 
 class TestFamilySpec:
@@ -271,15 +294,15 @@ class TestScan:
             assert cells[-1] == record.class_
             assert cells[-2] == ("" if record.r is None else str(record.r))
 
-    @pytest.mark.parametrize("char,m,trials,seed,min_degree",
-                             sorted(SCAN_DIGESTS))
-    def test_golden_csv(self, char, m, trials, seed, min_degree):
-        result = realizability_scan(char, m, trials, 2, seed,
+    @pytest.mark.parametrize("key", sorted(SCAN_DIGESTS), ids=_scan_id)
+    def test_golden_csv(self, key):
+        char, m, trials, seed, min_degree, degree_bound = key
+        result = realizability_scan(char, m, trials, degree_bound, seed,
                                     min_degree=min_degree)
         buffer = io.StringIO()
         write_scan_csv(result.records, buffer)
         digest = hashlib.sha256(buffer.getvalue().encode()).hexdigest()
-        assert digest == SCAN_DIGESTS[(char, m, trials, seed, min_degree)]
+        assert digest == SCAN_DIGESTS[key]
 
 
 class TestResidues:
@@ -306,8 +329,57 @@ class TestResidues:
         assert any(f.terms for f in polys)
         residues = [residue_terms(f, p) for f in polys]
         for point in POINTS:
-            assert residues_at(residues, point, p) == \
-                [oracle_value(tuple_terms(f), point, p) for f in polys], point
+            values = [oracle_value(tuple_terms(f), point, p) for f in polys]
+            assert residues_at(residues, point, p) == values, point
+            if p == 2:
+                assert residue_bits(residues, point) == \
+                    sum(v << c for c, v in enumerate(values)), point
+
+
+#: draw ranges for the equivalence of ``families._randbelow`` with the
+#: generator's own methods: every n up to 70, and each side of the powers
+#: of two, where the rejection loop of CPython's draw changes bit count
+DRAW_RANGES = sorted(set(range(1, 71)) |
+                     {n for k in range(21) for n in (2 ** k, 2 ** k + 1)})
+
+
+class TestDraw:
+    # the draw reads the generator through _randbelow, and the scan CSV and
+    # every caller that goes on drawing from the same generator after
+    # _random_skew depend on its values and its state being the
+    # generator's own
+    @pytest.mark.parametrize("method", [
+        lambda rng, n: rng.randint(0, n - 1),
+        lambda rng, n: rng.randrange(1, n + 1) - 1,
+        # choice reads only the length of the sequence, and a range of n
+        # is an n-element sequence that is never built
+        lambda rng, n: rng.choice(range(n))],
+        ids=["randint", "randrange", "choice"])
+    def test_matches_the_generator(self, method):
+        for seed in range(200):
+            ours, theirs = random.Random(seed), random.Random(seed)
+            below = families._randbelow(ours)
+            for n in DRAW_RANGES:
+                assert below(n) == method(theirs, n), (seed, n)
+            assert ours.getstate() == theirs.getstate(), seed
+
+
+class TestF2Aliasing:
+    def test_no_path_edits_an_entry(self):
+        # over F2, from_upper puts one Polynomial object at (i, j) and
+        # (j, i), so an in-place edit of either would change both
+        T = families._random_skew(R2, 7, random.Random(3), 1, 2)
+        assert all(T.rows[i][j] is T.rows[j][i]
+                   for i in range(7) for j in range(i + 1, 7))
+        before = [[dict(f.terms) for f in row] for row in T.rows]
+        assert families._certified(T)
+        for t in range(1, 8):
+            classify(T, t)
+            td = trimmed_resolution(T, t)
+            table = full_table(td)
+            assert verify_leibniz(td, table).all_passed
+            tor_products(td, table)
+        assert [[f.terms for f in row] for row in T.rows] == before
 
 
 def linear_matrix():
