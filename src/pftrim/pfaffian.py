@@ -293,10 +293,10 @@ class IdentityReport:
 #: Largest matrix size ``check_identities`` accepts.  The expansion identity
 #: visits every even index subset, 2^(m-1) of them.  On dense linear forms
 #: over F3 (CPU time, Python 3.11 on a shared 2-core Xeon) the identities
-#: took 1.3 s at size 13, 8.0 s at 15 and 41 s at 17.  ``pftrim verify --trim
-#: m`` took 0.3-0.5 s at size 9, 0.7-1.3 s at 11, 2.3-4.3 s at 13 and 9-17 s
-#: at 15, with a peak RSS of 21, 24, 32 and 57 MiB; past 15 the identities
-#: dominate.
+#: took 1.1 s at size 13, 6.9 s at 15 and 40 s at 17 (115 MiB).  ``pftrim
+#: verify --trim m`` took 0.13-0.18 s at size 9, 0.4-0.5 s at 11, 1.3-1.5 s
+#: at 13 and 6.2-7.7 s at 15 (interpreter start excluded), with a peak RSS
+#: of 21, 24, 32 and 57 MiB; past 15 the identities dominate.
 MAX_IDENTITY_SIZE = 15
 
 
@@ -343,6 +343,16 @@ def check_identities(matrix: SkewMatrix) -> IdentityReport:
       residual and its negative vanish together.  So each pair i < j
       (each 4-set) is visited once, in ``itertools.combinations`` order,
       and a failing row counts once for each of its 2 (24) orderings.
+    - A sum3 or sum5 verdict of the kept set K and row k is counted as
+      passing, not evaluated, where the expansions imply it.  Expanding
+      each pfaffian of K - r (r != k) along k turns the sum into the terms
+      c(r, s) T[k][r] T[k][s] pf(K - {k, r, s}) over r != s, plus the one
+      term of T[k][k].  Since c(r, s) = -c(s, r) at every index tuple, the
+      former cancel in pairs, for any rows.  The premise is that each
+      pfaffian of K - r equals its expansion along k: checked, or ``_pf``'s
+      own definition when k is the lowest element.  So the sum is evaluated
+      only when T[k][k] is nonzero or some K - r with r != k failed an
+      expansion; the latter also catches a wrong memo entry.
 
     A sorted tuple is the lexicographically first ordering of its set, so
     the first failing ordered tuple is the first failing set in
@@ -408,24 +418,34 @@ def check_identities(matrix: SkewMatrix) -> IdentityReport:
         record(name, len(tuples), [(tup, 1) for tup in tuples
                                    if (full ^ mask_of(tup[:-1]), tup[-1]) in bad])
 
+    bad_masks = {mask for mask, _ in bad}
+    diagonal = {k for k in range(1, m + 1) if rows[k - 1][k - 1]}
+
     def vanishing_sum(name, size, orderings, sign_of):
         # row k outside each sorted size-set times the signed vector
-        # [(r - 1, sign, pfaffian with the set and r removed)] of the set
+        # [(r - 1, sign, pfaffian with the set and r removed)] of the set,
+        # evaluated only where the sum does not follow from the expansions
         cases = 0
         failed = []
         for index_set in itertools.combinations(range(1, m + 1), size):
             kept = full ^ mask_of(index_set)
-            vector = []
-            for r in range(1, m + 1):
-                sign = sign_of(*index_set, r)
-                if sign:
-                    sub = pf(kept ^ (1 << (r - 1))).terms
-                    if sub:
-                        vector.append((r - 1, sign, sub))
+            broken = {r for r in range(1, m + 1) if kept >> (r - 1) & 1
+                      and kept ^ (1 << (r - 1)) in bad_masks}
+            vector = None
             for k in range(1, m + 1):
                 if k in index_set:
                     continue
                 cases += orderings
+                if k not in diagonal and broken <= {k}:
+                    continue
+                if vector is None:
+                    vector = []
+                    for r in range(1, m + 1):
+                        sign = sign_of(*index_set, r)
+                        if sign:
+                            sub = pf(kept ^ (1 << (r - 1))).terms
+                            if sub:
+                                vector.append((r - 1, sign, sub))
                 row = rows[k - 1]
                 acc = {}
                 for r, sign, sub in vector:

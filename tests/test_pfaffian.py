@@ -145,6 +145,33 @@ class TestSignLemmas:
         for i, j, r in itertools.permutations(range(1, 14), 3):
             assert sigma3(j, i, r) == -sigma3(i, j, r), (i, j, r)
 
+    @pytest.mark.parametrize("size, sign_of", [
+        (2, sigma3),
+        (4, lambda i, h, s, k, r: sigma3(i, r, h) * sigma5(i, r, h, s, k))],
+        ids=["sum3", "sum5"])
+    def test_sum_coefficients_are_antisymmetric(self, size, sign_of):
+        # expanding each pfaffian of K - r along k turns the vanishing sum
+        # over the kept set K into the sum over r != s of c_rs T[k][r]
+        # T[k][s] pf(K - {k, r, s}), with c_rs = s_D(r) times the expansion
+        # sign of k, s at their positions in K - r, plus the diagonal term;
+        # c_rs = -c_sr makes that double sum vanish.  A position counts only
+        # the smaller elements, so m = 15 covers every accepted size
+        m = MAX_IDENTITY_SIZE
+        for dropped in itertools.combinations(range(1, m + 1), size):
+            kept = [v for v in range(1, m + 1) if v not in dropped]
+            sign = {r: sign_of(*dropped, r) for r in kept}
+            for pk, k in enumerate(kept):
+                for pr, r in enumerate(kept):
+                    for ps in range(pr + 1, len(kept)):
+                        s = kept[ps]
+                        if k == r or k == s:
+                            continue
+                        # positions in K - r (K - s): those above r (s) move
+                        # down one
+                        c_rs = sign[r] * _expansion_sign(pk - (pk > pr), ps - 1)
+                        c_sr = sign[s] * _expansion_sign(pk - (pk > ps), pr)
+                        assert c_rs == -c_sr, (dropped, k, r, s)
+
     def test_expansion_sign_is_rearrange_sign(self):
         m = 9
         for size in range(2, m + 1, 2):
@@ -429,12 +456,8 @@ class TestIdentities:
         # Evaluating along the lowest element as well would add one failure
         # to expansion, ((2, 3, 5, 6), 2), and one to drop3_expansion,
         # (1, 4, 7, 2)
-        R5 = PolyRing(PrimeField(5))
-        T = random_skew(R5, 7, random.Random(73), degree=1)
-        x, y, _ = R5.gens
-        T._pf_cache[0b110110] = oracle_pfaffian(T, (2, 3, 5, 6)) + x * y
         assert [(c.name, c.cases, c.failures, c.first_failure)
-                for c in check_identities(T).checks] == [
+                for c in check_identities(wrong_memo_matrix()).checks] == [
             ("expansion", 224, 9, "((2, 3, 5, 6), 3)"),
             ("drop1_expansion", 42, 6, "(1, 4)"),
             ("sum3_vanishing", 210, 16, "(1, 4, 2)"),
@@ -445,19 +468,6 @@ class TestIdentities:
     def test_lowest_element_expansion_not_evaluated(self, monkeypatch):
         T = random_skew(PolyRing(PrimeField(5)), 7, random.Random(74), degree=1)
         check_identities(T)   # fills the memo, so no pfaffian is built below
-
-        class Recorder:
-            def __init__(self, core):
-                self.core = core
-                self.factors = set()
-
-            def __getattr__(self, name):
-                return getattr(self.core, name)
-
-            def addmul_into(self, acc, a, b, p, sign):
-                self.factors.add((id(a), id(b)))
-                return self.core.addmul_into(acc, a, b, p, sign)
-
         recorder = Recorder(polyring._core)
         monkeypatch.setattr(polyring, "_core", recorder)
         assert check_identities(T).all_passed
@@ -479,6 +489,48 @@ class TestIdentities:
             assert not expansion_factors(mask, 0) & recorder.factors, mask
             assert expansion_factors(mask, 1) <= recorder.factors, mask
 
+    @pytest.mark.parametrize("field", [PrimeField(2), PrimeField(5), QQ],
+                             ids=["F2", "F5", "QQ"])
+    def test_vanishing_sums_not_evaluated(self, monkeypatch, field):
+        # on a skew matrix with a zero diagonal every vanishing sum follows
+        # from the checked expansions, so none of its products is taken
+        recorder = Recorder(polyring._core)
+        monkeypatch.setattr(polyring, "_core", recorder)
+        seen = 0
+        for m in (5, 7, 9):
+            T = random_skew(PolyRing(field), m, random.Random(75 + m), degree=1)
+            check_identities(T)   # fills the memo, so no pfaffian is built below
+            recorder.factors.clear()
+            assert check_identities(T).all_passed
+            for dropped, k in sum_cases(m):
+                factors = sum_factors(T, dropped, k)
+                assert not factors & recorder.factors, (m, dropped, k)
+                seen += len(factors)
+        assert seen
+
+    def test_tampered_sums_still_evaluated(self, monkeypatch):
+        # a nonzero diagonal entry (3, 3) enters the sums of row 3 directly,
+        # and the wrong memo entry for {2, 3, 5, 6} is the pfaffian of K - r
+        # in the sums of each kept set K = {2, 3, 5, 6, r}: their products
+        # are still taken
+        memo = 0b110110
+        cases = [(tampered_matrix(name, 7, "diagonal"),
+                  [(dropped, k) for dropped, k in sum_cases(7) if k == 3])
+                 for name in TAMPERED_FIELDS]
+        cases.append((wrong_memo_matrix(),
+                      [(dropped, k) for dropped, k in sum_cases(7)
+                       if len(dropped) == 2 and memo >> (k - 1) & 1
+                       and not memo & mask_of(dropped)]))
+        recorder = Recorder(polyring._core)
+        monkeypatch.setattr(polyring, "_core", recorder)
+        for T, affected in cases:
+            check_identities(T)   # fills the memo, so no pfaffian is built below
+            recorder.factors.clear()
+            assert not check_identities(T).all_passed
+            assert affected
+            for dropped, k in affected:
+                assert sum_factors(T, dropped, k) <= recorder.factors, (dropped, k)
+
     def test_size_limit_comes_first(self, monkeypatch):
         def forbidden(*args):
             raise AssertionError("check_identities did pfaffian work")
@@ -490,6 +542,53 @@ class TestIdentities:
         # the largest accepted size gets as far as the first pfaffian
         with pytest.raises(AssertionError, match="pfaffian work"):
             check_identities(SkewMatrix.from_upper(RQ, MAX_IDENTITY_SIZE, {}))
+
+
+class Recorder:
+    """Stands in for polyring._core and records the (id, id) factor pairs
+    of every addmul_into call."""
+
+    def __init__(self, core):
+        self.core = core
+        self.factors = set()
+
+    def __getattr__(self, name):
+        return getattr(self.core, name)
+
+    def addmul_into(self, acc, a, b, p, sign):
+        self.factors.add((id(a), id(b)))
+        return self.core.addmul_into(acc, a, b, p, sign)
+
+
+def mask_of(indices):
+    return sum(1 << (v - 1) for v in indices)
+
+
+def sum_cases(m):
+    """(dropped set, row k) of every sum3 and sum5 case, 1-based."""
+    return [(dropped, k) for size in (2, 4)
+            for dropped in itertools.combinations(range(1, m + 1), size)
+            for k in range(1, m + 1) if k not in dropped]
+
+
+def sum_factors(T, dropped, k):
+    """The nonzero (T[k][r], memo entry of K - r) pairs, r in the kept set
+    K, of the vanishing sum of the dropped set and row k."""
+    kept = ((1 << T.m) - 1) ^ mask_of(dropped)
+    pairs = ((T.rows[k - 1][r], T._pf_cache[kept ^ (1 << r)])
+             for r in range(T.m) if kept >> r & 1)
+    return {(id(entry.terms), id(sub.terms)) for entry, sub in pairs
+            if entry and sub}
+
+
+def wrong_memo_matrix():
+    """A valid F5 matrix of size 7 whose memo entry for {2, 3, 5, 6} is
+    off by x y."""
+    R5 = PolyRing(PrimeField(5))
+    T = random_skew(R5, 7, random.Random(73), degree=1)
+    x, y, _ = R5.gens
+    T._pf_cache[0b110110] = oracle_pfaffian(T, (2, 3, 5, 6)) + x * y
+    return T
 
 
 TAMPERED_FIELDS = {"F2": PrimeField(2), "F3": PrimeField(3),
