@@ -27,12 +27,13 @@ So every degree-(1, 1) cell of an index pair is a monomial shift of one
 vector.  A factor index is a u block up to t and an e above it, and D(k,i,j)
 vanishes for k in {i, j}, so the blocks a cell contracts are fixed by its
 pair.  `full_table` keeps, per pair i < j, the base e_i e_j = v(i,j) + sum
-over the other blocks k of D(k,i,j) v^k, and the sums S of the pair's u
-blocks; the cell (i,l)(j,s) is the base times (-1)^n z_l z_s, negated again
-when i > j, with each u factor's block set to its contraction.  A cell of
-one block is -y_k v^k_ls, and x x has no part.  In degree (1, 2), e_i y is
-kept per (i, y) and a u^i_l cell is its -z_l shift, plus a w^i term
-against its own block.  That table is the one route to a cell: `product`
+over the other blocks k of D(k,i,j) v^k, D and the sums S of the pair's
+u blocks being read off copy k's data, which every trimming of the matrix
+shares (``resolution._Copy``).  The cell (i,l)(j,s) is the base times
+(-1)^n z_l z_s, negated again when i > j, with each u factor's block set
+to its contraction.  A cell of one block is -y_k v^k_ls, and x x has no
+part.  In degree (1, 2), e_i y is kept per (i, y) and a u^i_l cell is its
+-z_l shift, plus a w^i term against its own block.  That table is the one route to a cell: `product`
 reads it, and the trimming keeps it from the first call on.  Every cell is
 kept there as that recipe alone, its coordinates built on each read; its
 residues mod the maximal ideal, which `classify.tor_products` reads, are
@@ -57,8 +58,8 @@ from .linalg import POINTS, insert_row, residue_bits, residue_modulus, \
     residue_terms, residues_at
 from .pfaffian import rearrange_sign, sigma3, sigma5
 from .polyring import Polynomial, check_exponents, pack_exponents
-from .resolution import _PAIRS, BasisElement, _selfdual_part, _trimmed_data, \
-    signed_v
+from .resolution import _PAIRS, BasisElement, _copy, _reduced, \
+    _selfdual_part, _trimmed_data, signed_v
 
 
 def _same_ring(a, b):
@@ -272,33 +273,28 @@ def _memo(fn):
     return cached
 
 
-def _reduced(acc, p):
-    # the term dict of an accumulator summed with p = 0 (see _poly_core)
-    return check_exponents(_ring_mod._core.reduce_terms(acc, p) if p else acc)
+def _block_constants(T, k):
+    # copy k's block constants, kept on its record (resolution._Copy), so
+    # every trimming of T sums them once
+    record = _copy(T, k)
+    if record.block is None:
+        record.block = _sum_block_constants(T, k, record.splitting)
+    return record.block
 
 
-@_memo
-def _splitting(td, k):
-    # the rows h with a nonzero splitting constant c_{h,k}, as (h, (c_{h,k,1},
-    # c_{h,k,2}, c_{h,k,3}) term dicts) pairs: no other row enters a sum
-    return tuple((h, tuple(c.terms for c in td.c[(h, k)]))
-                 for h in range(1, td.m + 1) if any(td.c[(h, k)]))
-
-
-@_memo
-def _block_constants(td, k):
+def _sum_block_constants(T, k, rows):
     # {(i, j): (D(k,i,j,a,b) for (a, b) in _PAIRS)} for i < j, as term
     # dicts: the sum over r of sigma3(i,j,r) c_{r,k,b} times the inner sum
-    # over h of sigma5(i,j,r,h,k) pf(i,j,r,h,k) c_{h,k,a}.  The inner sum
-    # depends on the set {i, j, r} only, so each set is summed once and
-    # added to its three pairs.  A pair holding k is left out: sigma5
-    # vanishes on repeated indices, so its D is zero
-    core, p = _ring_mod._core, td.ring._p
-    rows = _splitting(td, k)
+    # over h of sigma5(i,j,r,h,k) pf(i,j,r,h,k) c_{h,k,a}, over the rows
+    # of copy k's splitting.  The inner sum depends on the set {i, j, r}
+    # only, so each set is summed once and added to its three pairs.  A
+    # pair holding k is left out: sigma5 vanishes on repeated indices, so
+    # its D is zero
+    core, p = _ring_mod._core, T.ring._p
     weights = {r: w for r, w in rows if w[1] or w[2]}
     out = {}
-    full = (1 << td.m) - 1
-    for i, j, r in combinations([n for n in range(1, td.m + 1) if n != k], 3):
+    full = (1 << T.m) - 1
+    for i, j, r in combinations([n for n in range(1, T.m + 1) if n != k], 3):
         pairs = [((x, y), z) for (x, y), z in (((j, r), i), ((i, r), j),
                                                 ((i, j), r)) if z in weights]
         if not pairs:
@@ -308,7 +304,7 @@ def _block_constants(td, k):
         inner = ({}, {})
         for h, w in rows:
             if h != k and h not in (i, j, r) and (w[0] or w[1]):
-                pf = td.T._pf(kept ^ (1 << (h - 1))).terms
+                pf = T._pf(kept ^ (1 << (h - 1))).terms
                 if pf:
                     s5 = sigma5(i, j, r, h, k)
                     for acc, weight in zip(inner, w):
@@ -384,34 +380,28 @@ def product(td, x, y):
 def _pair_base(td, i, j):
     # e_i e_j for i < j, as the degree-(1, 1) cells of the pair read it:
     # (element, term dict) pairs for the f part and the v^k = D(k,i,j) of
-    # the blocks k other than i and j; per u block k of the pair the sums
-    # S(i,j; k,p), p = 1, 2, 3, of the f_r coordinates times c_{r,k,p}, and
-    # per u factor (k, var) its contraction, S(i,j; k,b) at v^k_ab if var
-    # is a and -S(i,j; k,a) if it is b
+    # the blocks k other than i and j; and per u factor (k, var) its
+    # contraction, S(i,j; k,b) at v^k_ab if var is a and -S(i,j; k,a) if
+    # it is b, with the sums S of the pair's u block k read off copy k's
+    # record
     core, p = _ring_mod._core, td.ring._p
     basis2 = td.complex.basis(2)
-    selfdual = [value.terms for value in _selfdual_part(td.T, i, j)]
-    base = [(f, terms) for f, terms in zip(basis2, selfdual) if terms]
-    sums, contractions = {}, {}
+    base = [(f, value.terms) for f, value
+            in zip(basis2, _selfdual_part(td.T, i, j)) if value.terms]
+    contractions = {}
     for k in range(1, td.t + 1):
         blocks = basis2[td.m + 3 * (k - 1):td.m + 3 * k]
         if k != i and k != j:
             base.extend((v, terms) for v, terms in zip(
-                blocks, _block_constants(td, k).get((i, j), ())) if terms)
+                blocks, _block_constants(td.T, k).get((i, j), ())) if terms)
             continue
-        accs = ({}, {}, {})
-        for r, weights in _splitting(td, k):
-            for acc, weight in zip(accs, weights):
-                if weight and selfdual[r - 1]:
-                    core.addmul_into(acc, selfdual[r - 1], weight, 0, 1)
-        sk = sums[k] = tuple(_reduced(acc, p) for acc in accs)
+        sk = _copy(td.T, k).sums[j if k == i else i]
         for var in (1, 2, 3):
-            contraction = tuple(
+            contractions[(k, var)] = tuple(
                 (v, sk[b - 1] if var == a else core.neg_terms(sk[a - 1], p))
                 for v, (a, b) in zip(blocks, _PAIRS)
                 if var in (a, b) and sk[(b if var == a else a) - 1])
-            contractions[(k, var)] = contraction
-    return base, sums, contractions
+    return base, contractions
 
 
 def _cell_parts(td, i, l, j, s):
@@ -429,7 +419,7 @@ def _cell_parts(td, i, l, j, s):
         return sign > 0, [((i, *v.data), ((v, y_i),), 0)] if sign and y_i \
             else []
     pair = (i, j) if i < j else (j, i)
-    base, _, contractions = _pair_base(td, *pair)
+    base, contractions = _pair_base(td, *pair)
     parts = [(pair, base, _z_key(l, s))]
     for k, var, other in ((i, l, s), (j, s, l)):
         if var:
@@ -447,19 +437,29 @@ def _degree_one_product(td, i, l, j, s):
 
 @_memo
 def _checked(td):
-    # the (part name, key) shifts `_recipe` found within EXPONENT_LIMIT
+    # the part names and (part name, key) shifts `_recipe` found in bounds
     return set()
 
 
+#: Every lane of a recipe shift, z_l z_s or z_l, is at most this one's.
+_MAX_SHIFT = pack_exponents(2, 2, 2)
+
+
 def _recipe(td, degree, factors, negate, parts):
-    # td's recipe cell of the factors, each (part name, key) shift checked
-    # against EXPONENT_LIMIT once per trimming (on the shifted keys alone;
-    # a zero key cannot pass it), so no cell read later can raise
+    # td's recipe cell of the factors, each shift of a part checked against
+    # EXPONENT_LIMIT once per trimming (a zero key cannot pass it), so no
+    # cell read later can raise: once per part name under _MAX_SHIFT, and
+    # per (part name, key), raising at the same cell, where that fails
     checked = _checked(td)
     for name, pairs, key in parts:
-        if key and (name, key) not in checked:
-            check_exponents(k + key for _, terms in pairs for k in terms)
-            checked.add((name, key))
+        if key and name not in checked and (name, key) not in checked:
+            keys = [k for _, terms in pairs for k in terms]
+            try:
+                check_exponents(k + _MAX_SHIFT for k in keys)
+                checked.add(name)
+            except ArgumentError:
+                check_exponents(k + key for k in keys)
+                checked.add((name, key))
     return _Recipe(td, degree, factors, negate, parts)
 
 
@@ -510,7 +510,7 @@ def _times_degree_two(td, i, y):
         c = 6 - a - b
         if i == k:
             return ()
-        value = _pair_base(td, min(i, k), max(i, k))[1][k][c - 1]
+        value = _copy(td.T, k).sums[i][c - 1]
         return ((BasisElement.W(k), _shift(value, 0, (c % 2 == 1) != (k > i),
                                            p)),) if value else ()
     # the degree-3 pairing of the i-th selfdual generator with f_j: g when
@@ -521,9 +521,9 @@ def _times_degree_two(td, i, y):
         return ((BasisElement.G(), td.ring.one.terms),)
     if j > td.t:
         return ()
-    core, block = _ring_mod._core, _block_constants(td, j)
+    core, block = _ring_mod._core, _block_constants(td.T, j)
     acc = {}
-    for r, weights in _splitting(td, j):
+    for r, weights in _copy(td.T, j).splitting:
         d = block.get((min(i, r), max(i, r)))
         if weights[2] and d and d[0]:
             core.addmul_into(acc, weights[2], d[0], 0, 1 if i < r else -1)

@@ -33,9 +33,12 @@ from . import polyring as _ring_mod
 class SkewMatrix:
     """Odd-size skew-symmetric matrix with entries in the maximal ideal."""
 
-    # _pf_cache: pfaffian memo by kept-index mask; _untrimmed: the t = 0
-    # trimmed data, built by dgproducts.gorenstein_product on first use
-    __slots__ = ("ring", "m", "rows", "_pf_cache", "_untrimmed")
+    # _pf_cache: pfaffian memo by kept-index mask; _generators: generators()
+    # once built; _copies: resolution._Copy by k, the data of Koszul copy k
+    # that every trimming t >= k reads; _untrimmed: the t = 0 trimmed data
+    # of dgproducts.gorenstein_product; each built on first use
+    __slots__ = ("ring", "m", "rows", "_pf_cache", "_generators", "_copies",
+                 "_untrimmed")
 
     def __init__(self, ring: PolyRing, rows):
         rows = tuple(tuple(row) for row in rows)
@@ -64,6 +67,8 @@ class SkewMatrix:
         self.m = len(rows)
         self.rows = rows
         self._pf_cache = {0: ring.one}
+        self._generators = None
+        self._copies = {}
         self._untrimmed = None
 
     @classmethod
@@ -118,12 +123,13 @@ class SkewMatrix:
 
     def generators(self) -> tuple:
         """The alternating-sign pfaffian generators: entry i (1-based) is
-        (-1)^(i+1) times the pfaffian with row/column i removed."""
-        out = []
-        for i in range(1, self.m + 1):
-            p = pfaffian_drop(self, (i,))
-            out.append(p if i % 2 == 1 else -p)
-        return tuple(out)
+        (-1)^(i+1) times the pfaffian with row/column i removed; built on
+        the first call, the same tuple on every call."""
+        if self._generators is None:
+            drops = (pfaffian_drop(self, (i,)) for i in range(1, self.m + 1))
+            self._generators = tuple(p if i % 2 else -p
+                                     for i, p in enumerate(drops, 1))
+        return self._generators
 
     def permuted(self, new_of_old) -> "SkewMatrix":
         """Conjugate by the permutation sending old index i to new_of_old[i-1]."""

@@ -33,9 +33,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import linalg
+from . import polyring as _ring_mod
 from .errors import ArgumentError, MinimizationNotPolynomial, _is_int
 from .pfaffian import SkewMatrix, sigma3
-from .polyring import PolyRing, decompose_c
+from .polyring import Polynomial, PolyRing, check_exponents, decompose_c
 
 
 _DEGREES = {"one": 0, "e": 1, "u": 1, "f": 2, "v": 2, "g": 3, "w": 3}
@@ -251,6 +252,10 @@ class TrimmedData:
         Q1: (3t) x m connecting matrix, rows grouped in threes per copy.
         Q2: (3t) x 1 connecting matrix.
         complex: the assembled ChainComplex.
+
+    The trimmings of one matrix share its per-copy data (``_Copy``),
+    kept on the matrix like its pfaffians: the values of c, y and dk are
+    views of it, while the dicts, Q1, Q2 and the complex are td's own.
     """
 
     T: SkewMatrix
@@ -286,6 +291,54 @@ def _selfdual_part(T, i, j):
     return tuple(coords)
 
 
+def _reduced(acc, p):
+    # the term dict of an accumulator summed with p = 0 (see _poly_core)
+    return check_exponents(_ring_mod._core.reduce_terms(acc, p) if p else acc)
+
+
+class _Copy:
+    # Koszul copy k of T's trimmings, which depends on T and k alone, so
+    # _copy builds it once per (T, k) and keeps it on T: c, the splitting
+    # (c1, c2, c3) of T[k][i] for i = 1..m; splitting, (i, c term dicts)
+    # for the rows i with a nonzero c, the only rows a sum over c meets;
+    # sums, i -> S(min(i,k), max(i,k); k,p) for p = 1, 2, 3, the sum over r
+    # of c_{r,k,p} times the f_r coordinate of e_min e_max, as term dicts;
+    # dk, (d^k_12, d^k_13, d^k_23), d^k_ab being the sum over i of c_{i,k,b}
+    # S(.; k,a), negated for i > k as e_i e_k = -e_k e_i; block, the block
+    # constants of dgproducts, summed there on first use
+    __slots__ = ("c", "splitting", "sums", "dk", "block")
+
+    def __init__(self, T, k):
+        core, p = _ring_mod._core, T.ring._p
+        self.c = tuple(decompose_c(f) for f in T.rows[k - 1])
+        self.splitting = tuple((i, tuple(c.terms for c in ci))
+                               for i, ci in enumerate(self.c, 1) if any(ci))
+        self.sums = {}
+        dk = ({}, {}, {})
+        for i, ci in enumerate(self.c, 1):
+            if i == k:
+                continue
+            selfdual = [value.terms
+                        for value in _selfdual_part(T, min(i, k), max(i, k))]
+            accs = ({}, {}, {})
+            for r, weights in self.splitting:
+                for acc, weight in zip(accs, weights):
+                    if weight and selfdual[r - 1]:
+                        core.addmul_into(acc, selfdual[r - 1], weight, 0, 1)
+            sums = self.sums[i] = tuple(_reduced(acc, p) for acc in accs)
+            for acc, (a, b) in zip(dk, _PAIRS):
+                if ci[b - 1] and sums[a - 1]:
+                    core.addmul_into(acc, ci[b - 1].terms, sums[a - 1], 0,
+                                     1 if i < k else -1)
+        self.dk = tuple(Polynomial(T.ring, _reduced(acc, p)) for acc in dk)
+        self.block = None
+
+
+def _copy(T, k):
+    # copy k's record, built on first use and kept on T
+    return T._copies.get(k) or T._copies.setdefault(k, _Copy(T, k))
+
+
 def gorenstein_resolution(T: SkewMatrix) -> ChainComplex:
     """The resolution 0 -> R -> R^m -> R^m -> R with boundary maps (the
     signed subpfaffian row, T itself, the signed subpfaffian column): the
@@ -318,33 +371,15 @@ def trimmed_resolution(T: SkewMatrix, t: int) -> TrimmedData:
 
 def _trimmed_data(T: SkewMatrix, t: int) -> TrimmedData:
     # the construction for 0 <= t <= m; t = 0 is the Gorenstein resolution
-    ring = T.ring
-    m = T.m
-    zero = ring.zero
-    z = ring.gens
-
-    c = {(i, k): decompose_c(T.entry(k, i))
-         for k in range(1, t + 1) for i in range(1, m + 1)}
-
+    ring, m, zero, z = T.ring, T.m, T.ring.zero, T.ring.gens
+    copies = [_copy(T, k) for k in range(1, t + 1)]
+    c = {(i, k): ci for k, record in enumerate(copies, 1)
+         for i, ci in enumerate(record.c, 1)}
+    dk = {(k, *pair): d for k, record in enumerate(copies, 1)
+          for pair, d in zip(_PAIRS, record.dk)}
     y = T.generators()
-
-    # d^k_ab = sum over i, r of c_{i,k,b} c_{r,k,a} times the f_r
-    # coordinate of e_i e_k, read once per row i with a nonzero splitting
-    dk = {(k, a, b): zero for k in range(1, t + 1) for a, b in _PAIRS}
-    for (i, k), ci in c.items():
-        if not any(ci):
-            continue
-        selfdual = _selfdual_part(T, i, k)
-        for a, b in _PAIRS:
-            if ci[b - 1]:
-                weights = ((c[(r, k)][a - 1], value)
-                           for r, value in enumerate(selfdual, 1) if value)
-                inner = sum((w * value for w, value in weights if w), zero)
-                dk[(k, a, b)] = dk[(k, a, b)] + ci[b - 1] * inner
-
-    q1 = tuple(tuple(c[(i, k)][l - 1] for i in range(1, m + 1))
-               for k in range(1, t + 1) for l in (1, 2, 3))
-    q2 = tuple((dk[(k, a, b)],) for k in range(1, t + 1) for (a, b) in _PAIRS)
+    q1 = tuple(row for record in copies for row in zip(*record.c))
+    q2 = tuple((d,) for record in copies for d in record.dk)
 
     deg1 = tuple(BasisElement.E(i) for i in range(t + 1, m + 1)) + \
         tuple(BasisElement.U(k, l) for k in range(1, t + 1) for l in (1, 2, 3))
@@ -353,33 +388,16 @@ def _trimmed_data(T: SkewMatrix, t: int) -> TrimmedData:
     deg3 = (BasisElement.G(),) + tuple(BasisElement.W(k) for k in range(1, t + 1))
 
     delta2, delta3 = _koszul_matrices(ring)
-
+    pad = (zero,) * 3
     d1 = (y[t:] + tuple(-(y[k - 1] * z[l - 1])
                         for k in range(1, t + 1) for l in (1, 2, 3)),)
-
-    d2 = []
-    for i in range(t + 1, m + 1):
-        d2.append(T.rows[i - 1] + (zero,) * (3 * t))
-    for k in range(1, t + 1):
-        for l in (1, 2, 3):
-            row = [-q1[3 * (k - 1) + (l - 1)][j] for j in range(m)]
-            for kk in range(1, t + 1):
-                if kk == k:
-                    row.extend(delta2[l - 1])
-                else:
-                    row.extend((zero, zero, zero))
-            d2.append(tuple(row))
-
-    d3 = []
-    for i in range(1, m + 1):
-        d3.append((y[i - 1],) + (zero,) * t)
-    for k in range(1, t + 1):
-        for offset in range(3):
-            row = [q2[3 * (k - 1) + offset][0]]
-            for kk in range(1, t + 1):
-                row.append(delta3[offset][0] if kk == k else zero)
-            d3.append(tuple(row))
-
+    # row n of Q1 and of Q2 is row n % 3 of copy n // 3 + 1's block
+    d2 = [T.rows[i - 1] + pad * t for i in range(t + 1, m + 1)] + [
+        tuple(-entry for entry in row) + pad * (n // 3) + delta2[n % 3]
+        + pad * (t - 1 - n // 3) for n, row in enumerate(q1)]
+    d3 = [(y[i - 1],) + (zero,) * t for i in range(1, m + 1)] + [
+        row + (zero,) * (n // 3) + delta3[n % 3] + (zero,) * (t - 1 - n // 3)
+        for n, row in enumerate(q2)]
     complex_ = ChainComplex(ring, ((BasisElement.ONE(),), deg1, deg2, deg3),
                             (d1, tuple(d2), tuple(d3)))
     return TrimmedData(T=T, t=t, c=c, y=y, dk=dk, Q1=q1, Q2=q2, complex=complex_)

@@ -12,7 +12,8 @@ from fractions import Fraction
 
 import pytest
 
-from pftrim import _poly_core, dgproducts, polyring
+from pftrim import _poly_core, dgproducts, polyring, resolution
+from pftrim.classify import classify
 from pftrim.dgproducts import ChainElement, LeibnizReport, ProductTable, \
     boundary, d_constants, full_table, gorenstein_product, multiply, \
     product, verify_leibniz, zero_element
@@ -23,7 +24,7 @@ from pftrim.polyring import EXPONENT_LIMIT, PolyRing, Polynomial, \
     PrimeField, QQ, unpack_exponents
 from pftrim.resolution import BasisElement as B
 from pftrim.resolution import ChainComplex, gorenstein_resolution, \
-    trimmed_resolution
+    trimmed_resolution, verify_diagrams
 
 from oracles import random_skew
 
@@ -767,6 +768,28 @@ class TestLeibnizGate:
         td = trimmed_resolution(SkewMatrix.from_upper(R3, 5, upper), 1)
         assert verify_leibniz(td, full_table(td)).all_passed
 
+    def test_part_near_limit_checked_per_shift(self):
+        # limit_trim's pattern in x and y, with (4, 5) = z^(EXPONENT_LIMIT -
+        # 1): the base of (1, 2) holds it at f3, so it fails the check under
+        # z_l z_s of lanes 2 each and each shift is checked on its own.
+        # Shifts adding at most 1 to lane 3 build; z_3^2 raises at its cell
+        x, y = R3.gens[:2]
+        upper = {pair: (x, y)[n % 2] for n, pair in enumerate(
+            itertools.combinations(range(1, 6), 2))}
+        upper[(4, 5)] = R3.monomial(1, (0, 0, EXPONENT_LIMIT - 1))
+        td = trimmed_resolution(SkewMatrix.from_upper(R3, 5, upper), 2)
+        for l, s in ((1, 1), (1, 3), (3, 1), (2, 1)):
+            cell = dgproducts._degree_one_product(td, 1, l, 2, s)
+            assert max(unpack_exponents(k)[2] for coeff in cell.values()
+                       for k in coeff.terms) <= EXPONENT_LIMIT
+        dgproducts._degree_one_product(td, 3, None, 1, 3)
+        with pytest.raises(ArgumentError, match=f"exponent above "
+                           f"{EXPONENT_LIMIT}"):
+            dgproducts._degree_one_product(td, 1, 3, 2, 3)
+        with pytest.raises(ArgumentError, match=f"exponent above "
+                           f"{EXPONENT_LIMIT}"):
+            full_table(td)
+
     def test_gated_cell_past_exponent_limit(self, monkeypatch):
         # full_table refuses u1_1*u2_1 of the t = 2 input at e =
         # EXPONENT_LIMIT - 1, whose x lane the z_1^2 shift takes past the
@@ -1430,3 +1453,88 @@ class TestGoldenDigests:
                     value = d_constants(td, flavor, (k, i, j, *rest))
                     h.update(str(value).encode() + b";")
         assert h.hexdigest() == D_CONSTANTS_DIGEST
+
+
+def trimming_outcome(td):
+    """Everything a trimming reports: its complex, connecting data, table
+    records, Leibniz and diagram reports, and class."""
+    C = td.complex
+    table = full_table(td)
+    return (C.bases, C.differentials, td.c, td.dk, td.Q1, td.Q2, td.y,
+            table.records(), verify_leibniz(td, table), verify_diagrams(td),
+            classify(td.T, td.t))
+
+
+class TestSharedCopies:
+    """The trimmings of one matrix share each Koszul copy's data, kept on
+    the matrix, and each still reads as if it were built alone."""
+
+    @pytest.mark.parametrize("ring,size,degree", [
+        (R2, 9, 1), (R3, 7, 1), (R5, 5, 2), (RQ, 7, 1), (RQ, 5, 2)],
+        ids=["F2-9", "F3-7", "F5-5", "QQ-7", "QQ-5"])
+    def test_shared_trimmings_match_fresh(self, ring, size, degree):
+        rng = random.Random(290 + size + degree)
+        T = random_skew(ring, size, rng, degree=degree, density=0.7)
+        order = list(range(1, size + 1))
+        rng.shuffle(order)
+        shared = {t: trimmed_resolution(T, t) for t in order}
+        outcomes = {t: trimming_outcome(shared[t]) for t in order}
+        for t in range(1, size + 1):
+            fresh = trimmed_resolution(SkewMatrix(ring, T.rows), t)
+            assert outcomes[t] == trimming_outcome(fresh), t
+            leibniz, diagrams = outcomes[t][-3:-1]
+            assert leibniz.all_passed and diagrams.all_passed
+            # the values of copy k are one object in every trimming of T,
+            # and another in the trimmings of the fresh matrix
+            for k in range(1, t + 1):
+                assert shared[t].dk[(k, 1, 2)] is shared[size].dk[(k, 1, 2)]
+                assert shared[t].c[(1, k)] is shared[size].c[(1, k)]
+                assert fresh.c[(1, k)] is not shared[t].c[(1, k)]
+        assert shared[1].y is shared[size].y is T.generators()
+
+    def test_tampered_trimming_fails_alone(self):
+        T = random_skew(R3, 7, random.Random(293), degree=1)
+        td, sibling = trimmed_resolution(T, 3), trimmed_resolution(T, 5)
+        x = R3.gens[0]
+        q1 = [list(row) for row in td.Q1]
+        q1[0][0] = q1[0][0] + x
+        q2 = [list(row) for row in td.Q2]
+        q2[0][0] = q2[0][0] + x
+        for field, value, name in (
+                ("Q1", tuple(map(tuple, q1)), "q1_triangle"),
+                ("Q2", tuple(map(tuple, q2)), "q2_square")):
+            tampered = dataclasses.replace(td, **{field: value})
+            failures = verify_diagrams(tampered).failures
+            assert name in {c.name for c in failures}
+            assert {c.copy for c in failures} == {1}
+            for other in (td, sibling, trimmed_resolution(T, 3)):
+                assert verify_diagrams(other).all_passed
+            assert trimmed_resolution(T, 3).complex.differentials == \
+                td.complex.differentials
+
+    def test_copy_data_built_once_per_matrix(self, monkeypatch):
+        built = Counter()
+        record, blocks = resolution._Copy, dgproducts._sum_block_constants
+
+        def counting_record(T, k):
+            built[("record", id(T), k)] += 1
+            return record(T, k)
+
+        def counting_blocks(T, k, rows):
+            built[("blocks", id(T), k)] += 1
+            return blocks(T, k, rows)
+
+        monkeypatch.setattr(resolution, "_Copy", counting_record)
+        monkeypatch.setattr(dgproducts, "_sum_block_constants",
+                            counting_blocks)
+        T = random_skew(R5, 7, random.Random(294), degree=1)
+        matrices = (T, SkewMatrix(R5, T.rows))
+        for M in matrices:
+            held = {t: trimmed_resolution(M, t) for t in range(1, 8)}
+            for t in (1, 4, 7):
+                table = full_table(held[t])
+                assert verify_leibniz(held[t], table).all_passed
+            d_constants(held[7], "two_index", (2, 1, 3, 1, 2))
+        assert built == Counter({(kind, id(M), k): 1 for M in matrices
+                                 for kind in ("record", "blocks")
+                                 for k in range(1, 8)})

@@ -20,8 +20,9 @@ from pftrim import linalg
 from pftrim.linalg import rref
 from pftrim.pfaffian import SkewMatrix, pfaffian_drop, sigma3
 from pftrim.polyring import Polynomial, PolyRing, PrimeField, QQ
-from pftrim.resolution import BasisElement, ChainComplex, gorenstein_resolution, \
-    minimize, signed_v, trimmed_resolution, verify_diagrams
+from pftrim.resolution import BasisElement, ChainComplex, _selfdual_part, \
+    gorenstein_resolution, minimize, signed_v, trimmed_resolution, \
+    verify_diagrams
 
 from oracles import random_skew
 
@@ -263,6 +264,26 @@ class TestTrimmed:
             for t in range(1, m + 1):
                 td = trimmed_resolution(T, t)
                 assert td.complex.composes_to_zero(), (m, t)
+
+
+class TestSelfdualSignLemma:
+    """Copy k's correction constants sum the f-coordinates of e_i e_k off
+    the pair-oriented ones, negated for i > k: e_i e_k = -e_k e_i term by
+    term."""
+
+    @pytest.mark.parametrize("name", sorted(MIXED_FIELDS))
+    def test_swapped_pair_negates(self, name):
+        ring = PolyRing(MIXED_FIELDS[name])
+        rng = random.Random(f"sign-lemma/{name}")
+        for m in (3, 5, 7, 9, 11):
+            T = random_skew(ring, m, rng, degree=1, density=0.8)
+            for i in range(1, m + 1):
+                for k in range(1, m + 1):
+                    if i != k:
+                        assert [(-value).terms for value in
+                                _selfdual_part(T, i, k)] == \
+                            [value.terms for value in
+                             _selfdual_part(T, k, i)], (m, i, k)
 
 
 def change_d2_entry(complex_):
