@@ -8,8 +8,8 @@ from .resolution import BasisElement, ChainComplex, TrimmedData, \
     gorenstein_resolution, trimmed_resolution, verify_diagrams, minimize, \
     signed_v, DiagramReport
 from .dgproducts import ChainElement, ProductTable, LeibnizReport, \
-    d_constants, product, full_table, multiply, boundary, verify_leibniz, \
-    gorenstein_product, zero_element
+    d_constants, full_table, multiply, boundary, verify_leibniz, \
+    zero_element
 from .classify import TorReport, TorProductTable, ConjectureReport, \
     classify, tor_products, check_conjectures, conjugate_trim_set
 from .families import FamilySpec, FamilyReport, ScanRecord, ScanResult, \
@@ -27,8 +27,7 @@ __all__ = [
     "trimmed_resolution", "verify_diagrams", "minimize", "signed_v",
     "DiagramReport",
     "ChainElement", "ProductTable", "LeibnizReport", "d_constants",
-    "product", "full_table", "multiply", "boundary", "verify_leibniz",
-    "gorenstein_product", "zero_element",
+    "full_table", "multiply", "boundary", "verify_leibniz", "zero_element",
     "TorReport", "TorProductTable", "ConjectureReport", "classify",
     "tor_products", "check_conjectures", "conjugate_trim_set",
     "FamilySpec", "FamilyReport", "ScanRecord", "ScanResult",

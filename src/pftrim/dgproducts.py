@@ -2,9 +2,9 @@
 
 The trimmed complex carries a DG-algebra structure extending the one on the
 length-3 selfdual resolution and the Koszul blocks.  This module computes the
-correction constants (`d_constants`), individual products (`product`), the
-complete multiplication table (`full_table`), and checks the Leibniz rule
-against the differentials (`verify_leibniz`).
+correction constants (`d_constants`) and the complete multiplication table
+(`full_table`, read one product at a time by `ProductTable.lookup`), and
+checks the Leibniz rule against the differentials (`verify_leibniz`).
 
 A degree-1 basis element is a factor (i, l): e_i is (i, None), u^k_l is
 (k, l).  As d(u^k_l) = -z_l y_k = -z_l d(e_k), away from its own Koszul block
@@ -26,18 +26,19 @@ when x = u^i_l meets f_i or v^i_ab.  Degree-(2, 1) products equal the
 So every degree-(1, 1) cell of an index pair is a monomial shift of one
 vector.  A factor index is a u block up to t and an e above it, and D(k,i,j)
 vanishes for k in {i, j}, so the blocks a cell contracts are fixed by its
-pair.  `full_table` keeps, per pair i < j, the base e_i e_j = v(i,j) + sum
+pair.  `full_table` builds, per pair i < j, the base e_i e_j = v(i,j) + sum
 over the other blocks k of D(k,i,j) v^k, D and the sums S of the pair's
 u blocks being read off copy k's data, which every trimming of the matrix
 shares (``resolution._Copy``).  The cell (i,l)(j,s) is the base times
 (-1)^n z_l z_s, negated again when i > j, with each u factor's block set
 to its contraction.  A cell of one block is -y_k v^k_ls, and x x has no
-part.  In degree (1, 2), e_i y is kept per (i, y) and a u^i_l cell is its
--z_l shift, plus a w^i term against its own block.  That table is the one route to a cell: `product`
-reads it, and the trimming keeps it from the first call on.  Every cell is
-kept there as that recipe alone, its coordinates built on each read; its
-residues mod the maximal ideal, which `classify.tor_products` reads, are
-the constant terms of its unshifted parts.  `verify_leibniz` reads every
+part.  In degree (1, 2), e_i y is built once per (i, y) and a u^i_l cell is
+its -z_l shift, plus a w^i term against its own block.  The bases and the
+e_i y are kept for one `full_table` call, whose table is the one route to
+a cell; a trimming holds no state beyond its fields.  Every cell is kept
+in the table as that recipe alone, its coordinates built on each read;
+its residues mod the maximal ideal, which `classify.tor_products` reads,
+are the constant terms of its unshifted parts.  `verify_leibniz` reads every
 cell off its parts, any other `ChainElement` being its coordinates as one
 unshifted part: a cell's C1 residual is the sum of the shifts of its
 parts' d2 images, and its C2 column the shifts of its parts.  Whether a
@@ -49,6 +50,7 @@ the block, which their recipes make its z-shifts there (the trust rule of
 """
 
 import dataclasses
+from functools import cache, partial
 from itertools import combinations
 from operator import attrgetter
 
@@ -59,7 +61,7 @@ from .linalg import POINTS, insert_row, residue_bits, residue_modulus, \
 from .pfaffian import rearrange_sign, sigma3, sigma5
 from .polyring import Polynomial, check_exponents, pack_exponents
 from .resolution import _PAIRS, BasisElement, _copy, _reduced, \
-    _selfdual_part, _trimmed_data, signed_v
+    _selfdual_part, signed_v
 
 
 def _same_ring(a, b):
@@ -247,30 +249,12 @@ def d_constants(td, flavor, indices):
         return td.ring.zero
     if a > b:
         return -d_constants(td, flavor, (k, i, j, *vars_, b, a))
-    # C is the v^k_ab coordinate of (i,l)(j,s) times (-1)^n
+    # C is the v^k_ab coordinate of (i,l)(j,s) times (-1)^n, off the one
+    # pair base that cell reads
     l, s = (*vars_, None, None)[:2]
     value = _degree_one_product(td, i, l, j, s).get(BasisElement.V(k, a, b),
                                                     td.ring.zero)
     return -value if len(vars_) == 1 else value
-
-
-def _memo(fn):
-    # cache fn(td, *args) on td, keyed by its arguments; a helper of an
-    # index pair is kept for i < j only, its callers applying the sign of
-    # i > j.  The cache sits on the (frozen) dataclass through the __dict__
-    # escape so the public field set stays as documented
-    name = fn.__name__
-
-    def cached(td, *args):
-        cache = td.__dict__.get("_product_cache")
-        if cache is None:
-            cache = td.__dict__["_product_cache"] = {}
-        key = (name, *args)
-        hit = cache.get(key)
-        if hit is None:
-            hit = cache[key] = fn(td, *args)
-        return hit
-    return cached
 
 
 def _block_constants(T, k):
@@ -345,17 +329,9 @@ def _shifted(ring, pairs, key, negate):
     # {element: _shift of its terms} as Polynomials, for (element, term
     # dict) pairs whose shift `_recipe` checked against EXPONENT_LIMIT;
     # built afresh on each read of a cell.  Polynomials are immutable, so
-    # an unshifted one may share its term dict with the _memo cache
+    # an unshifted one may share its term dict with the part it reads
     return {elem: Polynomial(ring, _shift(terms, key, negate, ring._p))
             for elem, terms in pairs}
-
-
-def gorenstein_product(T, x, y):
-    """Product of two basis elements of the untrimmed selfdual resolution:
-    `product` on the trimming with nothing trimmed, built once per matrix."""
-    if T._untrimmed is None:
-        T._untrimmed = _trimmed_data(T, 0)
-    return product(T._untrimmed, x, y)
 
 
 def _factor(elem):
@@ -364,21 +340,9 @@ def _factor(elem):
     return (*elem.data, None)[:2]
 
 
-def product(td, x, y):
-    """Product of two basis elements of the trimmed complex: the cell of
-    td's multiplication table (`full_table`), built on the first call and
-    kept on td."""
-    C = td.complex
-    for elem in (x, y):
-        if not isinstance(elem, BasisElement):
-            raise ArgumentError(f"not a basis element: {elem!r}")
-        C.index_of(elem.degree, elem)
-    return _kept_table(td).lookup(x, y)
-
-
-@_memo
 def _pair_base(td, i, j):
-    # e_i e_j for i < j, as the degree-(1, 1) cells of the pair read it:
+    # e_i e_j for i < j, as the degree-(1, 1) cells of the pair read it
+    # (the cells of i > j apply its sign):
     # (element, term dict) pairs for the f part and the v^k = D(k,i,j) of
     # the blocks k other than i and j; and per u factor (k, var) its
     # contraction, S(i,j; k,b) at v^k_ab if var is a and -S(i,j; k,a) if
@@ -404,22 +368,22 @@ def _pair_base(td, i, j):
     return base, contractions
 
 
-def _cell_parts(td, i, l, j, s):
+def _cell_parts(td, i, l, j, s, bases):
     # (i,l)(j,s) as (negate, parts): the cell is (-1)^negate times the sum
     # over the parts (name, (element, term dict) pairs, key) of z^key times
-    # the pairs.  For i != j the first part is the base of the pair under
-    # z_l z_s, named by the pair; then each u factor's contraction under
-    # the other factor's z, named (pair, block, var).  In one block,
-    # u^i_l u^i_s = -y_i v^i_ls is one part, named (i, i, a, b) for
-    # v^i_ls = +-v^i_ab; x x, and a zero y_i, have none.  The parts hold
-    # disjoint elements
+    # the pairs, bases(i, j) giving _pair_base(td, i, j) for i < j.  For
+    # i != j the first part is the base of the pair under z_l z_s, named by
+    # the pair; then each u factor's contraction under the other factor's
+    # z, named (pair, block, var).  In one block, u^i_l u^i_s = -y_i v^i_ls
+    # is one part, named (i, i, a, b) for v^i_ls = +-v^i_ab; x x, and a
+    # zero y_i, have none.  The parts hold disjoint elements
     if i == j:
         sign, v = signed_v(i, l, s)
         y_i = td.y[i - 1].terms
         return sign > 0, [((i, *v.data), ((v, y_i),), 0)] if sign and y_i \
             else []
     pair = (i, j) if i < j else (j, i)
-    base, contractions = _pair_base(td, *pair)
+    base, contractions = bases(*pair)
     parts = [(pair, base, _z_key(l, s))]
     for k, var, other in ((i, l, s), (j, s, l)):
         if var:
@@ -432,25 +396,20 @@ def _degree_one_product(td, i, l, j, s):
     # the coordinates of (i,l)(j,s): the base of the pair times (-1)^n z_l
     # z_s (n u factors), negated once more when i > j, and each u factor's
     # block contracted, times the other z; -y_i v^i_ls in one block
-    return _built(_recipe(td, 2, (i, l, j, s), *_cell_parts(td, i, l, j, s)))
-
-
-@_memo
-def _checked(td):
-    # the part names and (part name, key) shifts `_recipe` found in bounds
-    return set()
+    return _built(_recipe(td, 2, (i, l, j, s), *_cell_parts(
+        td, i, l, j, s, partial(_pair_base, td)), set()))
 
 
 #: Every lane of a recipe shift, z_l z_s or z_l, is at most this one's.
 _MAX_SHIFT = pack_exponents(2, 2, 2)
 
 
-def _recipe(td, degree, factors, negate, parts):
+def _recipe(td, degree, factors, negate, parts, checked):
     # td's recipe cell of the factors, each shift of a part checked against
-    # EXPONENT_LIMIT once per trimming (a zero key cannot pass it), so no
+    # EXPONENT_LIMIT once per set `checked` of the part names and (part
+    # name, key) shifts found in bounds (a zero key cannot pass it), so no
     # cell read later can raise: once per part name under _MAX_SHIFT, and
     # per (part name, key), raising at the same cell, where that fails
-    checked = _checked(td)
     for name, pairs, key in parts:
         if key and name not in checked and (name, key) not in checked:
             keys = [k for _, terms in pairs for k in terms]
@@ -499,7 +458,6 @@ class _Recipe(ChainElement):
         return _built(self)
 
 
-@_memo
 def _times_degree_two(td, i, y):
     # e_i y for y of degree 2 as (element, term dict) pairs, for any index
     # i (e_i need not be a basis element of this trimming)
@@ -531,13 +489,14 @@ def _times_degree_two(td, i, y):
     return ((BasisElement.W(j), w),) if w else ()
 
 
-def _degree_two_parts(td, i, l, y):
+def _degree_two_parts(td, i, l, y, times):
     # x y for the factor x = (i, l) and y of degree 2 as (negate, parts),
-    # as _cell_parts gives a degree-(1, 1) cell: e_i y, named (i, y), under
-    # -z_l for a u; and for u^i_l against its own block, f_i or v^i_ab, a
-    # w^i term named (i, l, y), kept negated under the cell's sign.  There
-    # e_i y = g or 0 holds no w^i, so the parts hold disjoint elements
-    pairs = _times_degree_two(td, i, y)
+    # as _cell_parts gives a degree-(1, 1) cell: e_i y = times(i, y), the
+    # pairs of _times_degree_two(td, i, y), named (i, y), under -z_l for a
+    # u; and for u^i_l against its own block, f_i or v^i_ab, a w^i term
+    # named (i, l, y), kept negated under the cell's sign.  There e_i y =
+    # g or 0 holds no w^i, so the parts hold disjoint elements
+    pairs = times(i, y)
     if l is None:
         return False, [((i, y), pairs, 0)]
     parts = [((i, y), pairs, _VAR_KEYS[l - 1])]
@@ -564,19 +523,27 @@ class ProductTable:
         self.entries = dict(entries)
 
     def lookup(self, x, y):
-        if x.kind == "one":
-            return ChainElement.of(self.complex.ring, y)
-        if y.kind == "one":
-            return ChainElement.of(self.complex.ring, x)
+        """The product x y of two basis elements of the complex: the kept
+        cell, x or y when the other is the unit, and zero past degree 3.
+        An argument that is not a basis element of the complex, or a cell
+        of degree sum at most 3 missing from the table, raises
+        ArgumentError."""
         try:
             return self.entries[(x, y)]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: an unhashable argument
             pass
-        self.complex.index_of(x.degree, x)
-        self.complex.index_of(y.degree, y)
+        C = self.complex
+        for elem in (x, y):
+            if not isinstance(elem, BasisElement):
+                raise ArgumentError(f"not a basis element: {elem!r}")
+            C.index_of(elem.degree, elem)
+        if x.kind == "one":
+            return ChainElement.of(C.ring, y)
+        if y.kind == "one":
+            return ChainElement.of(C.ring, x)
         if x.degree + y.degree <= 3:
             raise ArgumentError(f"incomplete table: missing ({x!r}, {y!r})")
-        return zero_element(self.complex.ring, x.degree + y.degree)
+        return zero_element(C.ring, x.degree + y.degree)
 
     def pairs(self):
         """Ordered pairs in deterministic (degree, basis position) order."""
@@ -616,28 +583,26 @@ def full_table(td):
     the (1, 2) cell of the swapped pair.  Every cell is kept as that
     recipe, its coordinates built on each read; each (part, key) shift is
     checked against EXPONENT_LIMIT as the recipe is made, so no cell read
-    later can raise."""
+    later can raise.  The call builds each pair base and each e_i y once
+    and keeps nothing on td."""
     C = td.complex
     table = ProductTable(C, {})
     entries = table.entries
     basis1, basis2 = C.basis(1), C.basis(2)
+    bases = cache(partial(_pair_base, td))
+    times = cache(partial(_times_degree_two, td))
+    checked = set()
     for x in basis1:
         i, l = _factor(x)
         for y in basis1:
             j, s = _factor(y)
-            entries[(x, y)] = _recipe(td, 2, (i, l, j, s),
-                                      *_cell_parts(td, i, l, j, s))
+            entries[(x, y)] = _recipe(td, 2, (i, l, j, s), *_cell_parts(
+                td, i, l, j, s, bases), checked)
         for y in basis2:
-            entries[(x, y)] = _recipe(td, 3, (i, l, y),
-                                      *_degree_two_parts(td, i, l, y))
+            entries[(x, y)] = _recipe(td, 3, (i, l, y), *_degree_two_parts(
+                td, i, l, y, times), checked)
     entries.update(((y, x), entries[(x, y)]) for y in basis2 for x in basis1)
     return table
-
-
-@_memo
-def _kept_table(td):
-    # the table `product` reads, built once per trimming
-    return full_table(td)
 
 
 def multiply(table, left, right):

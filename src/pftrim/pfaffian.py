@@ -35,10 +35,8 @@ class SkewMatrix:
 
     # _pf_cache: pfaffian memo by kept-index mask; _generators: generators()
     # once built; _copies: resolution._Copy by k, the data of Koszul copy k
-    # that every trimming t >= k reads; _untrimmed: the t = 0 trimmed data
-    # of dgproducts.gorenstein_product; each built on first use
-    __slots__ = ("ring", "m", "rows", "_pf_cache", "_generators", "_copies",
-                 "_untrimmed")
+    # that every trimming t >= k reads; each built on first use
+    __slots__ = ("ring", "m", "rows", "_pf_cache", "_generators", "_copies")
 
     def __init__(self, ring: PolyRing, rows):
         rows = tuple(tuple(row) for row in rows)
@@ -69,7 +67,6 @@ class SkewMatrix:
         self._pf_cache = {0: ring.one}
         self._generators = None
         self._copies = {}
-        self._untrimmed = None
 
     @classmethod
     def from_upper(cls, ring: PolyRing, m: int, upper) -> "SkewMatrix":

@@ -336,10 +336,6 @@ class Polynomial:
     def is_constant(self) -> bool:
         return not self.terms or (len(self.terms) == 1 and 0 in self.terms)
 
-    def monomials(self):
-        """Exponent triples present, in canonical (decreasing) order."""
-        return [unpack_exponents(k) for k in sorted(self.terms, key=_sort_key)]
-
     def coefficient(self, exponents):
         """Coefficient of one monomial, as a field value."""
         return self.terms.get(pack_exponents(*exponents), self.ring.field.of(0))

@@ -220,10 +220,6 @@ class ChainComplex:
                 for entry in row)
         return self._composes
 
-    def is_minimal(self) -> bool:
-        return all(not entry.constant_term()
-                   for mat in self.differentials for row in mat for entry in row)
-
     def to_document(self) -> dict:
         """JSON-ready description: basis labels and matrix entries as
         strings in the polynomial grammar."""
@@ -238,7 +234,7 @@ class ChainComplex:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrimmedData:
     """Everything the trimmed resolution construction produces.
 
@@ -256,6 +252,8 @@ class TrimmedData:
     The trimmings of one matrix share its per-copy data (``_Copy``),
     kept on the matrix like its pfaffians: the values of c, y and dk are
     views of it, while the dicts, Q1, Q2 and the complex are td's own.
+    A trimming holds nothing beyond these fields: the slots leave no room
+    for a cache.
     """
 
     T: SkewMatrix

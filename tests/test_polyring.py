@@ -150,7 +150,7 @@ class TestRingConstruction:
         with pytest.raises(ArgumentError, match="exponent above"):
             R2.monomial(1, (0, 0, EXPONENT_LIMIT)) ** 2
         half = R2.monomial(1, (0, EXPONENT_LIMIT // 2, 0))
-        assert (half * half * R2.gens[1]).monomials() == [(0, EXPONENT_LIMIT, 0)]
+        assert str(half * half * R2.gens[1]) == f"y^{EXPONENT_LIMIT}"
 
 
 class TestParsing:
@@ -271,7 +271,7 @@ class TestArithmetic:
         assert f.coefficient((1, 2, 0)) == 1
         assert f.coefficient((3, 0, 0)) == 0
         assert (f - f).is_zero
-        assert f.monomials() == [(1, 2, 0), (0, 0, 1)]
+        assert str(f) == "x*y^2 + z"
 
 
 class TestDecompose:

@@ -39,6 +39,12 @@ def mat_of(ring, rows):
     return tuple(tuple(ring.from_string(s) for s in row) for row in rows)
 
 
+def is_minimal(C):
+    """Whether no differential entry of C has a nonzero constant term."""
+    return not any(entry.constant_term() for mat in C.differentials
+                   for row in mat for entry in row)
+
+
 class TestBasisElement:
     def test_labels(self):
         assert BasisElement.E(3).label == "e3"
@@ -116,7 +122,7 @@ class TestGorenstein:
             T = random_skew(PolyRing(PrimeField(3)), m, rng, degree=1)
             F = gorenstein_resolution(T)
             assert F.composes_to_zero()
-            assert F.is_minimal()
+            assert is_minimal(F)
 
     def test_degree_one_entry_expansions(self):
         # each entry of the first differential can be recovered by expanding
@@ -330,7 +336,7 @@ class TestMinimize:
         td = trimmed_resolution(example_matrix(), 1)
         minimal = minimize(td.complex)
         assert minimal.ranks == (1, 5, 6, 2)
-        assert minimal.is_minimal()
+        assert is_minimal(minimal)
         assert minimal.composes_to_zero()
         ideal_row = minimal.differential(1)[0]
         assert set(map(str, ideal_row)) == {"y*z", "x*y + z^2", "x*z", "x^2", "y^3"}
@@ -421,7 +427,7 @@ class TestMinimize:
                     minimal = minimize(C)
                 except MinimizationNotPolynomial:
                     continue
-                assert minimal.is_minimal() and minimal.composes_to_zero()
+                assert is_minimal(minimal) and minimal.composes_to_zero()
                 assert minimal.ranks == classify(T, t).format, (m, t)
                 succeeded += 1
         assert succeeded
